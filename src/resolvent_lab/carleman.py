@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -257,16 +257,6 @@ class AuditValues:
     lhs_2d: np.ndarray
 
 
-def a_value(r, weight, phase):
-    """(mu phi'**2)' from the closed-form branch derivatives."""
-    r = np.asarray(r, dtype=float)
-    mu = weight(r)
-    mup = weight.derivative(r)
-    p1 = phase.derivative(r)
-    p2 = phase.second_derivative(r)
-    return mup * p1 ** 2 + 2.0 * mu * p1 * p2
-
-
 def audit_at(r, config, weight, phase, envelope_p, C):
     """Evaluate A, B1, B2 and the certified left-hand sides at radii r.
 
@@ -323,9 +313,6 @@ class GridSpec:
     near_a_inner: float = 8e-7
     near_a_outer: float = 0.5
 
-    def refined(self, factor=2):
-        return replace(self, points_per_decade=self.points_per_decade * factor)
-
 
 def certification_grid(spec, a, r_min=0.0):
     """Sample points on (r_min, span_factor*a], excluding r = a."""
@@ -381,31 +368,15 @@ class Certificate:
         return min(self.families, key=lambda f: f.min_margin)
 
     def to_json(self):
-        cfg = {
-            "regularity": self.config.regularity,
-            "alpha": self.config.alpha,
-            "beta": self.config.beta,
-            "k": self.config.k,
-            "k0": self.config.k0,
-            "s": self.config.s,
-            "tau0": self.config.tau0,
-            "ell": self.config.ell,
-            "m": self.config.m,
-            "E": self.config.E,
-            "h": self.config.h,
-            "d": self.config.d,
-            "r_min": self.r_min,
-            "constants": self.constants,
-        }
+        cfg = asdict(self.config)
+        cfg.update(r_min=self.r_min, constants=self.constants)
         doc = {
             "config": cfg,
             "C_used": self.C_used,
-            "families": [
-                {"name": f.name, "min_margin": f.min_margin, "argmin_r": f.argmin_r}
-                for f in self.families
-            ],
+            "families": [asdict(f) for f in self.families],
             "tau0_found": self.tau0_found,
             "passed": self.passed,
+            "search_history": self.search_history,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -416,11 +387,11 @@ class Certificate:
         r_min = cfg.pop("r_min")
         constants = cfg.pop("constants")
         config = CarlemanConfig(**cfg)
-        fams = tuple(FamilySummary(f["name"], f["min_margin"], f["argmin_r"])
-                     for f in doc["families"])
+        fams = tuple(FamilySummary(**f) for f in doc["families"])
+        history = tuple(tuple(step) for step in doc.get("search_history", ()))
         return cls(config=config, C_used=doc["C_used"], r_min=r_min,
                    tau0_found=doc["tau0_found"], passed=doc["passed"],
-                   families=fams, constants=constants)
+                   families=fams, constants=constants, search_history=history)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -537,27 +508,6 @@ def search_tau0_with_fallback(config_template, envelope_p, C, grid_spec=None,
                                r_min, mollifier_constants)
             return cert, True
         raise
-
-
-def largest_passing_h(config_template, h_values, envelope_p, C, grid_spec=None,
-                      tau0_max=64.0, r_min=None):
-    """Largest h in the given collection whose certification search passes.
-
-    Returns (h0, results) where results maps each tried h to True/False;
-    h0 is None when every h fails.
-    """
-    results = {}
-    h0 = None
-    for h in sorted(set(h_values), reverse=True):
-        cfg = replace(config_template, h=h)
-        try:
-            search_tau0(cfg, envelope_p, C, grid_spec, tau0_max, r_min)
-            results[h] = True
-            if h0 is None:
-                h0 = h
-        except SearchExhaustedError:
-            results[h] = False
-    return h0, results
 
 
 def recommended_audit_constant(model, kernel=None, floor=6.0):

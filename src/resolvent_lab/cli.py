@@ -9,8 +9,9 @@ Subcommands (each takes --config <path> and --out <dir>):
     convert   tabulate the frequency map psi(lambda) or decay map omega(t)
 
 The config file is a single JSON document with one block per subcommand and
-an optional integer "seed".  Every run writes manifest.json (resolved config,
-artifact version, seed); pointing --config at a manifest reproduces the run.
+an optional integer "seed".  Every run that gets as far as its handler
+writes manifest.json last (resolved config, artifact version, seed and the
+exit code); pointing --config at a manifest reproduces the run.
 
 Exit codes: 0 success, 1 invalid input, 2 mathematical failure (search
 exhausted or bound violated), 3 internal error.
@@ -43,6 +44,7 @@ EXIT_MATH = 2
 EXIT_INTERNAL = 3
 
 _TOP_KEYS = {"seed", "certify", "sweep", "mollify", "convert"}
+_POLICY_KEYS = ("tail_tol", "dr_factor", "l_max", "r_min", "r_max_floor")
 
 
 def _check_keys(block, allowed, where):
@@ -68,12 +70,13 @@ def _load_config(path):
     return doc
 
 
-def _write_manifest(out_dir, command, seed, config):
+def _write_manifest(out_dir, command, seed, config, exit_code):
     manifest = {
         "artifact_version": __version__,
         "command": command,
         "seed": seed,
         "config": config,
+        "exit_code": exit_code,
     }
     with open(Path(out_dir) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -107,7 +110,7 @@ def _certify_template(block, model):
         f"certify regularity must be 'lipschitz' or 'holder', got {regularity!r}")
 
 
-def _cmd_certify(block, out_dir, seed, threads):
+def _cmd_certify(block, out_dir):
     allowed = {"regularity", "alpha", "beta", "k", "s", "ell", "E", "h", "d",
                "C", "tau0_max", "potential", "grid", "r_min"}
     _check_keys(block, allowed, "certify block")
@@ -118,26 +121,24 @@ def _cmd_certify(block, out_dir, seed, threads):
         C = recommended_audit_constant(model)
     grid_block = block.get("grid", {})
     _check_keys(grid_block, {"points_per_decade", "span_factor"}, "certify.grid")
-    grid_spec = GridSpec(points_per_decade=grid_block.get("points_per_decade", 200),
-                         span_factor=grid_block.get("span_factor", 10.0))
-    tau0_max = block.get("tau0_max", 4096.0)
-    r_min = block.get("r_min")
+    search_kw = {key: block[key] for key in ("tau0_max", "r_min") if key in block}
+    search_kw["grid_spec"] = GridSpec(**grid_block)
     moll = None
     if template.regularity == "holder":
         kernel = bump_kernel()
         moll = {"holder_const": model.holder_const,
                 "moment_alpha": kernel.moment_alpha(template.alpha),
                 "moment_alpha_deriv": kernel.moment_alpha_deriv(template.alpha)}
+    search_kw["mollifier_constants"] = moll
     try:
         if template.d == 2 and template.regularity == "holder":
             cert, fellback = search_tau0_with_fallback(
-                template, model.envelope, C, grid_spec, tau0_max, r_min, moll)
+                template, model.envelope, C, **search_kw)
             if fellback:
                 print("steep weight rejected; certified with the shallow pair "
                       "(k, k0) = (1/2, 0)")
         else:
-            cert = search_tau0(template, model.envelope, C, grid_spec,
-                               tau0_max, r_min, moll)
+            cert = search_tau0(template, model.envelope, C, **search_kw)
     except SearchExhaustedError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -151,8 +152,7 @@ def _cmd_certify(block, out_dir, seed, threads):
 
 def _cmd_sweep(block, out_dir, seed, threads):
     allowed = {"d", "E", "s", "potential", "h_values", "eps_values", "signs",
-               "l_max", "tail_tol", "dr_factor", "r_min", "r_max_floor",
-               "certificate", "fit"}
+               "certificate", "fit", *_POLICY_KEYS}
     _check_keys(block, allowed, "sweep block")
     model = _build_model(block.get("potential", {"name": "zero"}), "sweep.potential")
     h_values = block.get("h_values", [])
@@ -161,11 +161,7 @@ def _cmd_sweep(block, out_dir, seed, threads):
     template = ResolventQuery(d=block.get("d", 3), E=block.get("E", 1.0),
                               h=1.0, eps=1.0, sign=1, s=block["s"],
                               potential=model)
-    policy = GridPolicy(tail_tol=block.get("tail_tol", 1e-4),
-                        dr_factor=block.get("dr_factor", 0.1),
-                        l_max=block.get("l_max", 8),
-                        r_min=block.get("r_min", 0.0),
-                        r_max_floor=block.get("r_max_floor", 0.0))
+    policy = GridPolicy(**{key: block[key] for key in _POLICY_KEYS if key in block})
     certificate = None
     if "certificate" in block:
         cert_path = Path(block["certificate"])
@@ -201,7 +197,7 @@ def _cmd_sweep(block, out_dir, seed, threads):
     return EXIT_OK
 
 
-def _cmd_mollify(block, out_dir, seed, threads):
+def _cmd_mollify(block, out_dir):
     allowed = {"potential", "alpha", "thetas", "r_max", "points"}
     _check_keys(block, allowed, "mollify block")
     pot_block = dict(block.get("potential", {}))
@@ -226,7 +222,7 @@ def _cmd_mollify(block, out_dir, seed, threads):
     return EXIT_OK
 
 
-def _cmd_convert(block, out_dir, seed, threads):
+def _cmd_convert(block, out_dir):
     allowed = {"map", "class", "alpha", "radial", "lambda0", "values"}
     _check_keys(block, allowed, "convert block")
     kind = block.get("map")
@@ -276,6 +272,7 @@ def main(argv=None):
         p.add_argument("--threads", type=int,
                        default=min(8, os.cpu_count() or 1))
     args = parser.parse_args(argv)
+    out_dir = None
     try:
         doc = _load_config(args.config)
         if args.command not in doc:
@@ -284,21 +281,26 @@ def main(argv=None):
         seed = doc.get("seed", 2024)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(out_dir, args.command, seed, doc)
-        return _HANDLERS[args.command](doc[args.command], out_dir, seed,
-                                       max(1, args.threads))
+        block = doc[args.command]
+        if args.command == "sweep":
+            code = _cmd_sweep(block, out_dir, seed, max(1, args.threads))
+        else:
+            code = _HANDLERS[args.command](block, out_dir)
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        code = EXIT_INVALID
     except (SearchExhaustedError, AccuracyError, EvaluationError) as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        code = EXIT_MATH
     except ResolventLabError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code = EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - safety net
         print(f"internal error: {exc!r}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code = EXIT_INTERNAL
+    if out_dir is not None and out_dir.is_dir():
+        _write_manifest(out_dir, args.command, seed, doc, code)
+    return code
 
 
 if __name__ == "__main__":

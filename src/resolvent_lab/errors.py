@@ -30,7 +30,7 @@ class SingularPointError(ResolventLabError):
 
 
 class SingularMatrixError(ResolventLabError):
-    """A sparse factorization failed."""
+    """A sector factorization failed."""
 
 
 class SearchExhaustedError(ResolventLabError):

@@ -9,8 +9,10 @@ system per angular sector:
 discretized with second-order central differences on a uniform grid with
 Dirichlet ends.  The weighted resolvent norm per sector is the largest
 singular value of W A^{-1} W with W = diag((r+1)**(-s)), estimated by power
-iteration on the Hermitian product using one sparse LU factorization per
-sector; a dense singular-value oracle is kept alongside for verification.
+iteration on the Hermitian product.  Each sector is factorized once by the
+LAPACK tridiagonal LU (zgttrf), whose factors solve with A and with A^H
+(zgttrs); the same factors serve the phase-conjugated solve of the energy
+audit.  A dense singular-value oracle is kept alongside for verification.
 
 The energy audit evaluates, for a solution u of the phase-conjugated system,
 
@@ -26,18 +28,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import (AccuracyError, EvaluationError, InvalidInputError,
                      SingularMatrixError)
 from .potentials import PotentialModel
 
 POWER_ITERATION_CAP = 10_000
+POWER_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class UniformGridSpec:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Sparse complex tridiagonal sector operator with Dirichlet ends.
+    """Complex tridiagonal sector operator with Dirichlet ends.
 
     The real part (diag_real plus the constant off-diagonal) is symmetric;
     the imaginary part is exactly sign*eps times the identity.
@@ -115,23 +116,24 @@ class DiscreteOperator:
     query: ResolventQuery
     sector: AngularSector
     dr: float
-    r_max: float
 
-    def matrix(self, fmt="csc"):
-        n = self.grid.size
-        diag = self.diag_real + 1j * self.eps_imag
-        off = np.full(n - 1, self.offdiag, dtype=complex)
-        return sp.diags([off, diag, off], offsets=(-1, 0, 1), format=fmt)
+    def diagonals(self):
+        """Sub-, main and super-diagonal of the matrix."""
+        off = np.full(self.grid.size - 1, self.offdiag, dtype=complex)
+        return off, self.diag_real + 1j * self.eps_imag, off
 
-    def dense(self):
-        return self.matrix().toarray()
+    def factor(self):
+        """Factorize once; returns solve(rhs, trans) for trans "N" (A) or "C" (A^H)."""
+        *lu, info = zgttrf(*self.diagonals())
+        if info != 0:  # pragma: no cover - eps > 0 keeps this clear
+            raise SingularMatrixError(
+                f"sector factorization failed: zgttrf info={info} "
+                f"(sector l={self.sector.l})")
 
-    def apply(self, v):
-        v = np.asarray(v)
-        out = (self.diag_real + 1j * self.eps_imag) * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
-        return out
+        def solve(rhs, trans="N"):
+            return zgttrs(*lu, rhs, trans=trans)[0]
+
+        return solve
 
 
 def assemble(query, sector, grid_spec):
@@ -157,62 +159,7 @@ def assemble(query, sector, grid_spec):
     return DiscreteOperator(grid=r, diag_real=diag,
                             offdiag=-h2 / grid_spec.dr ** 2,
                             eps_imag=query.sign * query.eps,
-                            query=query, sector=sector,
-                            dr=grid_spec.dr, r_max=grid_spec.r_max)
-
-
-# ---------------------------------------------------------------------------
-# Conjugation identity check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RadialTestFunction:
-    value: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-
-
-def gaussian_bump(center=3.0, width=1.0):
-    """Smooth localized test function with analytic derivatives."""
-
-    def f(r):
-        return np.exp(-((r - center) / width) ** 2)
-
-    def df(r):
-        return -2.0 * (r - center) / width ** 2 * f(r)
-
-    def ddf(r):
-        return (4.0 * (r - center) ** 2 / width ** 4 - 2.0 / width ** 2) * f(r)
-
-    return RadialTestFunction(f, df, ddf)
-
-
-def conjugate_check(d, grid, test_function):
-    """Max relative error of the half-density reduction of the Laplacian.
-
-    Applies the discretized form d^2/dr^2 - ((d-1)(d-3)/4) / r^2 to
-    r**((d-1)/2) f and compares with r**((d-1)/2) (f'' + (d-1) f'/r) for a
-    radial test function; the mismatch is the second-order stencil error.
-    """
-    r = np.asarray(grid, dtype=float)
-    dr = r[1] - r[0]
-    if not np.allclose(np.diff(r), dr, rtol=1e-9, atol=0.0):
-        raise InvalidInputError("conjugate_check needs a uniform grid")
-    if np.any(r <= 0):
-        raise InvalidInputError("grid must be strictly positive")
-    fv = test_function.value(r)
-    peak = np.max(np.abs(fv))
-    if max(abs(fv[0]), abs(fv[-1])) > 1e-3 * peak:
-        raise InvalidInputError("test function support touches the grid ends")
-    half = 0.5 * (d - 1)
-    u = r ** half * fv
-    d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
-    angular = -0.25 * (d - 1) * (d - 3)
-    lhs = d2u + angular / r[1:-1] ** 2 * u[1:-1]
-    rhs = r[1:-1] ** half * (test_function.d2(r[1:-1])
-                             + (d - 1) / r[1:-1] * test_function.d1(r[1:-1]))
-    scale = np.max(np.abs(rhs))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+                            query=query, sector=sector, dr=grid_spec.dr)
 
 
 # ---------------------------------------------------------------------------
@@ -236,57 +183,52 @@ def _weight_vector(grid, s):
     return (grid + 1.0) ** (-s)
 
 
-def _power_sector_norm(op, seed, residual_tol, max_iter):
-    try:
-        lu = splu(op.matrix("csc"))
-    except RuntimeError as exc:  # pragma: no cover - eps > 0 keeps this clear
-        raise SingularMatrixError(f"sector factorization failed: {exc}") from exc
+def _power_sector_norm(op, seed):
+    solve = op.factor()
     w = _weight_vector(op.grid, op.query.s)
     rng = np.random.default_rng((seed, op.sector.l))
     x = rng.standard_normal(op.grid.size) + 1j * rng.standard_normal(op.grid.size)
     x /= np.linalg.norm(x)
 
     def apply_gram(v):
-        t = w * lu.solve(w * v)
-        return w * lu.solve(w * t, trans="H")
+        t = w * solve(w * v)
+        return w * solve(w * t, "C")
 
     res = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, POWER_ITERATION_CAP + 1):
         y = apply_gram(x)
         rho = float(np.vdot(x, y).real)
         res = float(np.linalg.norm(y - rho * x) / rho)
-        if res <= residual_tol:
+        if res <= POWER_RESIDUAL_TOL:
             return math.sqrt(rho), it, res
         x = y / np.linalg.norm(y)
     raise AccuracyError(
-        f"power iteration did not reach residual {residual_tol:g} within "
-        f"{max_iter} iterations (sector l={op.sector.l})", residual=res)
+        f"power iteration did not reach residual {POWER_RESIDUAL_TOL:g} within "
+        f"{POWER_ITERATION_CAP} iterations (sector l={op.sector.l})", residual=res)
+
+
+def _dense_matrix(op):
+    dl, d, du = op.diagonals()
+    return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
 
 
 def dense_weighted_norm(query, sector, grid_spec):
     """Full singular-value oracle for one sector; dense, small grids only."""
     op = assemble(query, sector, grid_spec)
     w = _weight_vector(op.grid, query.s)
-    inv_w = sla.solve(op.dense(), np.diag(w))
+    inv_w = sla.solve(_dense_matrix(op), np.diag(w))
     return float(sla.svdvals(w[:, None] * inv_w)[0])
 
 
-def elliptic_l_threshold(query, r_max):
-    """Smallest l whose centrifugal term dominates 2E across the whole grid."""
-    l = 0
-    while AngularSector(query.d, l, query.h).lambda_value / r_max ** 2 < 2.0 * query.E:
-        l += 1
-    return l
-
-
-def weighted_resolvent_norm(query, grid_spec, l_max, seed=0, threads=1,
-                            residual_tol=1e-6, max_iter=POWER_ITERATION_CAP):
+def weighted_resolvent_norm(query, grid_spec, l_max, seed=0, threads=1):
     """Largest weighted sector resolvent norm over l = 0..l_max.
 
-    Sectors factorize independently; the reduction over sectors is an
-    ordered max, so results do not depend on the thread count.  The
-    truncation bound is the inverse ellipticity margin of the first
-    neglected sector when that margin is positive, infinite otherwise.
+    Each sector gets one LAPACK tridiagonal factorization (zgttrf) and power
+    iteration on W A^{-1} W^2 A^{-H} W until the residual reaches
+    POWER_RESIDUAL_TOL.  Sectors run independently; the reduction over
+    sectors is an ordered max, so results do not depend on the thread
+    count.  The truncation bound is the inverse ellipticity margin of the
+    first neglected sector when that margin is positive, infinite otherwise.
     """
     if l_max < 0:
         raise InvalidInputError(f"l_max must be nonnegative, got {l_max}")
@@ -294,7 +236,7 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=0, threads=1,
     ops = [assemble(query, sec, grid_spec) for sec in sectors]
 
     def work(op):
-        return _power_sector_norm(op, seed, residual_tol, max_iter)
+        return _power_sector_norm(op, seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -329,53 +271,46 @@ class ConjugatedOperator:
     gauge spans hundreds of orders of magnitude.
     """
 
-    grid: np.ndarray
-    diag: np.ndarray
-    offdiag: float
+    base: DiscreteOperator
     phi_over_h: np.ndarray
-    dr: float
-    query: ResolventQuery
-    sector: AngularSector
+
+    @property
+    def grid(self):
+        return self.base.grid
 
     def _ratios(self):
         return np.exp(np.diff(self.phi_over_h))
 
     def apply(self, v):
         ratio = self._ratios()
-        out = self.diag * v
-        out[:-1] += self.offdiag / ratio * v[1:]
-        out[1:] += self.offdiag * ratio * v[:-1]
+        off = self.base.offdiag
+        out = self.base.diagonals()[1] * v
+        out[:-1] += off / ratio * v[1:]
+        out[1:] += off * ratio * v[:-1]
         return out
 
     def backward_error(self, u, rhs):
         """Componentwise backward error of the conjugated system."""
         ratio = self._ratios()
+        off = abs(self.base.offdiag)
         res = np.abs(self.apply(u) - rhs)
-        scale = np.abs(self.diag) * np.abs(u)
-        scale[:-1] += np.abs(self.offdiag / ratio) * np.abs(u[1:])
-        scale[1:] += np.abs(self.offdiag * ratio) * np.abs(u[:-1])
+        scale = np.abs(self.base.diagonals()[1]) * np.abs(u)
+        scale[:-1] += off / ratio * np.abs(u[1:])
+        scale[1:] += off * ratio * np.abs(u[:-1])
         scale += np.abs(rhs) + 1e-300
         return float(np.max(res / scale))
 
     def solve(self, rhs):
         """Solve by ungauging: u = exp(phi/h) * (plain solve of exp(-phi/h) rhs)."""
-        n = self.grid.size
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = self.offdiag
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.offdiag
-        w = sla.solve_banded((1, 1), ab, np.exp(-self.phi_over_h) * rhs)
+        w = self.base.factor()(np.exp(-self.phi_over_h) * rhs)
         return np.exp(self.phi_over_h) * w
 
 
 def assemble_conjugated(query, sector, grid_spec, phase):
     """Conjugate the sector operator by exp(phi/h) entrywise."""
     base = assemble(query, sector, grid_spec)
-    r = base.grid
-    diag = (base.diag_real + 1j * base.eps_imag).astype(complex)
-    return ConjugatedOperator(grid=r, diag=diag, offdiag=base.offdiag,
-                              phi_over_h=phase.value(r) / query.h,
-                              dr=base.dr, query=query, sector=sector)
+    return ConjugatedOperator(base=base,
+                              phi_over_h=phase.value(base.grid) / query.h)
 
 
 @dataclass(frozen=True)
@@ -419,7 +354,7 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, l=0,
         if resid > 1e-8:
             raise InvalidInputError(
                 f"solution residual {resid:.3g} exceeds the 1e-8 precondition")
-    r, dr, h, E = op.grid, op.dr, query.h, query.E
+    r, dr, h, E = op.grid, op.base.dr, query.h, query.E
     lam = sector.lambda_value
     vfun = v_long if v_long is not None else query.potential
     v_l = np.asarray(vfun(r), dtype=float)

@@ -60,22 +60,6 @@ def _growth_key(kind, alpha):
 
 
 @dataclass(frozen=True)
-class BoundModel:
-    """One fitted growth law g(h) = C * shape(h) + intercept."""
-
-    kind: str
-    alpha: Optional[float]
-    C: float
-    intercept: float = 0.0
-
-    def shape(self, h):
-        return _shape(self.kind, self.alpha, h)
-
-    def evaluate(self, h):
-        return self.C * self.shape(h) + self.intercept
-
-
-@dataclass(frozen=True)
 class FitResult:
     kind: str
     alpha: Optional[float]
@@ -83,9 +67,6 @@ class FitResult:
     intercept: float
     residual: float
     degenerate: bool
-
-    def model(self):
-        return BoundModel(self.kind, self.alpha, self.C, self.intercept)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,68 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import resolvent_lab as rl
-from resolvent_lab.carleman import CarlemanConfig, GridSpec, min_ell, search_tau0
+from resolvent_lab.carleman import (CarlemanConfig, GridSpec, PhaseFunction,
+                                    min_ell, search_tau0)
+from resolvent_lab.errors import InvalidInputError
 from resolvent_lab.potentials import (PotentialModel, REFERENCE_GRID,
                                       holder_seminorm)
 from resolvent_lab.radial import ResolventQuery
 from resolvent_lab.scaling import GridPolicy, sweep
 
 H_SWEEP = (0.2, 0.15, 0.1, 0.07, 0.05)
+
+# tau = 0 makes the gauge exp(phi/h) identically one, so the conjugated
+# operator's apply is the plain sector matvec
+ZERO_PHASE = PhaseFunction(k=1.0, a=1.0, tau=0.0)
+
+
+def growth_shape(kind, h, alpha=0.5):
+    """The fit's candidate growth shapes, written out independently."""
+    h = np.asarray(h, dtype=float)
+    if kind == "lipschitz":
+        return 1.0 / h
+    power = 4.0 / (alpha + 3.0) if kind == "holder" else 4.0 / 3.0
+    return h ** (-power) * np.log(1.0 / h)
+
+
+def gaussian_bump(center=3.0, width=1.0):
+    """Smooth localized radial test function with analytic derivatives."""
+
+    def f(r):
+        return np.exp(-((r - center) / width) ** 2)
+
+    def df(r):
+        return -2.0 * (r - center) / width ** 2 * f(r)
+
+    def ddf(r):
+        return (4.0 * (r - center) ** 2 / width ** 4 - 2.0 / width ** 2) * f(r)
+
+    return SimpleNamespace(value=f, d1=df, d2=ddf)
+
+
+def conjugate_check(d, grid, test_function):
+    """Max relative error of the half-density reduction of the Laplacian.
+
+    Applies the discretized form d^2/dr^2 - ((d-1)(d-3)/4) / r^2 to
+    r**((d-1)/2) f and compares with r**((d-1)/2) (f'' + (d-1) f'/r) on a
+    uniform positive grid; the mismatch is the second-order stencil error.
+    """
+    r = np.asarray(grid, dtype=float)
+    dr = r[1] - r[0]
+    fv = test_function.value(r)
+    if max(abs(fv[0]), abs(fv[-1])) > 1e-3 * np.max(np.abs(fv)):
+        raise InvalidInputError("test function support touches the grid ends")
+    half = 0.5 * (d - 1)
+    u = r ** half * fv
+    d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr ** 2
+    inner = r[1:-1]
+    lhs = d2u - 0.25 * (d - 1) * (d - 3) / inner ** 2 * u[1:-1]
+    rhs = inner ** half * (test_function.d2(inner)
+                           + (d - 1) / inner * test_function.d1(inner))
+    return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
 
 
 @pytest.fixture(scope="session")

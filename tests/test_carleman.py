@@ -8,11 +8,10 @@ from scipy.integrate import quad
 
 import resolvent_lab as rl
 from resolvent_lab.carleman import (CarlemanConfig, Certificate, GridSpec,
-                                    PhaseFunction, WeightFunction, a_value,
-                                    audit_at, build_phase, build_weight,
-                                    certification_grid, certify,
-                                    largest_passing_h, min_ell, search_tau0,
-                                    search_tau0_with_fallback)
+                                    PhaseFunction, WeightFunction, audit_at,
+                                    build_phase, build_weight,
+                                    certification_grid, certify, min_ell,
+                                    search_tau0, search_tau0_with_fallback)
 from resolvent_lab.errors import (InvalidConfigError, InvalidInputError,
                                   SearchExhaustedError, SingularPointError)
 
@@ -25,6 +24,14 @@ def demo_weight():
 @pytest.fixture()
 def demo_phase():
     return PhaseFunction(k=1.0, a=10.0, tau=5.0)
+
+
+@pytest.fixture()
+def a_term(demo_weight, demo_phase, zero_model):
+    """A = (mu phi'**2)' of the demo weight and phase, as audit_at computes it."""
+    cfg = CarlemanConfig.holder(0.5, 0.6, 4.0, 3.5, E=1.0, h=0.5)
+    return lambda r: audit_at(r, cfg, demo_weight, demo_phase,
+                              zero_model.envelope, 6.0).A
 
 
 class TestConfig:
@@ -117,7 +124,7 @@ class TestWeightAndPhase:
 
 
 class TestAudit:
-    def test_a_term_matches_expanded_formula(self, demo_weight, demo_phase):
+    def test_a_term_matches_expanded_formula(self, demo_phase, a_term):
         r, k, k0, a, tau = 1.0, 1.0, 0.5, 10.0, 5.0
         p1 = demo_phase.derivative(r)
         p2 = demo_phase.second_derivative(r)
@@ -125,20 +132,21 @@ class TestAudit:
                     - 2.0 * k0 * (r + 1.0) ** (2 * k0 - 1) * p1 ** 2
                     - 2.0 * k * tau ** 2 * (r + 1.0) ** (k - 1) * (a + 1.0) ** (-k)
                     * (1.0 - (r + 1.0) ** k * (a + 1.0) ** (-k)))
-        assert a_value(r, demo_weight, demo_phase) == pytest.approx(expanded, rel=1e-12)
+        assert a_term(r)[0] == pytest.approx(expanded, rel=1e-12)
 
-    def test_a_term_matches_finite_differences(self, demo_weight, demo_phase):
+    def test_a_term_matches_finite_differences(self, demo_weight, demo_phase,
+                                               a_term):
         rng = np.random.default_rng(3)
         rs = np.concatenate([rng.uniform(0.05, 9.9, 80), rng.uniform(10.1, 60.0, 20)])
         step = 1e-6 * (rs + 1.0)
         fd = (demo_weight(rs + step) * demo_phase.derivative(rs + step) ** 2
               - demo_weight(rs - step) * demo_phase.derivative(rs - step) ** 2) / (2 * step)
-        closed = a_value(rs, demo_weight, demo_phase)
+        closed = a_term(rs)
         mask = np.abs(fd) > 1e-10
         assert_allclose(closed[mask], fd[mask], rtol=1e-5)
 
-    def test_a_vanishes_beyond_cutoff(self, demo_weight, demo_phase):
-        assert_allclose(a_value(np.array([11.0, 50.0]), demo_weight, demo_phase), 0.0)
+    def test_a_vanishes_beyond_cutoff(self, a_term):
+        assert_allclose(a_term(np.array([11.0, 50.0])), 0.0)
 
     def test_audit_beyond_cutoff_reduces(self, zero_model):
         cfg = CarlemanConfig.lipschitz(2.0, 0.6, 4.0, 9.0, E=1.0, h=0.1)
@@ -211,7 +219,7 @@ class TestCertify:
                                        E=1.0, h=0.1, d=3)
         cert = search_tau0(cfg, power_law_model.envelope, 6.0, GridSpec(), 4096.0)
         refined = certify(cert.config, power_law_model.envelope, 6.0,
-                          GridSpec().refined(2))
+                          GridSpec(points_per_decade=400))
         assert refined.passed
 
     def test_exhausted_search_reports_location(self, holder_model):
@@ -233,25 +241,17 @@ class TestCertify:
         assert fellback and cert.passed
         assert (cert.config.k, cert.config.k0) == (0.5, 0.0)
 
-    def test_largest_passing_h(self, holder_model):
-        cfg = CarlemanConfig.holder(0.5, 0.7, 4.0, min_ell(1.0, 4.0, 0.7),
-                                    E=1.0, h=0.5, d=2, k=1.0)
-        C = rl.recommended_audit_constant(holder_model)
-        h0, results = largest_passing_h(cfg, [0.9, 0.5, 0.1, 0.05, 0.02],
-                                        holder_model.envelope, C, tau0_max=64.0,
-                                        r_min=1.0)
-        assert h0 is not None and results[h0]
-        assert not results[0.9]
-
     def test_certificate_roundtrip_is_bit_exact(self, power_law_model):
-        cfg = CarlemanConfig.lipschitz(2.0, 0.6, 8.0, min_ell(0.25, 2.0, 0.6),
+        cfg = CarlemanConfig.lipschitz(2.0, 0.6, 4.0, min_ell(0.25, 2.0, 0.6),
                                        E=1.0, h=0.1, d=3)
-        cert = certify(cfg, power_law_model.envelope, 6.0)
+        cert = search_tau0(cfg, power_law_model.envelope, 6.0, GridSpec(), 4096.0)
+        assert len(cert.search_history) >= 2
         text = cert.to_json()
         again = Certificate.from_json(text)
         assert again.to_json() == text
         assert again.config == cert.config
         assert again.passed == cert.passed
+        assert again.search_history == cert.search_history
 
     def test_save_load(self, tmp_path, zero_model):
         cfg = CarlemanConfig.lipschitz(3.0, 0.6, 8.0, min_ell(0.25, 3.0, 0.6),

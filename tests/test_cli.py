@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+import resolvent_lab as rl
 from resolvent_lab.cli import main
+from resolvent_lab.radial import ResolventQuery
+from resolvent_lab.scaling import GridPolicy, sweep
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -61,6 +64,15 @@ class TestCertifyCommand:
         cfg = write_config(tmp_path, {"certify": block})
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "margin" in capsys.readouterr().err
+
+    def test_failed_run_manifest_records_exit_code(self, tmp_path):
+        block = certify_block(potential={"name": "barrier_well"},
+                              C="auto", tau0_max=4.0)
+        cfg = write_config(tmp_path, {"certify": block})
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "certificate.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"certify": certify_block(bogus=1)})
@@ -142,6 +154,18 @@ class TestSweepCommand:
         assert (out1 / "summary.json").read_text() == (out2 / "summary.json").read_text()
         assert (out1 / "plotdata.tsv").read_text() == (out2 / "plotdata.tsv").read_text()
         assert (out1 / "manifest.json").read_text() == (out2 / "manifest.json").read_text()
+
+    def test_default_dr_factor_is_the_library_default(self, tmp_path):
+        block = sweep_block(h_values=[0.5, 0.4], eps_values=[1e-2])
+        cfg = write_config(tmp_path, {"seed": 5, "sweep": block})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=rl.build_potential("zero"))
+        direct = sweep(template, [0.5, 0.4], [1e-2],
+                       GridPolicy(tail_tol=0.05, l_max=2), signs=(1,), seed=5)
+        assert ([row["g_measured"] for row in summary["rows"]]
+                == [row.g_measured for row in direct.rows])
 
 
 class TestMollifyCommand:

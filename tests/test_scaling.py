@@ -12,7 +12,7 @@ from resolvent_lab.radial import ResolventQuery
 from resolvent_lab.scaling import (bound_from_certificate, fit_models,
                                    omega_map, psi_map, sweep)
 
-from conftest import cheap_policy
+from conftest import cheap_policy, growth_shape
 
 
 def synthetic_certificate(config, C_used=6.0):
@@ -87,8 +87,7 @@ class TestFit:
                                             ("holder", 0.5), ("linfty", None)])
     def test_recovers_each_generator_to_high_accuracy(self, kind, alpha):
         h = np.array([0.3, 0.2, 0.15, 0.1, 0.07, 0.05])
-        model = rl.BoundModel(kind, alpha, C=2.0, intercept=1.0)
-        data = list(zip(h, model.evaluate(h)))
+        data = list(zip(h, 2.0 * growth_shape(kind, h, alpha) + 1.0))
         cands = ["lipschitz", ("holder", 0.5), "linfty"]
         outcome = fit_models(data, cands)
         match = [f for f in outcome.fits if f.kind == kind][0]
