@@ -8,11 +8,13 @@ system per angular sector:
 
 discretized with second-order central differences on a uniform grid with
 Dirichlet ends.  The weighted resolvent norm per sector is the largest
-singular value of W A^{-1} W with W = diag((r+1)**(-s)), estimated by power
-iteration on the Hermitian product.  Each sector is factorized once by the
-LAPACK tridiagonal LU (zgttrf), whose factors solve with A and with A^H
-(zgttrs); the same factors serve the phase-conjugated solve of the energy
-audit.  A dense singular-value oracle is kept alongside for verification.
+singular value of W A^{-1} W with W = diag((r+1)**(-s)), estimated by a
+Lanczos recurrence on the Hermitian Gram product.  Each sector is
+factorized once by the LAPACK tridiagonal LU (zgttrf), whose factors solve
+with A and with A^H (zgttrs); the same factors serve the phase-conjugated
+solve of the energy audit.  A dense singular-value oracle is kept alongside
+for verification.  The norm is the same for both signs of eps (A_- is the
+entrywise conjugate of A_+ and W is real), so sweeps measure one sign.
 
 The energy audit evaluates, for a solution u of the phase-conjugated system,
 
@@ -37,8 +39,8 @@ from .errors import (AccuracyError, EvaluationError, InvalidInputError,
                      SingularMatrixError)
 from .potentials import PotentialModel
 
-POWER_ITERATION_CAP = 10_000
-POWER_RESIDUAL_TOL = 1e-6
+LANCZOS_STEP_CAP = 1_000
+RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,11 @@ def assemble(query, sector, grid_spec):
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Weighted resolvent norm over the computed sectors."""
+    """Weighted resolvent norm over the computed sectors.
+
+    ``iterations`` is the number of Gram products summed over the sectors;
+    ``residual`` is the largest top Ritz residual among them.
+    """
 
     value: float
     g_value: float
@@ -183,28 +189,49 @@ def _weight_vector(grid, s):
     return (grid + 1.0) ** (-s)
 
 
-def _power_sector_norm(op, seed):
+def _lanczos_sector_norm(op, seed):
+    """Top singular value of W A^{-1} W by Lanczos on its Gram operator.
+
+    Runs the three-term recurrence on G = W A^{-1} W^2 A^{-H} W from a
+    seeded start vector, keeping no basis, and stops when the top Ritz pair
+    (theta, s) of the tridiagonal T_k has residual |beta_k s_k| / theta at
+    most RESIDUAL_TOL.  Without reorthogonalization the top Ritz value
+    converges before a spurious copy of it can form (Paige).  Returns
+    sqrt(theta), the number of Gram products and the residual.
+    """
     solve = op.factor()
     w = _weight_vector(op.grid, op.query.s)
     rng = np.random.default_rng((seed, op.sector.l))
-    x = rng.standard_normal(op.grid.size) + 1j * rng.standard_normal(op.grid.size)
-    x /= np.linalg.norm(x)
+    q = rng.standard_normal(op.grid.size) + 1j * rng.standard_normal(op.grid.size)
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros_like(q)
 
     def apply_gram(v):
         t = w * solve(w * v)
         return w * solve(w * t, "C")
 
+    alphas, betas = [], []
+    beta = 0.0
     res = math.inf
-    for it in range(1, POWER_ITERATION_CAP + 1):
-        y = apply_gram(x)
-        rho = float(np.vdot(x, y).real)
-        res = float(np.linalg.norm(y - rho * x) / rho)
-        if res <= POWER_RESIDUAL_TOL:
-            return math.sqrt(rho), it, res
-        x = y / np.linalg.norm(y)
+    for k in range(1, LANCZOS_STEP_CAP + 1):
+        r = apply_gram(q)
+        alpha = float(np.vdot(q, r).real)
+        r -= alpha * q
+        r -= beta * q_prev
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(r))
+        theta, s = sla.eigh_tridiagonal(alphas, betas, select="i",
+                                        select_range=(k - 1, k - 1))
+        theta = float(theta[0])
+        res = abs(beta * s[-1, 0]) / theta
+        if res <= RESIDUAL_TOL:
+            return math.sqrt(theta), k, res
+        betas.append(beta)
+        q_prev, q = q, q_prev
+        np.divide(r, beta, out=q)
     raise AccuracyError(
-        f"power iteration did not reach residual {POWER_RESIDUAL_TOL:g} within "
-        f"{POWER_ITERATION_CAP} iterations (sector l={op.sector.l})", residual=res)
+        f"Lanczos did not reach residual {RESIDUAL_TOL:g} within "
+        f"{LANCZOS_STEP_CAP} steps (sector l={op.sector.l})", residual=res)
 
 
 def _dense_matrix(op):
@@ -223,12 +250,13 @@ def dense_weighted_norm(query, sector, grid_spec):
 def weighted_resolvent_norm(query, grid_spec, l_max, seed=0, threads=1):
     """Largest weighted sector resolvent norm over l = 0..l_max.
 
-    Each sector gets one LAPACK tridiagonal factorization (zgttrf) and power
-    iteration on W A^{-1} W^2 A^{-H} W until the residual reaches
-    POWER_RESIDUAL_TOL.  Sectors run independently; the reduction over
-    sectors is an ordered max, so results do not depend on the thread
-    count.  The truncation bound is the inverse ellipticity margin of the
-    first neglected sector when that margin is positive, infinite otherwise.
+    Each sector gets one LAPACK tridiagonal factorization (zgttrf) and a
+    Lanczos recurrence on W A^{-1} W^2 A^{-H} W until the top Ritz residual
+    reaches RESIDUAL_TOL.  ``iterations`` counts the Gram products over all
+    sectors.  Sectors run independently; the reduction over sectors is an
+    ordered max, so results do not depend on the thread count.  The
+    truncation bound is the inverse ellipticity margin of the first
+    neglected sector when that margin is positive, infinite otherwise.
     """
     if l_max < 0:
         raise InvalidInputError(f"l_max must be nonnegative, got {l_max}")
@@ -236,7 +264,7 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=0, threads=1):
     ops = [assemble(query, sec, grid_spec) for sec in sectors]
 
     def work(op):
-        return _power_sector_norm(op, seed)
+        return _lanczos_sector_norm(op, seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -237,10 +237,12 @@ def sweep(query_template, h_values, eps_values, grid_policy=None,
           certificate=None, signs=(1, -1), seed=0, threads=1):
     """Measure g over the (h, eps, sign) product, with optional bound columns.
 
-    h values must be sorted descending in (0, 1].  Rows whose norm estimate
-    fails are marked and the sweep continues; a sweep with no successful row
-    raises.  Output rows are ordered by (descending h, eps, sign) so runs
-    are reproducible.
+    h values must be sorted descending in (0, 1].  Each (h, eps) is measured
+    once, at the first sign in descending order, and that result, success
+    or failure, fills the row of every requested sign.  Rows whose norm
+    estimate fails are marked and the sweep continues; a sweep with no
+    successful row raises.  Output rows are ordered by (descending h, eps,
+    sign) so runs are reproducible.
     """
     hs = [float(h) for h in h_values]
     if not hs:
@@ -259,22 +261,26 @@ def sweep(query_template, h_values, eps_values, grid_policy=None,
     for h in hs:
         g_b = bound.g_bound(h) if bound else None
         for eps in sorted(eps_list):
+            # A_- is the entrywise conjugate of A_+ and W is real, so one
+            # norm serves every sign; later rows' runtime_ms is their copy time
+            measured = None
             for sign in sorted(signs, reverse=True):
-                query = replace(query_template, h=h, eps=eps, sign=sign)
                 start = time.perf_counter()
-                try:
-                    est = weighted_resolvent_norm(
-                        query, grid_policy.grid_for(query), grid_policy.l_max,
-                        seed=seed, threads=threads)
-                    ms = 1000.0 * (time.perf_counter() - start)
-                    rows.append(SweepRow(h, eps, sign, est.g_value, g_b,
-                                         len(est.sector_values), est.l_max_used,
-                                         ms, "ok"))
-                except ResolventLabError as exc:
-                    ms = 1000.0 * (time.perf_counter() - start)
-                    rows.append(SweepRow(h, eps, sign, None, g_b, 0,
-                                         grid_policy.l_max, ms,
-                                         f"failed: {exc}"))
+                if measured is None:
+                    query = replace(query_template, h=h, eps=eps, sign=sign)
+                    try:
+                        est = weighted_resolvent_norm(
+                            query, grid_policy.grid_for(query),
+                            grid_policy.l_max, seed=seed, threads=threads)
+                        measured = (est.g_value, len(est.sector_values),
+                                    est.l_max_used, "ok")
+                    except ResolventLabError as exc:
+                        measured = (None, 0, grid_policy.l_max,
+                                    f"failed: {exc}")
+                g, sectors, l_max, status = measured
+                ms = 1000.0 * (time.perf_counter() - start)
+                rows.append(SweepRow(h, eps, sign, g, g_b, sectors, l_max,
+                                     ms, status))
     ok = [row for row in rows if row.status == "ok"]
     if not ok:
         raise AccuracyError("every sweep row failed")

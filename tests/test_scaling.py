@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import resolvent_lab as rl
+from resolvent_lab import scaling
 from resolvent_lab.carleman import (CarlemanConfig, Certificate, FamilySummary,
                                     build_phase, certify, min_ell)
 from resolvent_lab.errors import AccuracyError, InvalidInputError
@@ -164,6 +165,62 @@ class TestSweep:
                     certificate=cert, signs=(1, -1), seed=7)
         assert all(row.g_bound is not None for row in res.rows)
         assert res.bound_respected is True
+
+
+class TestSweepMirror:
+    H = [0.2, 0.1]
+    EPS = [1e-2, 1e-4]
+
+    def template(self, model):
+        return ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                              potential=model)
+
+    def counting(self, monkeypatch, fail_at=None):
+        calls = []
+        real = scaling.weighted_resolvent_norm
+
+        def counted(query, *args, **kwargs):
+            calls.append((query.h, query.eps, query.sign))
+            if (query.h, query.eps) == fail_at:
+                raise AccuracyError("forced failure")
+            return real(query, *args, **kwargs)
+
+        monkeypatch.setattr(scaling, "weighted_resolvent_norm", counted)
+        return calls
+
+    def test_one_norm_per_h_eps_mirrored_bitwise(self, zero_model, monkeypatch):
+        calls = self.counting(monkeypatch)
+        res = sweep(self.template(zero_model), self.H, self.EPS, cheap_policy(),
+                    signs=(1, -1), seed=7)
+        assert sorted(calls) == sorted((h, e, 1) for h in self.H for e in self.EPS)
+        assert len(res.rows) == 2 * len(calls)
+        for plus, minus in zip(res.rows[::2], res.rows[1::2]):
+            assert (plus.sign, minus.sign) == (1, -1)
+            assert (minus.h, minus.eps) == (plus.h, plus.eps)
+            assert plus.status == minus.status == "ok"
+            assert plus.g_measured == minus.g_measured
+
+    def test_failure_marks_both_signs_with_one_call(self, zero_model,
+                                                    monkeypatch):
+        calls = self.counting(monkeypatch, fail_at=(0.1, 1e-4))
+        res = sweep(self.template(zero_model), self.H, self.EPS, cheap_policy(),
+                    signs=(1, -1), seed=7)
+        assert calls.count((0.1, 1e-4, 1)) == 1
+        assert len(calls) == len(self.H) * len(self.EPS)
+        failed = [row for row in res.rows if row.status != "ok"]
+        assert [(row.h, row.eps, row.sign) for row in failed] == [
+            (0.1, 1e-4, 1), (0.1, 1e-4, -1)]
+        assert all(row.g_measured is None and "forced failure" in row.status
+                   for row in failed)
+
+    def test_minus_sign_alone_matches_plus(self, zero_model):
+        args = (self.template(zero_model), self.H, self.EPS, cheap_policy())
+        plus = sweep(*args, signs=(1,), seed=7)
+        minus = sweep(*args, signs=(-1,), seed=7)
+        assert [row.sign for row in minus.rows] == [-1] * len(minus.rows)
+        for a, b in zip(plus.rows, minus.rows):
+            assert b.g_measured == pytest.approx(a.g_measured, rel=1e-10,
+                                                 abs=1e-10)
 
 
 class TestMaps:
