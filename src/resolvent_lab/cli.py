@@ -10,8 +10,10 @@ Subcommands (each takes --config <path> and --out <dir>):
 
 The config file is a single JSON document with one block per subcommand and
 an optional integer "seed".  Every run that gets as far as its handler
-writes manifest.json last (resolved config, artifact version, seed and the
-exit code); pointing --config at a manifest reproduces the run.
+writes manifest.json last (resolved config, artifact version, seed, the
+exit code and the environment: Python, numpy and scipy versions, CPU count
+and BLAS thread settings); pointing --config at a manifest reproduces the
+run.
 
 Exit codes: 0 success, 1 invalid input, 2 mathematical failure (search
 exhausted or bound violated), 3 internal error.
@@ -26,6 +28,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .carleman import (CarlemanConfig, Certificate, GridSpec, min_ell,
@@ -70,6 +73,17 @@ def _load_config(path):
     return doc
 
 
+def _environment():
+    """Versions, CPU count and BLAS thread settings (None when unset)."""
+    env = {"python": "%d.%d.%d" % sys.version_info[:3],
+           "numpy": np.__version__,
+           "scipy": scipy.__version__,
+           "cpu_count": os.cpu_count()}
+    env.update({name: os.environ.get(name)
+                for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
+    return env
+
+
 def _write_manifest(out_dir, command, seed, config, exit_code):
     manifest = {
         "artifact_version": __version__,
@@ -77,6 +91,7 @@ def _write_manifest(out_dir, command, seed, config, exit_code):
         "seed": seed,
         "config": config,
         "exit_code": exit_code,
+        "environment": _environment(),
     }
     with open(Path(out_dir) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

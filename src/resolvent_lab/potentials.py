@@ -19,6 +19,11 @@ model in the class above this keeps
     |V_theta'|    <= holder_const * m_alpha' * theta**(alpha-1) * (r+1)**(-beta),
 
 where m_alpha = int sigma**alpha rho and m_alpha' = int sigma**alpha |rho'|.
+The kernel's mass, gradient mass and moments are 128-node Gauss-Legendre
+sums on [0, 1] (split at 1/2 for the integrals of rho', where the bump's
+|rho'| has its kink), each checked against the 64-node rule; a kernel too
+rough for the rule raises AccuracyError instead of returning wrong moments.  The module needs numpy
+only (no scipy.integrate or scipy.special).
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AccuracyError, EvaluationError, InvalidInputError
 
@@ -132,15 +136,46 @@ class PotentialModel:
 # Mollification kernel
 # ---------------------------------------------------------------------------
 
+def _gauss_legendre_01(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+_GL_NODES = {n: _gauss_legendre_01(n) for n in (64, 128)}
+KERNEL_QUAD_TOL = 1e-12
+
+
+def _integrate_01(f, split=False):
+    """int_0^1 f for a vectorized f by the 128-node Gauss-Legendre rule.
+
+    With ``split`` the rule runs on [0, 1/2] and [1/2, 1] separately.  The
+    result must agree with the 64-node rule to KERNEL_QUAD_TOL (relative
+    plus absolute), otherwise AccuracyError is raised.
+    """
+    def rule(n):
+        x, w = _GL_NODES[n]
+        if not split:
+            return float(w @ f(x))
+        return 0.5 * float(w @ f(0.5 * x) + w @ f(0.5 + 0.5 * x))
+
+    coarse, fine = rule(64), rule(128)
+    gap = abs(fine - coarse)
+    if not gap <= KERNEL_QUAD_TOL * (1.0 + abs(fine)):  # also catches NaN
+        raise AccuracyError(
+            f"kernel integral changed by {gap:.3g} between 64 and 128 "
+            "Gauss-Legendre nodes; the kernel is too rough for the rule",
+            residual=gap)
+    return fine
+
+
 class MollifierKernel:
     """Nonnegative smoothing kernel supported in [0, 1] with unit mass."""
 
     def __init__(self, rho, drho):
         self.rho = rho
         self.drho = drho
-        self.moment0, _ = quad(rho, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-        self.gradient_mass, _ = quad(drho, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12,
-                                     limit=200, points=[0.5])
+        self.moment0 = _integrate_01(rho)
+        self.gradient_mass = _integrate_01(drho, split=True)
         probe = np.linspace(-0.5, 1.5, 2001)
         vals = np.asarray(rho(probe))
         if np.any(vals < -1e-14):
@@ -161,18 +196,15 @@ class MollifierKernel:
         """int_0^1 sigma**alpha rho(sigma) dsigma."""
         key = ("m", float(alpha))
         if key not in self._moments:
-            val, _ = quad(lambda s: s ** alpha * self.rho(s), 0.0, 1.0,
-                          epsabs=1e-13, epsrel=1e-12, limit=200)
-            self._moments[key] = val
+            self._moments[key] = _integrate_01(lambda s: s ** alpha * self.rho(s))
         return self._moments[key]
 
     def moment_alpha_deriv(self, alpha):
         """int_0^1 sigma**alpha |rho'(sigma)| dsigma."""
         key = ("md", float(alpha))
         if key not in self._moments:
-            val, _ = quad(lambda s: s ** alpha * abs(self.drho(s)), 0.0, 1.0,
-                          epsabs=1e-13, epsrel=1e-12, limit=200, points=[0.5])
-            self._moments[key] = val
+            self._moments[key] = _integrate_01(
+                lambda s: s ** alpha * np.abs(self.drho(s)), split=True)
         return self._moments[key]
 
 
@@ -185,7 +217,7 @@ def _bump_unnormalized(s):
     return out if out.ndim else float(out)
 
 
-_BUMP_NORM = quad(_bump_unnormalized, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)[0]
+_BUMP_NORM = _integrate_01(_bump_unnormalized)
 
 
 def _bump_rho(s):
@@ -216,14 +248,6 @@ def bump_kernel():
 # ---------------------------------------------------------------------------
 # Mollification
 # ---------------------------------------------------------------------------
-
-def _gauss_legendre_01(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-_GL_NODES = {n: _gauss_legendre_01(n) for n in (64, 128)}
-
 
 class MollifiedPotential:
     """Smoothed potential V_theta with its exact first derivative rule."""
@@ -397,17 +421,22 @@ def holder_bump(c=1.0, alpha=0.5, freq=1.0):
     return model
 
 
+def _logistic(x):
+    """1 / (1 + exp(-x)), scipy.special.expit's formula; exp overflow gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def barrier_well(height=2.5, r_well=2.0, r_barrier=5.0, smoothness=0.5):
     """A smooth plateau barrier on [r_well, r_barrier] enclosing an inner well."""
     if height <= 0 or smoothness <= 0 or not 0 < r_well < r_barrier:
         raise InvalidInputError(
             "barrier_well needs height, smoothness > 0 and 0 < r_well < r_barrier")
 
-    from scipy.special import expit
-
     def v(r):
         r = np.asarray(r, dtype=float)
-        return height * expit((r - r_well) / smoothness) * expit((r_barrier - r) / smoothness)
+        return (height * _logistic((r - r_well) / smoothness)
+                * _logistic((r_barrier - r) / smoothness))
 
     ref = REFERENCE_GRID
     tail_sup = np.maximum.accumulate(v(ref)[::-1])[::-1]

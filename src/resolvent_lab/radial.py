@@ -142,6 +142,11 @@ def assemble(query, sector, grid_spec):
     """Discretize one angular sector of the absorbing operator."""
     if sector.d != query.d or sector.h != query.h:
         raise InvalidInputError("sector and query disagree on d or h")
+    return _sector_operator(query, sector, grid_spec, *_radial_terms(query, grid_spec))
+
+
+def _radial_terms(query, grid_spec):
+    """Grid r, r**2 and V(r) shared by every sector of one query."""
     if grid_spec.dr > query.h / 10.0 * (1.0 + 1e-12):
         raise InvalidInputError(
             f"dr rule violated: dr={grid_spec.dr:g} must be at most h/10={query.h / 10:g}")
@@ -153,11 +158,15 @@ def assemble(query, sector, grid_spec):
     if query.d == 2 and grid_spec.r_min <= 0:
         raise InvalidInputError("dimension two requires r_min > 0")
     r = grid_spec.points()
+    return r, r ** 2, np.asarray(query.potential(r), dtype=float)
+
+
+def _sector_operator(query, sector, grid_spec, r, r2, v):
     h2 = query.h ** 2
     diag = (2.0 * h2 / grid_spec.dr ** 2
-            + sector.lambda_value / r ** 2
+            + sector.lambda_value / r2
             - query.E
-            + np.asarray(query.potential(r), dtype=float))
+            + v)
     return DiscreteOperator(grid=r, diag_real=diag,
                             offdiag=-h2 / grid_spec.dr ** 2,
                             eps_imag=query.sign * query.eps,
@@ -260,8 +269,9 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=0, threads=1):
     """
     if l_max < 0:
         raise InvalidInputError(f"l_max must be nonnegative, got {l_max}")
-    sectors = [AngularSector(query.d, l, query.h) for l in range(l_max + 1)]
-    ops = [assemble(query, sec, grid_spec) for sec in sectors]
+    terms = _radial_terms(query, grid_spec)
+    ops = [_sector_operator(query, AngularSector(query.d, l, query.h), grid_spec, *terms)
+           for l in range(l_max + 1)]
 
     def work(op):
         return _lanczos_sector_norm(op, seed)

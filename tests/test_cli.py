@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
+import numpy as np
 import pytest
+import scipy
 
 import resolvent_lab as rl
 from resolvent_lab.cli import main
@@ -155,6 +161,22 @@ class TestSweepCommand:
         assert (out1 / "plotdata.tsv").read_text() == (out2 / "plotdata.tsv").read_text()
         assert (out1 / "manifest.json").read_text() == (out2 / "manifest.json").read_text()
 
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        cfg = write_config(tmp_path, {"sweep": sweep_block(
+            h_values=[0.5], eps_values=[1e-2])})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env == {
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None,
+        }
+
     def test_default_dr_factor_is_the_library_default(self, tmp_path):
         block = sweep_block(h_values=[0.5, 0.4], eps_values=[1e-2])
         cfg = write_config(tmp_path, {"seed": 5, "sweep": block})
@@ -246,3 +268,29 @@ class TestTopLevel:
     def test_missing_file(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
+
+    def test_imports_no_scipy_beyond_linalg(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "certify": certify_block(),
+            "sweep": sweep_block(h_values=[0.5], eps_values=[1e-2])})
+        script = textwrap.dedent(f"""
+            import sys
+            from resolvent_lab import cli, potentials
+            for name in potentials.POTENTIAL_BUILDERS:
+                potentials.build_potential(name)
+            kernel = potentials.bump_kernel()
+            potentials.mollify(potentials.build_potential("holder_bump"), kernel, 0.3)
+            for command in ("certify", "sweep"):
+                assert cli.main([command, "--config", {cfg!r},
+                                 "--out", {str(tmp_path / "out")!r}]) == 0
+            loaded = sorted(m for m in sys.modules
+                            if m.split(".")[:2] in (["scipy", "integrate"],
+                                                    ["scipy", "special"],
+                                                    ["scipy", "optimize"]))
+            assert not loaded, loaded
+        """)
+        src = os.path.dirname(os.path.dirname(rl.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr

@@ -1,16 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import expit
 
 import resolvent_lab as rl
 from resolvent_lab.errors import (AccuracyError, EvaluationError,
                                   InvalidInputError)
 from resolvent_lab.potentials import (MollifierKernel, PotentialModel,
-                                      REFERENCE_GRID, holder_seminorm,
-                                      mollify, theta_for)
+                                      REFERENCE_GRID, barrier_well,
+                                      holder_seminorm, mollify, theta_for)
 
 
 def brute_force_seminorm(f, alpha, beta, grid):
@@ -84,6 +86,31 @@ class TestKernel:
 
     def test_first_moment_is_half_by_symmetry(self, kernel):
         assert kernel.moment_alpha(1.0) == pytest.approx(0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+    def test_moments_match_adaptive_quadrature(self, kernel, alpha):
+        m, _ = quad(lambda s: s ** alpha * kernel.rho(s), 0.0, 1.0,
+                    epsabs=1e-13, epsrel=1e-12, limit=200)
+        md, _ = quad(lambda s: s ** alpha * abs(kernel.drho(s)), 0.0, 1.0,
+                     epsabs=1e-13, epsrel=1e-12, limit=200, points=[0.5])
+        assert kernel.moment_alpha(alpha) == pytest.approx(m, rel=1e-13, abs=0)
+        assert kernel.moment_alpha_deriv(alpha) == pytest.approx(md, rel=1e-13, abs=0)
+
+    def test_derivative_kink_off_the_split_raises(self):
+        # 1320 s^3 (1-s)^7 has unit mass and peaks at s = 0.3, so |rho'| has
+        # a kink there that a rule split only at 1/2 cannot resolve
+        def rho(s):
+            s = np.asarray(s, dtype=float)
+            return np.where((s >= 0.0) & (s <= 1.0), 1320.0 * s ** 3 * (1.0 - s) ** 7, 0.0)
+
+        def drho(s):
+            s = np.asarray(s, dtype=float)
+            return 1320.0 * s ** 2 * (1.0 - s) ** 6 * (3.0 - 10.0 * s)
+
+        skewed = MollifierKernel(rho, drho)
+        assert skewed.moment0 == pytest.approx(1.0, abs=1e-13)
+        with pytest.raises(AccuracyError, match="Gauss-Legendre"):
+            skewed.moment_alpha_deriv(0.5)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_rejects_unnormalized_kernel(self):
@@ -191,6 +218,16 @@ class TestModels:
                                alpha=1.0, beta=1.0, holder_const=0.0)
         with pytest.raises(InvalidInputError, match="decay"):
             model.validate()
+
+    @pytest.mark.parametrize("smoothness", [0.5, 0.1, 0.002])
+    def test_barrier_well_matches_expit(self, smoothness):
+        # at smoothness 0.002, exp(-x) overflows at r = 0 and far out
+        r = np.linspace(0.0, 300.0, 30001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = barrier_well(smoothness=smoothness)(r)
+        ref = 2.5 * expit((r - 2.0) / smoothness) * expit((5.0 - r) / smoothness)
+        assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
 
     def test_envelope_dominates_everywhere(self, barrier_model):
         r = REFERENCE_GRID
