@@ -12,6 +12,11 @@ with a = a0 * h**(-m), a0 = tau0**ell.  The phase is flat beyond a:
 with tau = tau0 in the Lipschitz regime and tau = tau0 * theta**(2 alpha/3)
 * h**(-1/3), theta = h**(2/(alpha+3)), in the Hölder regime.
 
+Each regime fixes beta, k, k0 and m (``_regime_constants``): Lipschitz
+takes beta > 1 with k = min(1, beta-1)/4 and k0 = m = 0; Hölder has beta = 4,
+m = 2 and (k, k0) = (1, 1/2) or (1/2, 0).  Both need 1/2 < s < min(3,
+beta+1)/4, and ell defaults to min_ell(k, beta, s).
+
 The audit quantities are
 
     A  = (mu * phi'**2)',
@@ -43,7 +48,7 @@ import numpy as np
 
 from .errors import (EvaluationError, InvalidConfigError, InvalidInputError,
                      SearchExhaustedError, SingularPointError)
-from .potentials import theta_for
+from .potentials import bump_kernel, theta_for
 
 LIPSCHITZ = "lipschitz"
 HOLDER = "holder"
@@ -53,19 +58,33 @@ F_QUOTIENT = "weight_quotient_j{j}"
 F_MAIN = "carleman_main"
 F_2D = "carleman_2d"
 
+TAU0_START = 4.0
+TAU0_MAX = 4096.0
+# left end of the radial range in dimension two when none is given
+R_MIN_D2 = 1.0
+# the audit constant C when none is given, and the least one recommended
+C_FLOOR = 6.0
 
-def min_ell(k, beta, s, margin=1.05):
+
+def _regime_constants(regularity, beta, k):
+    """(beta, k, k0, m) of the regime; k0 is None for a Hölder k outside the pairs."""
+    if regularity == LIPSCHITZ:
+        return beta, 0.25 * min(1.0, beta - 1.0), 0.0, 0.0
+    return 4.0, k, {1.0: 0.5, 0.5: 0.0}.get(k), 2.0
+
+
+def min_ell(k, beta, s):
     """Smallest admissible exponent ell (with margin) for a0 = tau0**ell."""
     gap = beta - 2.0 * k - 2.0 * s
     if gap <= 0:
         raise InvalidConfigError(
             f"beta - 2k - 2s = {gap:.6g} must be positive before choosing ell")
-    return max(2.0 / k, 2.0 / gap) * margin
+    return max(2.0 / k, 2.0 / gap) * 1.05
 
 
 @dataclass(frozen=True)
 class CarlemanConfig:
-    """Parameter pack tying the weight/phase construction together."""
+    """Parameter pack tying the weight/phase construction together (ell None: min_ell)."""
 
     regularity: str
     beta: float
@@ -74,7 +93,7 @@ class CarlemanConfig:
     k0: float
     s: float
     tau0: float
-    ell: float
+    ell: Optional[float]
     m: float
     E: float
     h: float
@@ -94,36 +113,25 @@ class CarlemanConfig:
             raise InvalidConfigError(f"tau0 must be positive, got {self.tau0}")
         if not self.s > 0.5:
             raise InvalidConfigError(f"s below lower bound 1/2 (got {self.s})")
-        if self.regularity == LIPSCHITZ:
-            if not self.beta > 1.0:
-                raise InvalidConfigError(
-                    f"Lipschitz regime needs beta > 1, got {self.beta}")
-            s_hi = 0.25 * min(3.0, self.beta + 1.0)
-            if not self.s < s_hi:
-                raise InvalidConfigError(
-                    f"s above upper bound {s_hi:.6g} (got {self.s})")
-            k_req = 0.25 * min(1.0, self.beta - 1.0)
-            if abs(self.k - k_req) > 1e-12:
-                raise InvalidConfigError(
-                    f"Lipschitz regime fixes k = min(1, beta-1)/4 = {k_req:.6g}, got {self.k}")
-            if self.k0 != 0.0:
-                raise InvalidConfigError("Lipschitz regime fixes k0 = 0")
-            if self.m != 0.0:
-                raise InvalidConfigError("Lipschitz regime fixes m = 0")
-        else:
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise InvalidConfigError(
-                    f"Hölder regime needs alpha in (0, 1), got {self.alpha}")
-            if self.beta != 4.0:
-                raise InvalidConfigError("Hölder regime fixes beta = 4")
-            if not self.s < 0.75:
-                raise InvalidConfigError(f"s above upper bound 3/4 (got {self.s})")
-            if (self.k, self.k0) not in ((1.0, 0.5), (0.5, 0.0)):
-                raise InvalidConfigError(
-                    f"Hölder regime allows (k, k0) in {{(1, 1/2), (1/2, 0)}}, "
-                    f"got ({self.k}, {self.k0})")
-            if self.m != 2.0:
-                raise InvalidConfigError("Hölder regime fixes m = 2")
+        if self.regularity == LIPSCHITZ and not self.beta > 1.0:
+            raise InvalidConfigError(f"Lipschitz regime needs beta > 1, got {self.beta}")
+        if self.regularity == HOLDER and (self.alpha is None
+                                          or not 0.0 < self.alpha < 1.0):
+            raise InvalidConfigError(
+                f"Hölder regime needs alpha in (0, 1), got {self.alpha}")
+        beta, k, k0, m = _regime_constants(self.regularity, self.beta, self.k)
+        if k0 is None:
+            raise InvalidConfigError(f"Hölder regime allows k in {{1, 1/2}}, got {self.k}")
+        if (self.beta, self.k0, self.m) != (beta, k0, m) or abs(self.k - k) > 1e-12:
+            raise InvalidConfigError(
+                f"{self.regularity} regime fixes (beta, k, k0, m) = ({beta:g}, "
+                f"{k:.6g}, {k0:g}, {m:g}), got ({self.beta}, {self.k}, {self.k0}, {self.m})")
+        s_hi = 0.25 * min(3.0, self.beta + 1.0)
+        if not self.s < s_hi:
+            raise InvalidConfigError(
+                f"s above upper bound {s_hi:.6g} (got {self.s})")
+        if self.ell is None:
+            object.__setattr__(self, "ell", min_ell(self.k, self.beta, self.s))
         if not self.k * self.ell > 2.0:
             raise InvalidConfigError(
                 f"k*ell must exceed 2, got {self.k * self.ell:.6g}")
@@ -133,16 +141,14 @@ class CarlemanConfig:
                 f"(beta - 2k - 2s)*ell must exceed 2, got {gap * self.ell:.6g}")
 
     @classmethod
-    def lipschitz(cls, beta, s, tau0, ell, E, h, d=3):
-        k = 0.25 * min(1.0, beta - 1.0)
-        return cls(LIPSCHITZ, beta, None, k, 0.0, s, tau0, ell, 0.0, E, h, d)
+    def lipschitz(cls, beta, s, tau0, ell=None, *, E, h, d=3):
+        beta, k, k0, m = _regime_constants(LIPSCHITZ, beta, None)
+        return cls(LIPSCHITZ, beta, None, k, k0, s, tau0, ell, m, E, h, d)
 
     @classmethod
-    def holder(cls, alpha, s, tau0, ell, E, h, d=3, k=1.0):
-        k0 = {1.0: 0.5, 0.5: 0.0}.get(k)
-        if k0 is None:
-            raise InvalidConfigError(f"Hölder k must be 1 or 1/2, got {k}")
-        return cls(HOLDER, 4.0, alpha, k, k0, s, tau0, ell, 2.0, E, h, d)
+    def holder(cls, alpha, s, tau0, ell=None, *, E, h, d=3, k=1.0):
+        beta, k, k0, m = _regime_constants(HOLDER, None, k)
+        return cls(HOLDER, beta, alpha, k, k0, s, tau0, ell, m, E, h, d)
 
     @property
     def theta(self):
@@ -157,12 +163,8 @@ class CarlemanConfig:
         return self.tau0 * self.theta ** (2.0 * self.alpha / 3.0) * self.h ** (-1.0 / 3.0)
 
     @property
-    def a0(self):
-        return self.tau0 ** self.ell
-
-    @property
     def a(self):
-        return self.a0 * self.h ** (-self.m)
+        return self.tau0 ** self.ell * self.h ** (-self.m)
 
 
 @dataclass(frozen=True)
@@ -308,10 +310,6 @@ class GridSpec:
 
     points_per_decade: int = 200
     span_factor: float = 10.0
-    r_floor: float = 1e-6
-    near_a_count: int = 48
-    near_a_inner: float = 8e-7
-    near_a_outer: float = 0.5
 
 
 def certification_grid(spec, a, r_min=0.0):
@@ -322,14 +320,14 @@ def certification_grid(spec, a, r_min=0.0):
     if spec.span_factor < 10.0:
         raise InvalidInputError(
             f"grid span must reach 10a, got span_factor {spec.span_factor}")
-    lo = r_min if r_min > 0 else spec.r_floor
+    lo = r_min if r_min > 0 else 1e-6
     hi = spec.span_factor * a
     if hi <= lo:
         raise InvalidInputError("grid upper end must exceed its lower end")
     decades = math.log10(hi / lo)
     n = max(2, int(math.ceil(decades * spec.points_per_decade)) + 1)
     base = np.geomspace(lo, hi, n)
-    offs = np.geomspace(spec.near_a_inner, spec.near_a_outer, spec.near_a_count)
+    offs = np.geomspace(8e-7, 0.5, 48)  # relative distances from a
     cluster = np.concatenate([a * (1.0 - offs), a * (1.0 + offs)])
     cluster = cluster[(cluster > lo) & (cluster <= hi)]
     grid = np.unique(np.concatenate([base, cluster]))
@@ -355,7 +353,6 @@ class Certificate:
     families: tuple
     constants: dict
     grid: Optional[np.ndarray] = None
-    margins: Optional[dict] = None
     search_history: tuple = ()
 
     def family(self, name):
@@ -408,13 +405,13 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None,
             mollifier_constants=None):
     """Verify every margin family on a dense grid and return the record.
 
-    ``r_min`` defaults to 0 for d >= 3 and to 1 in dimension two, where the
-    two-dimensional family is certified on r >= r_min > 0 only.
+    ``r_min`` defaults to 0 for d >= 3 and to R_MIN_D2 in dimension two,
+    where the two-dimensional family is certified on r >= r_min > 0 only.
     """
     if grid_spec is None:
         grid_spec = GridSpec()
     if r_min is None:
-        r_min = 1.0 if config.d == 2 else 0.0
+        r_min = R_MIN_D2 if config.d == 2 else 0.0
     if config.d == 2 and r_min <= 0:
         raise InvalidInputError("dimension two requires a positive left endpoint")
     if C <= 0:
@@ -453,21 +450,22 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None,
     return Certificate(config=config, C_used=float(C), r_min=float(r_min),
                        tau0_found=config.tau0, passed=passed,
                        families=tuple(families), constants=constants,
-                       grid=grid, margins=margins)
+                       grid=grid)
 
 
-def search_tau0(config_template, envelope_p, C, grid_spec=None, tau0_max=4096.0,
+def search_tau0(config_template, envelope_p, C, grid_spec=None, tau0_max=TAU0_MAX,
                 r_min=None, mollifier_constants=None):
-    """Double tau0 from 4 until certification passes.
+    """Double tau0 from TAU0_START until certification passes.
 
     Returns the first passing certificate, carrying the failed attempts in
     ``search_history``.  Raises SearchExhaustedError with the last attempt's
     worst margin and its location when no tau0 <= tau0_max is admissible.
     """
-    if tau0_max < 4.0:
-        raise InvalidInputError(f"tau0_max must be at least 4, got {tau0_max}")
+    if tau0_max < TAU0_START:
+        raise InvalidInputError(
+            f"tau0_max must be at least {TAU0_START:g}, got {tau0_max}")
     history = []
-    tau0 = 4.0
+    tau0 = TAU0_START
     last = None
     while tau0 <= tau0_max:
         cfg = replace(config_template, tau0=tau0)
@@ -487,42 +485,38 @@ def search_tau0(config_template, envelope_p, C, grid_spec=None, tau0_max=4096.0,
 
 
 def search_tau0_with_fallback(config_template, envelope_p, C, grid_spec=None,
-                              tau0_max=4096.0, r_min=None,
+                              tau0_max=TAU0_MAX, r_min=None,
                               mollifier_constants=None):
     """Two-dimensional Hölder search that retries with (k, k0) = (1/2, 0).
 
     The steep weight (k = 1) certifies only for small h; outside that regime
-    the shallow pair takes over.  Returns (certificate, used_fallback).
+    the shallow pair takes over, at the larger of the template's ell and
+    the shallow default.  Returns (certificate, used_fallback).
     """
+    rest = (envelope_p, C, grid_spec, tau0_max, r_min, mollifier_constants)
     try:
-        cert = search_tau0(config_template, envelope_p, C, grid_spec, tau0_max,
-                           r_min, mollifier_constants)
-        return cert, False
+        return search_tau0(config_template, *rest), False
     except SearchExhaustedError:
-        if (config_template.d == 2 and config_template.regularity == HOLDER
-                and config_template.k == 1.0):
-            ell = max(config_template.ell,
-                      min_ell(0.5, config_template.beta, config_template.s))
-            fallback = replace(config_template, k=0.5, k0=0.0, ell=ell)
-            cert = search_tau0(fallback, envelope_p, C, grid_spec, tau0_max,
-                               r_min, mollifier_constants)
-            return cert, True
+        t = config_template
+        if t.d == 2 and t.regularity == HOLDER and t.k == 1.0:
+            shallow = CarlemanConfig.holder(t.alpha, t.s, t.tau0, E=t.E, h=t.h,
+                                            d=t.d, k=0.5)
+            return search_tau0(replace(shallow, ell=max(t.ell, shallow.ell)), *rest), True
         raise
 
 
-def recommended_audit_constant(model, kernel=None, floor=6.0):
+def recommended_audit_constant(model):
     """Audit constant C large enough to absorb the model's regularity constants.
 
     In the Lipschitz regime the derivative bound is at most the two-sided
     constant of the model; in the Hölder regime the smoothing-error constants
-    enter through the kernel moments, quadratically in the squared audit term.
+    enter through the bump kernel's moments, quadratically in the squared
+    audit term.  Never below C_FLOOR.
     """
     hc = model.holder_const
     if model.alpha >= 1.0:
-        return max(floor, 3.0, hc)
-    if kernel is None:
-        from .potentials import bump_kernel
-        kernel = bump_kernel()
+        return max(C_FLOOR, hc)
+    kernel = bump_kernel()
     m_a = kernel.moment_alpha(model.alpha)
     m_ad = kernel.moment_alpha_deriv(model.alpha)
-    return max(floor, hc * m_ad, 3.0 * (1.0 + hc * m_a) ** 2)
+    return max(C_FLOOR, hc * m_ad, 3.0 * (1.0 + hc * m_a) ** 2)

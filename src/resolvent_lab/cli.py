@@ -31,9 +31,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .carleman import (CarlemanConfig, Certificate, GridSpec, min_ell,
-                       recommended_audit_constant, search_tau0,
-                       search_tau0_with_fallback)
+from .carleman import (C_FLOOR, HOLDER, LIPSCHITZ, TAU0_START, CarlemanConfig,
+                       Certificate, GridSpec, recommended_audit_constant,
+                       search_tau0, search_tau0_with_fallback)
 from .errors import (AccuracyError, EvaluationError, InvalidInputError,
                      ResolventLabError, SearchExhaustedError)
 from .potentials import bump_kernel, build_potential, mollify
@@ -50,11 +50,18 @@ _TOP_KEYS = {"seed", "certify", "sweep", "mollify", "convert"}
 _POLICY_KEYS = ("tail_tol", "dr_factor", "l_max", "r_min", "r_max_floor")
 
 
-def _check_keys(block, allowed, where):
-    unknown = set(block) - set(allowed)
+def _check_keys(block, allowed, where, required=()):
+    """Reject a non-object block, keys not allowed (None: any) and missing ones."""
+    if not isinstance(block, dict):
+        raise InvalidInputError(
+            f"{where} must be a JSON object, got {type(block).__name__}")
+    unknown = set(block) - set(block if allowed is None else allowed)
     if unknown:
         raise InvalidInputError(
             f"unknown keys in {where}: {', '.join(sorted(unknown))}")
+    missing = [key for key in required if key not in block]
+    if missing:
+        raise InvalidInputError(f"{where} needs '{missing[0]}'")
 
 
 def _load_config(path):
@@ -98,40 +105,36 @@ def _write_manifest(out_dir, command, seed, config, exit_code):
         fh.write("\n")
 
 
-def _build_model(block, where):
-    _check_keys(block, {"name", "params"}, where)
-    if "name" not in block:
-        raise InvalidInputError(f"{where} needs a potential name")
-    return build_potential(block["name"], block.get("params", {}))
+def _build_model(block, where, **extra_params):
+    _check_keys(block, {"name", "params"}, where, required=("name",))
+    params = block.get("params", {})
+    _check_keys(params, None, f"{where}.params")
+    return build_potential(block["name"], dict(params, **extra_params))
 
 
 def _certify_template(block, model):
+    """The search template; keys the block leaves out take the library's defaults."""
     regularity = block.get("regularity")
-    s = block["s"]
-    E = block.get("E", 1.0)
-    h = block["h"]
-    d = block.get("d", 3)
-    if regularity == "lipschitz":
-        beta = block["beta"]
-        k = 0.25 * min(1.0, beta - 1.0)
-        ell = block.get("ell", min_ell(k, beta, s))
-        return CarlemanConfig.lipschitz(beta, s, 4.0, ell, E, h, d)
-    if regularity == "holder":
-        alpha = block.get("alpha", model.alpha)
-        k = block.get("k", 1.0)
-        ell = block.get("ell", min_ell(k, 4.0, s))
-        return CarlemanConfig.holder(alpha, s, 4.0, ell, E, h, d, k=k)
+    kw = {key: block[key] for key in ("ell", "d", "k") if key in block}
+    kw.update(E=block.get("E", 1.0), h=block["h"])
+    if regularity == LIPSCHITZ:
+        _check_keys(block, None, "certify block", required=("beta",))
+        kw.pop("k", None)  # follows from beta
+        return CarlemanConfig.lipschitz(block["beta"], block["s"], TAU0_START, **kw)
+    if regularity == HOLDER:
+        return CarlemanConfig.holder(block.get("alpha", model.alpha), block["s"],
+                                     TAU0_START, **kw)
     raise InvalidInputError(
-        f"certify regularity must be 'lipschitz' or 'holder', got {regularity!r}")
+        f"certify regularity must be '{LIPSCHITZ}' or '{HOLDER}', got {regularity!r}")
 
 
 def _cmd_certify(block, out_dir):
     allowed = {"regularity", "alpha", "beta", "k", "s", "ell", "E", "h", "d",
                "C", "tau0_max", "potential", "grid", "r_min"}
-    _check_keys(block, allowed, "certify block")
+    _check_keys(block, allowed, "certify block", required=("s", "h"))
     model = _build_model(block.get("potential", {"name": "zero"}), "certify.potential")
     template = _certify_template(block, model)
-    C = block.get("C", 6.0)
+    C = block.get("C", C_FLOOR)
     if C == "auto":
         C = recommended_audit_constant(model)
     grid_block = block.get("grid", {})
@@ -139,14 +142,14 @@ def _cmd_certify(block, out_dir):
     search_kw = {key: block[key] for key in ("tau0_max", "r_min") if key in block}
     search_kw["grid_spec"] = GridSpec(**grid_block)
     moll = None
-    if template.regularity == "holder":
+    if template.regularity == HOLDER:
         kernel = bump_kernel()
         moll = {"holder_const": model.holder_const,
                 "moment_alpha": kernel.moment_alpha(template.alpha),
                 "moment_alpha_deriv": kernel.moment_alpha_deriv(template.alpha)}
     search_kw["mollifier_constants"] = moll
     try:
-        if template.d == 2 and template.regularity == "holder":
+        if template.d == 2 and template.regularity == HOLDER:
             cert, fellback = search_tau0_with_fallback(
                 template, model.envelope, C, **search_kw)
             if fellback:
@@ -168,11 +171,24 @@ def _cmd_certify(block, out_dir):
 def _cmd_sweep(block, out_dir, seed, threads):
     allowed = {"d", "E", "s", "potential", "h_values", "eps_values", "signs",
                "certificate", "fit", *_POLICY_KEYS}
-    _check_keys(block, allowed, "sweep block")
+    _check_keys(block, allowed, "sweep block", required=("s",))
     model = _build_model(block.get("potential", {"name": "zero"}), "sweep.potential")
     h_values = block.get("h_values", [])
     eps_values = block.get("eps_values", [1e-2])
-    signs = tuple(1 if s == "+" else -1 for s in block.get("signs", ["+"]))
+    signs = block.get("signs", ["+"])
+    if not isinstance(signs, list) or not all(sign in ("+", "-") for sign in signs):
+        raise InvalidInputError(f"sweep.signs must be a list of '+' and '-', got {signs!r}")
+    signs = tuple(1 if sign == "+" else -1 for sign in signs)
+    fit_block = block.get("fit")
+    if fit_block is not None:
+        _check_keys(fit_block, {"candidates", "eps", "sign"}, "sweep.fit",
+                    required=("candidates",))
+        candidates = fit_block["candidates"]
+        if not (isinstance(candidates, list)
+                and all(isinstance(c, list) and c for c in candidates)):
+            raise InvalidInputError(
+                f"sweep.fit.candidates must be a list of nonempty lists, got {candidates!r}")
+        candidates = [tuple(c) if len(c) > 1 else c[0] for c in candidates]
     template = ResolventQuery(d=block.get("d", 3), E=block.get("E", 1.0),
                               h=1.0, eps=1.0, sign=1, s=block["s"],
                               potential=model)
@@ -186,11 +202,7 @@ def _cmd_sweep(block, out_dir, seed, threads):
     result = sweep(template, h_values, eps_values, policy,
                    certificate=certificate, signs=signs, seed=seed,
                    threads=threads)
-    fit_block = block.get("fit")
     if fit_block is not None:
-        _check_keys(fit_block, {"candidates", "eps", "sign"}, "sweep.fit")
-        candidates = [tuple(c) if len(c) > 1 else c[0]
-                      for c in fit_block["candidates"]]
         try:
             outcome = fit_models(result, candidates,
                                  eps=fit_block.get("eps"),
@@ -215,12 +227,8 @@ def _cmd_sweep(block, out_dir, seed, threads):
 def _cmd_mollify(block, out_dir):
     allowed = {"potential", "alpha", "thetas", "r_max", "points"}
     _check_keys(block, allowed, "mollify block")
-    pot_block = dict(block.get("potential", {}))
-    if "alpha" in block:
-        params = dict(pot_block.get("params", {}))
-        params["alpha"] = block["alpha"]
-        pot_block["params"] = params
-    model = _build_model(pot_block, "mollify.potential")
+    alpha = {"alpha": block["alpha"]} if "alpha" in block else {}
+    model = _build_model(block.get("potential", {}), "mollify.potential", **alpha)
     thetas = block.get("thetas", [])
     if not thetas:
         raise InvalidInputError("mollify needs a nonempty theta list")

@@ -28,6 +28,7 @@ only (no scipy.integrate or scipy.special).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -104,7 +105,7 @@ class PotentialModel:
     def envelope_at(self, r):
         return self.envelope(np.asarray(r, dtype=float))
 
-    def validate(self, grid=None, seminorm_slack=1e-9):
+    def validate(self, grid=None):
         """Check the defining invariants on a sample grid.
 
         Raises InvalidInputError if the envelope fails to decrease to a
@@ -126,7 +127,7 @@ class PotentialModel:
             raise InvalidInputError(
                 f"potential exceeds its envelope at r={bad:.6g} ({self.name})")
         sem = holder_seminorm(self.evaluate, self.alpha, self.beta, r)
-        if sem > self.holder_const * (1.0 + seminorm_slack) + 1e-300:
+        if sem > self.holder_const * (1.0 + 1e-9) + 1e-300:
             raise InvalidInputError(
                 f"weighted Hölder quotient {sem:.6g} exceeds declared constant "
                 f"{self.holder_const:.6g} ({self.name})")
@@ -295,16 +296,16 @@ class MollifiedPotential:
         dv = np.abs(self.evaluate_deriv(r))
         return float(np.max(dv * (r + 1.0) ** self.base.beta)) / self.theta ** (self.base.alpha - 1.0)
 
-    def check_invariants(self, grid, slack=0.5):
+    def check_invariants(self, grid):
         """Verify the smoothing-error, derivative and envelope bounds on a grid.
 
-        Raises EvaluationError when a bound fails; the slack multiplies the
-        provable constants to absorb grid and constant-measurement effects.
+        Raises EvaluationError when a bound fails; the provable constants are
+        multiplied by 1.5 to absorb grid and constant-measurement effects.
         """
         hc = self.base.holder_const
-        if self.error_ratio(grid) > hc * self.moment_alpha * (1.0 + slack) + 1e-300:
+        if self.error_ratio(grid) > hc * self.moment_alpha * 1.5 + 1e-300:
             raise EvaluationError("smoothing error exceeds its Hölder bound")
-        if self.deriv_ratio(grid) > hc * self.moment_alpha_deriv * (1.0 + slack) + 1e-300:
+        if self.deriv_ratio(grid) > hc * self.moment_alpha_deriv * 1.5 + 1e-300:
             raise EvaluationError("smoothed derivative exceeds its Hölder bound")
         r = np.asarray(grid, dtype=float)
         ceiling = (self.base.envelope_at(r)
@@ -314,12 +315,12 @@ class MollifiedPotential:
             raise EvaluationError("smoothed potential exceeds the lifted envelope")
 
 
-def mollify(base, kernel, theta, quad_tol=1e-8, check=True):
+def mollify(base, kernel, theta, check=True):
     """Smooth ``base`` at width theta using ``kernel``.
 
     The evaluation rule is a fixed 64-node Gauss-Legendre discretization of
     the smoothing integral.  One refinement check against the 128-node rule
-    is performed on a probe grid; the allowance combines ``quad_tol`` with
+    is performed on a probe grid; the allowance combines a 1e-8 tolerance with
     the provable refinement gap for a member of the declared Hölder class,
     so the check trips only when the potential behaves worse than declared.
     """
@@ -338,8 +339,8 @@ def mollify(base, kernel, theta, quad_tol=1e-8, check=True):
                    * (theta / 64.0) ** base.alpha
                    * (probe + 1.0) ** (-base.beta))
         gap = np.abs(fine - coarse)
-        if np.any(gap > quad_tol * scale + modulus):
-            worst = probe[np.argmax(gap - quad_tol * scale - modulus)]
+        if np.any(gap > 1e-8 * scale + modulus):
+            worst = probe[np.argmax(gap - 1e-8 * scale - modulus)]
             raise AccuracyError(
                 f"quadrature refinement check failed near r={worst:.4g}; "
                 "the potential is rougher than its declared class",
@@ -361,8 +362,8 @@ def theta_for(h, alpha):
 # Built-in family
 # ---------------------------------------------------------------------------
 
-def _measured_const(f, alpha, beta, grid, safety=1.25):
-    return holder_seminorm(f, alpha, beta, grid) * safety
+def _measured_const(f, alpha, beta, grid):
+    return holder_seminorm(f, alpha, beta, grid) * 1.25
 
 
 def zero_potential():
@@ -466,9 +467,13 @@ _MODEL_CACHE = {}
 
 def build_potential(name, params=None):
     """Build a named model from the registry; results are cached."""
-    if name not in POTENTIAL_BUILDERS:
+    if not isinstance(name, str) or name not in POTENTIAL_BUILDERS:
         valid = ", ".join(sorted(POTENTIAL_BUILDERS))
         raise InvalidInputError(f"unknown potential {name!r}; valid names: {valid}")
+    unknown = set(params or {}) - set(inspect.signature(POTENTIAL_BUILDERS[name]).parameters)
+    if unknown:
+        raise InvalidInputError(
+            f"unknown parameters for {name}: {', '.join(sorted(unknown))}")
     key = (name, tuple(sorted((params or {}).items())))
     if key not in _MODEL_CACHE:
         _MODEL_CACHE[key] = POTENTIAL_BUILDERS[name](**(params or {}))

@@ -319,22 +319,24 @@ class ConjugatedOperator:
     def _ratios(self):
         return np.exp(np.diff(self.phi_over_h))
 
-    def apply(self, v):
-        ratio = self._ratios()
-        off = self.base.offdiag
-        out = self.base.diagonals()[1] * v
+    @staticmethod
+    def _stencil(diag, off, ratio, v):
+        """Tridiagonal product with the off-diagonals scaled by the gauge ratios."""
+        out = diag * v
         out[:-1] += off / ratio * v[1:]
         out[1:] += off * ratio * v[:-1]
         return out
 
+    def apply(self, v):
+        return self._stencil(self.base.diagonals()[1], self.base.offdiag,
+                             self._ratios(), v)
+
     def backward_error(self, u, rhs):
         """Componentwise backward error of the conjugated system."""
-        ratio = self._ratios()
-        off = abs(self.base.offdiag)
-        res = np.abs(self.apply(u) - rhs)
-        scale = np.abs(self.base.diagonals()[1]) * np.abs(u)
-        scale[:-1] += off / ratio * np.abs(u[1:])
-        scale[1:] += off * ratio * np.abs(u[:-1])
+        off, ratio = self.base.offdiag, self._ratios()
+        # rebuilt, not held: a live complex diagonal adds an n-array to peak memory
+        res = np.abs(self._stencil(self.base.diagonals()[1], off, ratio, u) - rhs)
+        scale = self._stencil(np.abs(self.base.diagonals()[1]), abs(off), ratio, np.abs(u))
         scale += np.abs(rhs) + 1e-300
         return float(np.max(res / scale))
 
@@ -368,17 +370,17 @@ class EnergyTrace:
     integral_scale: float
 
 
-def energy_audit(u, query, config, weight, phase, rhs, grid_spec, l=0,
-                 v_long=None):
+def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
     """Audit the certified flux inequality on a solved conjugated system.
 
-    ``u`` must solve the conjugated sector system for ``rhs`` to relative
-    residual 1e-8.  Returns the per-point residual of the flux inequality
+    ``u`` must solve the conjugated l = 0 sector system for ``rhs`` to
+    relative residual 1e-8; ``v_long`` is the potential in F and ``config``
+    is not read.  Returns the per-point residual of the flux inequality
     (nonnegative up to discretization error), the per-point tolerance scale,
     and the integral of the flux derivative, which vanishes when u decays at
     both ends.
     """
-    sector = AngularSector(query.d, l, query.h)
+    sector = AngularSector(query.d, 0, query.h)
     op = assemble_conjugated(query, sector, grid_spec, phase)
     u = np.asarray(u, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
@@ -394,8 +396,7 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, l=0,
                 f"solution residual {resid:.3g} exceeds the 1e-8 precondition")
     r, dr, h, E = op.grid, op.base.dr, query.h, query.E
     lam = sector.lambda_value
-    vfun = v_long if v_long is not None else query.potential
-    v_l = np.asarray(vfun(r), dtype=float)
+    v_l = np.asarray(v_long(r), dtype=float)
     p1 = phase.derivative(r)
     mu = weight(r)
     mup = weight.derivative(r)

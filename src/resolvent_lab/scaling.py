@@ -7,14 +7,15 @@ norm: with a = a0 h**(-m) and the phase rebuilt at each h,
     g_bound(h) = log 4 + 2 log M(h),
 
 where C0 is the certified audit constant.  Measured g values are fitted in
-log-norm space against the candidate growth shapes
+log-norm space against each class's growth law (``_growth_law``)
 
     lipschitz: C / h,     holder(alpha): C h**(-4/(alpha+3)) log(1/h),
     linfty:    C h**(-4/3) log(1/h),
 
-each with a free intercept.  The frequency and time maps translate the
-bounds into high-frequency resolvent growth psi(lambda) and local energy
-decay rates omega(t).
+each with a free intercept.  With p the exponent of 1/h, the maps give the
+high-frequency resolvent growth psi(lambda) = lambda**p [log(lambda+1)] and
+the local energy decay rate omega(t) = (loglog t/log t)**(1/p), which is
+(log t)**(-1/p) for radial potentials and for a law without the log.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .carleman import Certificate, build_phase
+from .carleman import R_MIN_D2, Certificate, build_phase
 from .errors import AccuracyError, InvalidInputError, ResolventLabError
 from .radial import AngularSector, UniformGridSpec, weighted_resolvent_norm
 
@@ -40,23 +41,30 @@ LINF = "linfty"
 # Bound shapes and fitting
 # ---------------------------------------------------------------------------
 
-def _shape(kind, alpha, h):
-    h = np.asarray(h, dtype=float)
+_CLASSES = (LIP, HOL, LINF)
+
+
+def _growth_law(kind, alpha):
+    """(num, den, has_log) of the growth law h**(-num/den) [log(1/h)].
+
+    The exponent stays a fraction because omega needs den/num, which
+    differs from 1/(num/den) in the last bit for about a third of alpha.
+    """
     if kind == LIP:
-        return 1.0 / h
+        return 1.0, 1.0, False
     if kind == HOL:
-        return h ** (-4.0 / (alpha + 3.0)) * np.log(1.0 / h)
+        if alpha is None or not 0.0 < alpha < 1.0:
+            raise InvalidInputError("holder class needs alpha in (0, 1)")
+        return 4.0, alpha + 3.0, True
     if kind == LINF:
-        return h ** (-4.0 / 3.0) * np.log(1.0 / h)
-    raise InvalidInputError(f"unknown bound shape {kind!r}")
+        return 4.0, 3.0, True
+    raise InvalidInputError(f"unknown regularity class {kind!r}; valid: {_CLASSES}")
 
 
-def _growth_key(kind, alpha):
-    if kind == LIP:
-        return (1.0, 0)
-    if kind == HOL:
-        return (4.0 / (alpha + 3.0), 1)
-    return (4.0 / 3.0, 1)
+def _shape(kind, alpha, h):
+    num, den, has_log = _growth_law(kind, alpha)
+    h = np.asarray(h, dtype=float)
+    return h ** (-num / den) * (np.log(1.0 / h) if has_log else 1.0)
 
 
 @dataclass(frozen=True)
@@ -131,13 +139,16 @@ def fit_models(result, candidates, eps=None, sign=None):
     fits = []
     for cand in candidates:
         kind, alpha = (cand, None) if isinstance(cand, str) else (cand[0], cand[1])
-        if kind == HOL and alpha is None:
-            raise InvalidInputError("holder candidate needs an alpha")
         fits.append(_fit_one(kind, alpha, h, g))
     best_res = min(f.residual for f in fits)
     tol = 1e-9 * (1.0 + best_res)
     tied = [f for f in fits if f.residual <= best_res + tol]
-    best = min(tied, key=lambda f: _growth_key(f.kind, f.alpha))
+
+    def growth(fit):
+        num, den, has_log = _growth_law(fit.kind, fit.alpha)
+        return num / den, has_log
+
+    best = min(tied, key=growth)
     return FitOutcome(fits=tuple(fits), best=best,
                       degenerate=all(f.degenerate for f in fits),
                       eps=eps_used, sign=sign_used)
@@ -207,7 +218,7 @@ class GridPolicy:
     def grid_for(self, query):
         r_min = self.r_min
         if query.d == 2 and r_min <= 0.0:
-            r_min = 1.0
+            r_min = R_MIN_D2
         return UniformGridSpec(dr=self.dr_factor * query.h,
                                r_max=self.r_max_for(query),
                                r_min=r_min, tail_tol=self.tail_tol)
@@ -258,8 +269,8 @@ def sweep(query_template, h_values, eps_values, grid_policy=None,
         grid_policy = GridPolicy()
     bound = bound_from_certificate(certificate, hs) if certificate else None
     rows = []
-    for h in hs:
-        g_b = bound.g_bound(h) if bound else None
+    for i, h in enumerate(hs):
+        g_b = bound.g_values[i] if bound else None
         for eps in sorted(eps_list):
             # A_- is the entrywise conjugate of A_+ and W is real, so one
             # norm serves every sign; later rows' runtime_ms is their copy time
@@ -370,9 +381,6 @@ def write_plotdata_tsv(result, path):
 # Corollary maps
 # ---------------------------------------------------------------------------
 
-_CLASSES = (LIP, HOL, LINF)
-
-
 @dataclass(frozen=True)
 class PsiTable:
     lambdas: np.ndarray
@@ -387,42 +395,24 @@ def psi_map(regularity_class, lambda_values, lambda0, alpha=None):
     Returns psi per class together with the matching semiclassical data
     h = lambda0/lambda and energy E = lambda0**2.
     """
-    if regularity_class not in _CLASSES:
-        raise InvalidInputError(
-            f"unknown regularity class {regularity_class!r}; valid: {_CLASSES}")
+    num, den, has_log = _growth_law(regularity_class, alpha)
     lam = np.atleast_1d(np.asarray(lambda_values, dtype=float))
     if not lambda0 > 0:
         raise InvalidInputError("lambda0 must be positive")
     if np.any(lam < lambda0):
         raise InvalidInputError("lambda values must be at least lambda0")
-    if regularity_class == LIP:
-        psi = lam.copy()
-    elif regularity_class == HOL:
-        if alpha is None or not 0.0 < alpha < 1.0:
-            raise InvalidInputError("holder class needs alpha in (0, 1)")
-        psi = lam ** (4.0 / (alpha + 3.0)) * np.log(lam + 1.0)
-    else:
-        psi = lam ** (4.0 / 3.0) * np.log(lam + 1.0)
+    psi = lam ** (num / den) * (np.log(lam + 1.0) if has_log else 1.0)
     return PsiTable(lambdas=lam, psi=psi, h=lambda0 / lam, E=lambda0 ** 2)
 
 
 def omega_map(regularity_class, t_values, alpha=None, radial=False):
     """Local energy decay rates omega(t); radial variants drop the loglog."""
-    if regularity_class not in _CLASSES:
-        raise InvalidInputError(
-            f"unknown regularity class {regularity_class!r}; valid: {_CLASSES}")
+    num, den, has_log = _growth_law(regularity_class, alpha)
     t = np.atleast_1d(np.asarray(t_values, dtype=float))
     if np.any(t <= math.e ** math.e):
         raise InvalidInputError("t values must exceed e**e")
     logt = np.log(t)
-    if regularity_class == LIP:
-        return 1.0 / logt
-    if regularity_class == HOL:
-        if alpha is None or not 0.0 < alpha < 1.0:
-            raise InvalidInputError("holder class needs alpha in (0, 1)")
-        expo = (alpha + 3.0) / 4.0
-    else:
-        expo = 0.75
-    if radial:
+    expo = den / num
+    if radial or not has_log:
         return logt ** (-expo)
     return (np.log(logt) / logt) ** expo

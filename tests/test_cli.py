@@ -107,6 +107,23 @@ class TestCertifyCommand:
         assert doc["config"]["k"] == 0.5 and doc["config"]["k0"] == 0.0
         assert doc["config"]["constants"]["mollifier"] is not None
 
+    @pytest.mark.parametrize("block,spelled_out", [
+        (certify_block(), {"ell": rl.min_ell(0.25, 3.0, 0.6), "d": 3}),
+        ({"regularity": "holder", "alpha": 0.5, "s": 0.7, "h": 0.2,
+          "C": "auto", "potential": {"name": "holder_bump",
+                                     "params": {"c": 0.1, "freq": 2.0}}},
+         {"ell": rl.min_ell(1.0, 4.0, 0.7), "d": 3, "k": 1.0}),
+    ])
+    def test_omitted_keys_take_the_library_defaults(self, tmp_path, block,
+                                                     spelled_out):
+        texts = []
+        for name, doc in (("short", block), ("long", dict(block, **spelled_out))):
+            out = tmp_path / name
+            cfg = write_config(tmp_path, {"certify": doc}, f"{name}.json")
+            assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+            texts.append((out / "certificate.json").read_text())
+        assert texts[0] == texts[1]
+
 
 class TestSweepCommand:
     def test_default_free_sweep(self, tmp_path):
@@ -133,6 +150,13 @@ class TestSweepCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["bound_respected"] is True
         assert all(row["g_bound"] is not None for row in summary["rows"])
+
+    def test_fit_candidate_outside_its_class_is_skipped(self, tmp_path, capsys):
+        block = sweep_block(eps_values=[1e-2], fit={"candidates": [["holder", 1.5]]})
+        cfg = write_config(tmp_path, {"sweep": block})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "fit skipped: holder class needs alpha in (0, 1)" in capsys.readouterr().err
+        assert json.loads((tmp_path / "summary.json").read_text())["fit"] is None
 
     def test_missing_certificate_exits_one(self, tmp_path):
         block = sweep_block(certificate=str(tmp_path / "nope.json"))
@@ -254,6 +278,37 @@ class TestConvertCommand:
         block = {"map": "psi", "class": "smooth", "values": [10.0]}
         cfg = write_config(tmp_path, {"convert": block})
         assert main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+def _without(block, key):
+    return {k: v for k, v in block.items() if k != key}
+
+
+@pytest.mark.parametrize("command,doc,named", [
+    ("certify", {"certify": _without(certify_block(), "s")}, "'s'"),
+    ("certify", {"certify": _without(certify_block(), "h")}, "'h'"),
+    ("certify", {"certify": _without(certify_block(), "beta")}, "'beta'"),
+    ("sweep", {"sweep": _without(sweep_block(), "s")}, "'s'"),
+    ("certify", {"certify": certify_block(
+        potential={"name": "zero", "params": [1]})}, "certify.potential.params"),
+    ("sweep", {"sweep": sweep_block(
+        potential={"name": "power_law", "params": {"bogus": 1}})}, "bogus"),
+    ("certify", {"certify": [1]}, "certify block"),
+    ("convert", {"convert": 5}, "convert block"),
+    ("sweep", {"sweep": sweep_block(fit={"candidates": [[]]})}, "candidates"),
+    ("sweep", {"sweep": sweep_block(fit={})}, "'candidates'"),
+    ("sweep", {"sweep": sweep_block(signs=["x"])}, "signs"),
+    ("sweep", {"sweep": sweep_block(potential="zero")},
+     "sweep.potential must be a JSON object"),
+    ("mollify", {"mollify": {"potential": "zero", "alpha": 0.5,
+                             "thetas": [0.1]}}, "mollify.potential"),
+])
+def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
+                                                   doc, named):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and named in err
 
 
 class TestTopLevel:

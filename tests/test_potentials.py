@@ -176,7 +176,7 @@ class TestMollify:
         model = rl.build_potential(name, params)
         smoothed = mollify(model, kernel, theta)
         grid = np.linspace(0.0, 12.0, 2001)
-        smoothed.check_invariants(grid, slack=0.5)
+        smoothed.check_invariants(grid)
 
     def test_error_ratio_stable_across_decades(self, kernel):
         model = rl.build_potential("holder_bump", {"c": 1.0, "alpha": 0.5, "freq": 1.0})

@@ -115,6 +115,14 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit_models([(0.2, 1.0), (0.1, 2.0), (0.05, 3.0)], ["lipschitz"])
 
+    def test_holder_alpha_outside_class_rejected_like_the_maps(self):
+        data = [(0.2, 1.0), (0.15, 2.0), (0.1, 3.0), (0.05, 4.0)]
+        for call in (lambda: fit_models(data, [("holder", 1.5)]),
+                     lambda: psi_map("holder", [2.0], 1.0, alpha=1.5),
+                     lambda: omega_map("holder", [100.0], alpha=1.5)):
+            with pytest.raises(InvalidInputError, match="alpha in"):
+                call()
+
 
 class TestSweep:
     def test_rows_cover_product_and_monotone_g(self, zero_model):
