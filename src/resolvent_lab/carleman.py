@@ -49,6 +49,7 @@ import numpy as np
 from .errors import (EvaluationError, InvalidConfigError, InvalidInputError,
                      SearchExhaustedError, SingularPointError)
 from .potentials import bump_kernel, theta_for
+from .radial import DIMENSION, ENERGY
 
 LIPSCHITZ = "lipschitz"
 HOLDER = "holder"
@@ -141,12 +142,12 @@ class CarlemanConfig:
                 f"(beta - 2k - 2s)*ell must exceed 2, got {gap * self.ell:.6g}")
 
     @classmethod
-    def lipschitz(cls, beta, s, tau0, ell=None, *, E, h, d=3):
+    def lipschitz(cls, beta, s, tau0, ell=None, *, h, E=ENERGY, d=DIMENSION):
         beta, k, k0, m = _regime_constants(LIPSCHITZ, beta, None)
         return cls(LIPSCHITZ, beta, None, k, k0, s, tau0, ell, m, E, h, d)
 
     @classmethod
-    def holder(cls, alpha, s, tau0, ell=None, *, E, h, d=3, k=1.0):
+    def holder(cls, alpha, s, tau0, ell=None, *, h, E=ENERGY, d=DIMENSION, k=1.0):
         beta, k, k0, m = _regime_constants(HOLDER, None, k)
         return cls(HOLDER, beta, alpha, k, k0, s, tau0, ell, m, E, h, d)
 
@@ -453,8 +454,8 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None,
                        grid=grid)
 
 
-def search_tau0(config_template, envelope_p, C, grid_spec=None, tau0_max=TAU0_MAX,
-                r_min=None, mollifier_constants=None):
+def search_tau0(config_template, envelope_p, C=C_FLOOR, grid_spec=None,
+                tau0_max=TAU0_MAX, r_min=None, mollifier_constants=None):
     """Double tau0 from TAU0_START until certification passes.
 
     Returns the first passing certificate, carrying the failed attempts in
@@ -484,7 +485,7 @@ def search_tau0(config_template, envelope_p, C, grid_spec=None, tau0_max=TAU0_MA
         family=worst.name, history=history)
 
 
-def search_tau0_with_fallback(config_template, envelope_p, C, grid_spec=None,
+def search_tau0_with_fallback(config_template, envelope_p, C=C_FLOOR, grid_spec=None,
                               tau0_max=TAU0_MAX, r_min=None,
                               mollifier_constants=None):
     """Two-dimensional Hölder search that retries with (k, k0) = (1/2, 0).

@@ -9,14 +9,17 @@ Subcommands (each takes --config <path> and --out <dir>):
     convert   tabulate the frequency map psi(lambda) or decay map omega(t)
 
 The config file is a single JSON document with one block per subcommand and
-an optional integer "seed".  Every run that gets as far as its handler
-writes manifest.json last (resolved config, artifact version, seed, the
-exit code and the environment: Python, numpy and scipy versions, CPU count
-and BLAS thread settings); pointing --config at a manifest reproduces the
-run.
+an optional integer "seed".  Only the keys a block gives are passed to the
+library, so every default is the library's; a value of the wrong JSON type
+is rejected with a message that names the key.  Every run that gets as far
+as its handler writes manifest.json last (resolved config, artifact
+version, seed, the exit code and the environment: Python, numpy and scipy
+versions, CPU count and BLAS thread settings); pointing --config at a
+manifest reproduces the run.
 
-Exit codes: 0 success, 1 invalid input, 2 mathematical failure (search
-exhausted or bound violated), 3 internal error.
+Exit codes: 0 success, 1 invalid input (also a command-line usage error),
+2 mathematical failure (search exhausted or bound violated), 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .carleman import (C_FLOOR, HOLDER, LIPSCHITZ, TAU0_START, CarlemanConfig,
+from .carleman import (HOLDER, LIPSCHITZ, TAU0_START, CarlemanConfig,
                        Certificate, GridSpec, recommended_audit_constant,
                        search_tau0, search_tau0_with_fallback)
 from .errors import (AccuracyError, EvaluationError, InvalidInputError,
                      ResolventLabError, SearchExhaustedError)
 from .potentials import bump_kernel, build_potential, mollify
-from .radial import ResolventQuery
+from .radial import SEED, ResolventQuery
 from .scaling import (GridPolicy, fit_models, omega_map, psi_map, sweep,
                       write_plotdata_tsv, write_summary_json, write_sweep_csv)
 
@@ -46,22 +49,89 @@ EXIT_INVALID = 1
 EXIT_MATH = 2
 EXIT_INTERNAL = 3
 
-_TOP_KEYS = {"seed", "certify", "sweep", "mollify", "convert"}
-_POLICY_KEYS = ("tail_tol", "dr_factor", "l_max", "r_min", "r_max_floor")
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_keys(block, allowed, where, required=()):
-    """Reject a non-object block, keys not allowed (None: any) and missing ones."""
+def _is_candidate(value):
+    return (isinstance(value, list) and len(value) in (1, 2)
+            and isinstance(value[0], str) and all(map(_is_number, value[1:])))
+
+
+# The JSON type of each config value, by the name messages and the README use.
+_JSON_TYPES = {
+    "a number": _is_number,
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a JSON object": lambda v: isinstance(v, dict),
+    "an object of numbers": lambda v: (isinstance(v, dict)
+                                       and all(map(_is_number, v.values()))),
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a list of '+' and '-'": lambda v: (isinstance(v, list)
+                                        and all(x in ("+", "-") for x in v)),
+    "a list of [class] or [class, alpha] lists": lambda v: (
+        isinstance(v, list) and all(map(_is_candidate, v))),
+    'a number or "auto"': lambda v: v == "auto" or _is_number(v),
+}
+
+# Allowed keys and their types, per block.  A key the config leaves out is
+# not passed on, so its default is the library's; the README lists them.
+_POTENTIAL_KEYS = {"name": "a string", "params": "an object of numbers"}
+_CERTIFY_KEYS = {
+    "regularity": "a string", "alpha": "a number", "beta": "a number",
+    "k": "a number", "s": "a number", "ell": "a number", "E": "a number",
+    "h": "a number", "d": "an integer", "C": 'a number or "auto"',
+    "tau0_max": "a number", "potential": "a JSON object", "grid": "a JSON object",
+    "r_min": "a number",
+}
+_GRID_KEYS = {"points_per_decade": "an integer", "span_factor": "a number"}
+_POLICY_KEYS = {"tail_tol": "a number", "dr_factor": "a number",
+                "l_max": "an integer", "r_min": "a number", "r_max_floor": "a number"}
+_SWEEP_KEYS = {
+    "d": "an integer", "E": "a number", "s": "a number",
+    "potential": "a JSON object", "h_values": "a list of numbers",
+    "eps_values": "a list of numbers", "signs": "a list of '+' and '-'",
+    "certificate": "a string", "fit": "a JSON object", **_POLICY_KEYS,
+}
+_FIT_KEYS = {"candidates": "a list of [class] or [class, alpha] lists",
+             "eps": "a number", "sign": "an integer"}
+_MOLLIFY_KEYS = {"potential": "a JSON object", "alpha": "a number",
+                 "thetas": "a list of numbers", "r_max": "a number",
+                 "points": "an integer"}
+_CONVERT_KEYS = {"map": "a string", "class": "a string", "alpha": "a number",
+                 "radial": "a boolean", "lambda0": "a number",
+                 "values": "a list of numbers"}
+
+
+def _check_keys(block, types, where, required=()):
+    """Reject a non-object block and unknown, missing or wrongly typed keys.
+
+    ``where`` is the block's dotted path in the config; ``types`` maps each
+    allowed key to its JSON type, or to None for a command block, which its
+    handler checks.  Messages call a command block "<command> block".
+    """
+    name = f"{where} block" if where in _HANDLERS else where
     if not isinstance(block, dict):
         raise InvalidInputError(
-            f"{where} must be a JSON object, got {type(block).__name__}")
-    unknown = set(block) - set(block if allowed is None else allowed)
+            f"{name} must be a JSON object, got {type(block).__name__}")
+    unknown = set(block) - set(types)
     if unknown:
         raise InvalidInputError(
-            f"unknown keys in {where}: {', '.join(sorted(unknown))}")
+            f"unknown keys in {name}: {', '.join(sorted(unknown))}")
     missing = [key for key in required if key not in block]
     if missing:
-        raise InvalidInputError(f"{where} needs '{missing[0]}'")
+        raise InvalidInputError(f"{name} needs '{missing[0]}'")
+    for key, value in block.items():
+        kind = types[key]
+        if kind is not None and not _JSON_TYPES[kind](value):
+            raise InvalidInputError(f"{where}.{key} must be {kind}, got {value!r}")
+
+
+def _given(block, keys):
+    """The entries of ``block`` among ``keys``: only what the config states."""
+    return {key: block[key] for key in keys if key in block}
 
 
 def _load_config(path):
@@ -76,7 +146,7 @@ def _load_config(path):
         raise InvalidInputError("config must be a JSON object")
     if "artifact_version" in doc and "config" in doc:
         doc = doc["config"]  # rerun from a manifest
-    _check_keys(doc, _TOP_KEYS, "config")
+    _check_keys(doc, {"seed": "an integer", **dict.fromkeys(_HANDLERS)}, "config")
     return doc
 
 
@@ -106,57 +176,57 @@ def _write_manifest(out_dir, command, seed, config, exit_code):
 
 
 def _build_model(block, where, **extra_params):
-    _check_keys(block, {"name", "params"}, where, required=("name",))
-    params = block.get("params", {})
-    _check_keys(params, None, f"{where}.params")
-    return build_potential(block["name"], dict(params, **extra_params))
+    """The block's potential; what it leaves out takes build_potential's defaults."""
+    spec = {}
+    if "potential" in block:
+        spec = block["potential"]
+        _check_keys(spec, _POTENTIAL_KEYS, where)
+    if extra_params:
+        spec = dict(spec, params=dict(spec.get("params") or {}, **extra_params))
+    return build_potential(**spec)
 
 
 def _certify_template(block, model):
     """The search template; keys the block leaves out take the library's defaults."""
-    regularity = block.get("regularity")
-    kw = {key: block[key] for key in ("ell", "d", "k") if key in block}
-    kw.update(E=block.get("E", 1.0), h=block["h"])
+    regularity = block["regularity"]
+    kw = _given(block, ("ell", "d", "k", "E"))
     if regularity == LIPSCHITZ:
-        _check_keys(block, None, "certify block", required=("beta",))
+        _check_keys(block, _CERTIFY_KEYS, "certify", required=("beta",))
         kw.pop("k", None)  # follows from beta
-        return CarlemanConfig.lipschitz(block["beta"], block["s"], TAU0_START, **kw)
+        return CarlemanConfig.lipschitz(block["beta"], block["s"], TAU0_START,
+                                        h=block["h"], **kw)
     if regularity == HOLDER:
         return CarlemanConfig.holder(block.get("alpha", model.alpha), block["s"],
-                                     TAU0_START, **kw)
+                                     TAU0_START, h=block["h"], **kw)
     raise InvalidInputError(
         f"certify regularity must be '{LIPSCHITZ}' or '{HOLDER}', got {regularity!r}")
 
 
 def _cmd_certify(block, out_dir):
-    allowed = {"regularity", "alpha", "beta", "k", "s", "ell", "E", "h", "d",
-               "C", "tau0_max", "potential", "grid", "r_min"}
-    _check_keys(block, allowed, "certify block", required=("s", "h"))
-    model = _build_model(block.get("potential", {"name": "zero"}), "certify.potential")
+    _check_keys(block, _CERTIFY_KEYS, "certify", required=("regularity", "s", "h"))
+    model = _build_model(block, "certify.potential")
     template = _certify_template(block, model)
-    C = block.get("C", C_FLOOR)
-    if C == "auto":
-        C = recommended_audit_constant(model)
-    grid_block = block.get("grid", {})
-    _check_keys(grid_block, {"points_per_decade", "span_factor"}, "certify.grid")
-    search_kw = {key: block[key] for key in ("tau0_max", "r_min") if key in block}
-    search_kw["grid_spec"] = GridSpec(**grid_block)
-    moll = None
+    search_kw = _given(block, ("C", "tau0_max", "r_min"))
+    if search_kw.get("C") == "auto":
+        search_kw["C"] = recommended_audit_constant(model)
+    if "grid" in block:
+        _check_keys(block["grid"], _GRID_KEYS, "certify.grid")
+        search_kw["grid_spec"] = GridSpec(**block["grid"])
     if template.regularity == HOLDER:
         kernel = bump_kernel()
-        moll = {"holder_const": model.holder_const,
-                "moment_alpha": kernel.moment_alpha(template.alpha),
-                "moment_alpha_deriv": kernel.moment_alpha_deriv(template.alpha)}
-    search_kw["mollifier_constants"] = moll
+        search_kw["mollifier_constants"] = {
+            "holder_const": model.holder_const,
+            "moment_alpha": kernel.moment_alpha(template.alpha),
+            "moment_alpha_deriv": kernel.moment_alpha_deriv(template.alpha)}
     try:
         if template.d == 2 and template.regularity == HOLDER:
             cert, fellback = search_tau0_with_fallback(
-                template, model.envelope, C, **search_kw)
+                template, model.envelope, **search_kw)
             if fellback:
                 print("steep weight rejected; certified with the shallow pair "
                       "(k, k0) = (1/2, 0)")
         else:
-            cert = search_tau0(template, model.envelope, C, **search_kw)
+            cert = search_tau0(template, model.envelope, **search_kw)
     except SearchExhaustedError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -168,45 +238,34 @@ def _cmd_certify(block, out_dir):
     return EXIT_OK
 
 
-def _cmd_sweep(block, out_dir, seed, threads):
-    allowed = {"d", "E", "s", "potential", "h_values", "eps_values", "signs",
-               "certificate", "fit", *_POLICY_KEYS}
-    _check_keys(block, allowed, "sweep block", required=("s",))
-    model = _build_model(block.get("potential", {"name": "zero"}), "sweep.potential")
-    h_values = block.get("h_values", [])
-    eps_values = block.get("eps_values", [1e-2])
-    signs = block.get("signs", ["+"])
-    if not isinstance(signs, list) or not all(sign in ("+", "-") for sign in signs):
-        raise InvalidInputError(f"sweep.signs must be a list of '+' and '-', got {signs!r}")
-    signs = tuple(1 if sign == "+" else -1 for sign in signs)
-    fit_block = block.get("fit")
-    if fit_block is not None:
-        _check_keys(fit_block, {"candidates", "eps", "sign"}, "sweep.fit",
-                    required=("candidates",))
-        candidates = fit_block["candidates"]
-        if not (isinstance(candidates, list)
-                and all(isinstance(c, list) and c for c in candidates)):
-            raise InvalidInputError(
-                f"sweep.fit.candidates must be a list of nonempty lists, got {candidates!r}")
-        candidates = [tuple(c) if len(c) > 1 else c[0] for c in candidates]
-    template = ResolventQuery(d=block.get("d", 3), E=block.get("E", 1.0),
-                              h=1.0, eps=1.0, sign=1, s=block["s"],
-                              potential=model)
-    policy = GridPolicy(**{key: block[key] for key in _POLICY_KEYS if key in block})
-    certificate = None
+def _cmd_sweep(block, out_dir, **run_kw):
+    """Sweep the block; ``run_kw`` holds the seed and threads when given."""
+    _check_keys(block, _SWEEP_KEYS, "sweep", required=("s", "h_values"))
+    model = _build_model(block, "sweep.potential")
+    template = ResolventQuery(h=1.0, eps=1.0, sign=1, s=block["s"],
+                              potential=model, **_given(block, ("d", "E")))
+    sweep_kw = _given(block, ("eps_values",))
+    if "signs" in block:
+        sweep_kw["signs"] = tuple(1 if sign == "+" else -1 for sign in block["signs"])
     if "certificate" in block:
-        cert_path = Path(block["certificate"])
-        if not cert_path.exists():
-            raise InvalidInputError(f"missing certificate file: {cert_path}")
-        certificate = Certificate.load(cert_path)
-    result = sweep(template, h_values, eps_values, policy,
-                   certificate=certificate, signs=signs, seed=seed,
-                   threads=threads)
-    if fit_block is not None:
+        try:
+            sweep_kw["certificate"] = Certificate.load(block["certificate"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise InvalidInputError(
+                f"sweep.certificate {block['certificate']!r} is not a readable "
+                f"certificate: {exc!r}")
+    if "fit" in block:
+        _check_keys(block["fit"], _FIT_KEYS, "sweep.fit", required=("candidates",))
+    policy = GridPolicy(**_given(block, _POLICY_KEYS))
+    result = sweep(template, block["h_values"], grid_policy=policy,
+                   **sweep_kw, **run_kw)
+    if "fit" in block:
+        fit_block = block["fit"]
+        candidates = [tuple(c) if len(c) > 1 else c[0]
+                      for c in fit_block["candidates"]]
         try:
             outcome = fit_models(result, candidates,
-                                 eps=fit_block.get("eps"),
-                                 sign=fit_block.get("sign"))
+                                 **_given(fit_block, ("eps", "sign")))
             result = type(result)(rows=result.rows, fit=outcome,
                                   bound_respected=result.bound_respected)
         except InvalidInputError as exc:
@@ -225,15 +284,16 @@ def _cmd_sweep(block, out_dir, seed, threads):
 
 
 def _cmd_mollify(block, out_dir):
-    allowed = {"potential", "alpha", "thetas", "r_max", "points"}
-    _check_keys(block, allowed, "mollify block")
-    alpha = {"alpha": block["alpha"]} if "alpha" in block else {}
-    model = _build_model(block.get("potential", {}), "mollify.potential", **alpha)
-    thetas = block.get("thetas", [])
+    _check_keys(block, _MOLLIFY_KEYS, "mollify", required=("thetas",))
+    model = _build_model(block, "mollify.potential", **_given(block, ("alpha",)))
+    thetas = block["thetas"]
     if not thetas:
         raise InvalidInputError("mollify needs a nonempty theta list")
+    points = block.get("points", 4001)
+    if points < 1:
+        raise InvalidInputError(f"mollify.points must be positive, got {points}")
     kernel = bump_kernel()
-    r = np.linspace(0.0, block.get("r_max", 10.0), block.get("points", 4001))
+    r = np.linspace(0.0, block.get("r_max", 10.0), points)
     lines = ["theta\terror_ratio\tderiv_ratio"]
     for theta in thetas:
         smoothed = mollify(model, kernel, theta)
@@ -246,24 +306,19 @@ def _cmd_mollify(block, out_dir):
 
 
 def _cmd_convert(block, out_dir):
-    allowed = {"map", "class", "alpha", "radial", "lambda0", "values"}
-    _check_keys(block, allowed, "convert block")
-    kind = block.get("map")
-    cls = block.get("class")
-    values = block.get("values", [])
+    _check_keys(block, _CONVERT_KEYS, "convert", required=("map", "class", "values"))
+    kind, cls, values = block["map"], block["class"], block["values"]
     if not values:
         raise InvalidInputError("convert needs a nonempty value list")
     lines = []
     if kind == "psi":
-        table = psi_map(cls, values, block.get("lambda0", 1.0),
-                        alpha=block.get("alpha"))
+        table = psi_map(cls, values, **_given(block, ("lambda0", "alpha")))
         lines.append("lambda\tpsi\th\tE")
         for lam, psi, h in zip(table.lambdas, table.psi, table.h):
             lines.append(f"{float(lam)!r}\t{float(psi)!r}\t{float(h)!r}"
                          f"\t{float(table.E)!r}")
     elif kind == "omega":
-        omega = omega_map(cls, values, alpha=block.get("alpha"),
-                          radial=block.get("radial", False))
+        omega = omega_map(cls, values, **_given(block, ("alpha", "radial")))
         lines.append("t\tomega")
         for t, om in zip(values, omega):
             lines.append(f"{float(t)!r}\t{float(om)!r}")
@@ -286,27 +341,33 @@ _HANDLERS = {
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="resolvent-lab",
-        description="numerical laboratory for weighted resolvent bounds")
+        description="numerical laboratory for weighted resolvent norms")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--threads", type=int,
-                       default=min(8, os.cpu_count() or 1))
-    args = parser.parse_args(argv)
+        if name == "sweep":
+            p.add_argument("--threads", type=int,
+                           help="sector worker threads (default: radial.THREADS)")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INVALID if exc.code else EXIT_OK
     out_dir = None
     try:
         doc = _load_config(args.config)
         if args.command not in doc:
             raise InvalidInputError(
                 f"config has no '{args.command}' block")
-        seed = doc.get("seed", 2024)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         block = doc[args.command]
         if args.command == "sweep":
-            code = _cmd_sweep(block, out_dir, seed, max(1, args.threads))
+            run_kw = _given(doc, ("seed",))
+            if args.threads is not None:
+                run_kw["threads"] = args.threads
+            code = _cmd_sweep(block, out_dir, **run_kw)
         else:
             code = _HANDLERS[args.command](block, out_dir)
     except InvalidInputError as exc:
@@ -322,7 +383,7 @@ def main(argv=None):
         print(f"internal error: {exc!r}", file=sys.stderr)
         code = EXIT_INTERNAL
     if out_dir is not None and out_dir.is_dir():
-        _write_manifest(out_dir, args.command, seed, doc, code)
+        _write_manifest(out_dir, args.command, doc.get("seed", SEED), doc, code)
     return code
 
 

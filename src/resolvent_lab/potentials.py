@@ -465,7 +465,7 @@ POTENTIAL_BUILDERS = {
 _MODEL_CACHE = {}
 
 
-def build_potential(name, params=None):
+def build_potential(name="zero", params=None):
     """Build a named model from the registry; results are cached."""
     if not isinstance(name, str) or name not in POTENTIAL_BUILDERS:
         valid = ", ".join(sorted(POTENTIAL_BUILDERS))

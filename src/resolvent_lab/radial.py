@@ -28,6 +28,7 @@ to zero when u decays at both ends.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,19 +42,26 @@ from .potentials import PotentialModel
 
 LANCZOS_STEP_CAP = 1_000
 RESIDUAL_TOL = 1e-6
+# the space dimension and the energy when none is given, here and in the
+# Carleman certificate a sweep is checked against
+DIMENSION = 3
+ENERGY = 1.0
+# the Lanczos start-vector seed and the sector worker threads when none is given
+SEED = 2024
+THREADS = min(8, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
 class ResolventQuery:
     """One weighted-resolvent measurement point."""
 
-    d: int
-    E: float
     h: float
     eps: float
     sign: int
     s: float
     potential: PotentialModel
+    d: int = DIMENSION
+    E: float = ENERGY
 
     def __post_init__(self):
         if self.d < 2:
@@ -189,7 +197,6 @@ class NormEstimate:
     g_value: float
     iterations: int
     residual: float
-    l_max_used: int
     truncation_bound: float
     sector_values: tuple
 
@@ -256,7 +263,7 @@ def dense_weighted_norm(query, sector, grid_spec):
     return float(sla.svdvals(w[:, None] * inv_w)[0])
 
 
-def weighted_resolvent_norm(query, grid_spec, l_max, seed=0, threads=1):
+def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS):
     """Largest weighted sector resolvent norm over l = 0..l_max.
 
     Each sector gets one LAPACK tridiagonal factorization (zgttrf) and a
@@ -269,6 +276,8 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=0, threads=1):
     """
     if l_max < 0:
         raise InvalidInputError(f"l_max must be nonnegative, got {l_max}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     terms = _radial_terms(query, grid_spec)
     ops = [_sector_operator(query, AngularSector(query.d, l, query.h), grid_spec, *terms)
            for l in range(l_max + 1)]
@@ -290,7 +299,7 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=0, threads=1):
     truncation = 1.0 / margin if margin > 0 else math.inf
     return NormEstimate(value=value, g_value=math.log(value),
                         iterations=iterations, residual=residual,
-                        l_max_used=l_max, truncation_bound=truncation,
+                        truncation_bound=truncation,
                         sector_values=values)
 
 

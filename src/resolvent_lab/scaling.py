@@ -30,7 +30,8 @@ import numpy as np
 
 from .carleman import R_MIN_D2, Certificate, build_phase
 from .errors import AccuracyError, InvalidInputError, ResolventLabError
-from .radial import AngularSector, UniformGridSpec, weighted_resolvent_norm
+from .radial import (SEED, THREADS, AngularSector, UniformGridSpec,
+                     weighted_resolvent_norm)
 
 LIP = "lipschitz"
 HOL = "holder"
@@ -209,6 +210,12 @@ class GridPolicy:
     r_min: float = 0.0
     r_max_floor: float = 0.0
 
+    def __post_init__(self):
+        if not self.tail_tol > 0:
+            raise InvalidInputError(f"tail_tol must be positive, got {self.tail_tol}")
+        if not self.dr_factor > 0:
+            raise InvalidInputError(f"dr_factor must be positive, got {self.dr_factor}")
+
     def r_max_for(self, query):
         r_tail = self.tail_tol ** (-1.0 / (2.0 * query.s)) - 1.0
         lam = AngularSector(query.d, self.l_max, query.h).lambda_value
@@ -244,16 +251,17 @@ class SweepResult:
     bound_respected: Optional[bool]
 
 
-def sweep(query_template, h_values, eps_values, grid_policy=None,
-          certificate=None, signs=(1, -1), seed=0, threads=1):
+def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
+          certificate=None, signs=(1,), seed=SEED, threads=THREADS):
     """Measure g over the (h, eps, sign) product, with optional bound columns.
 
     h values must be sorted descending in (0, 1].  Each (h, eps) is measured
     once, at the first sign in descending order, and that result, success
-    or failure, fills the row of every requested sign.  Rows whose norm
-    estimate fails are marked and the sweep continues; a sweep with no
-    successful row raises.  Output rows are ordered by (descending h, eps,
-    sign) so runs are reproducible.
+    or failure, fills the row of every requested sign; the norm does not
+    depend on the sign, so the default asks for the + rows only.  Rows
+    whose norm estimate fails are marked and the sweep continues; a sweep
+    with no successful row raises.  Output rows are ordered by (descending
+    h, eps, sign) so runs are reproducible.
     """
     hs = [float(h) for h in h_values]
     if not hs:
@@ -265,6 +273,11 @@ def sweep(query_template, h_values, eps_values, grid_policy=None,
     eps_list = [float(e) for e in eps_values]
     if not eps_list:
         raise InvalidInputError("eps_values must not be empty")
+    if not signs or any(sign not in (1, -1) for sign in signs):
+        raise InvalidInputError(
+            f"signs must be a nonempty list of +1 and -1, got {signs!r}")
+    if seed < 0:  # checked here too, or every row would fail on it
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     if grid_policy is None:
         grid_policy = GridPolicy()
     bound = bound_from_certificate(certificate, hs) if certificate else None
@@ -283,15 +296,13 @@ def sweep(query_template, h_values, eps_values, grid_policy=None,
                         est = weighted_resolvent_norm(
                             query, grid_policy.grid_for(query),
                             grid_policy.l_max, seed=seed, threads=threads)
-                        measured = (est.g_value, len(est.sector_values),
-                                    est.l_max_used, "ok")
+                        measured = (est.g_value, len(est.sector_values), "ok")
                     except ResolventLabError as exc:
-                        measured = (None, 0, grid_policy.l_max,
-                                    f"failed: {exc}")
-                g, sectors, l_max, status = measured
+                        measured = (None, 0, f"failed: {exc}")
+                g, sectors, status = measured
                 ms = 1000.0 * (time.perf_counter() - start)
-                rows.append(SweepRow(h, eps, sign, g, g_b, sectors, l_max,
-                                     ms, status))
+                rows.append(SweepRow(h, eps, sign, g, g_b, sectors,
+                                     grid_policy.l_max, ms, status))
     ok = [row for row in rows if row.status == "ok"]
     if not ok:
         raise AccuracyError("every sweep row failed")
@@ -389,7 +400,7 @@ class PsiTable:
     E: float
 
 
-def psi_map(regularity_class, lambda_values, lambda0, alpha=None):
+def psi_map(regularity_class, lambda_values, lambda0=1.0, alpha=None):
     """High-frequency growth exponents psi(lambda) with the h substitution.
 
     Returns psi per class together with the matching semiclassical data

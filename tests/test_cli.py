@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 
 import resolvent_lab as rl
 from resolvent_lab.cli import main
@@ -213,6 +216,21 @@ class TestSweepCommand:
         assert ([row["g_measured"] for row in summary["rows"]]
                 == [row.g_measured for row in direct.rows])
 
+    def test_cli_and_library_defaults_agree(self, tmp_path):
+        # no seed, signs or threads: both ways take the library's defaults
+        block = sweep_block(h_values=[0.5, 0.4], eps_values=[1e-2])
+        cfg = write_config(tmp_path, {"sweep": block})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        via_cli = json.loads((tmp_path / "summary.json").read_text())["rows"]
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=rl.build_potential("zero"))
+        via_library = sweep(template, [0.5, 0.4], [1e-2],
+                            GridPolicy(tail_tol=0.05, l_max=2)).rows
+        assert len(via_cli) == len(via_library)
+        assert [row["sign"] for row in via_cli] == [row.sign for row in via_library]
+        assert ([row["g_measured"] for row in via_cli]
+                == [row.g_measured for row in via_library])
+
 
 class TestMollifyCommand:
     def test_zero_potential_ratios_vanish(self, tmp_path):
@@ -302,6 +320,21 @@ def _without(block, key):
      "sweep.potential must be a JSON object"),
     ("mollify", {"mollify": {"potential": "zero", "alpha": 0.5,
                              "thetas": [0.1]}}, "mollify.potential"),
+    ("sweep", {"sweep": sweep_block(h_values="abc")}, "sweep.h_values"),
+    ("sweep", {"sweep": sweep_block(h_values=None)}, "sweep.h_values"),
+    ("sweep", {"sweep": sweep_block(eps_values=["a"])}, "sweep.eps_values"),
+    ("sweep", {"sweep": sweep_block(l_max="2")}, "sweep.l_max"),
+    ("sweep", {"seed": "x", "sweep": sweep_block()}, "config.seed"),
+    ("mollify", {"mollify": {"thetas": ["a"]}}, "mollify.thetas"),
+    ("convert", {"convert": {"map": "psi", "class": "lipschitz",
+                             "values": ["a"]}}, "convert.values"),
+    ("certify", {"certify": certify_block(s="0.6")}, "certify.s"),
+    ("sweep", {"sweep": sweep_block(signs=[])}, "signs"),
+    ("sweep", {"seed": -1, "sweep": sweep_block()}, "seed"),
+    ("sweep", {"sweep": sweep_block(tail_tol=0)}, "tail_tol"),
+    ("sweep", {"sweep": sweep_block(dr_factor=0)}, "dr_factor"),
+    ("sweep", {"sweep": sweep_block(certificate=".")}, "sweep.certificate"),
+    ("mollify", {"mollify": {"thetas": [0.1], "points": 0}}, "mollify.points"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):
@@ -309,6 +342,59 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid input:") and named in err
+
+
+# cheap valid blocks: every fuzz case replaces one of their keys
+FUZZ_BASE = {
+    "seed": 7,
+    "certify": certify_block(),
+    "sweep": {"s": 0.6, "potential": {"name": "zero"}, "h_values": [0.5, 0.4],
+              "eps_values": [1e-2], "tail_tol": 0.05, "l_max": 2},
+    "mollify": {"potential": {"name": "zero"}, "thetas": [0.1], "points": 101},
+    "convert": {"map": "psi", "class": "lipschitz", "values": [10.0]},
+}
+FUZZ_KEYS = [("sweep", ("seed",))] + [
+    (command, (command, key))
+    for command, block in FUZZ_BASE.items() if command != "seed"
+    for key in block]
+WRONGLY_TYPED = st.one_of(
+    st.text(max_size=3), st.none(), st.booleans(),
+    st.lists(st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                       st.integers(-2, 2)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(FUZZ_KEYS), value=WRONGLY_TYPED)
+def test_wrongly_typed_value_never_exits_three(case, value):
+    command, path = case
+    doc = json.loads(json.dumps(FUZZ_BASE))
+    owner = doc if len(path) == 1 else doc[path[0]]
+    owner[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2), (path, value)
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        [], ["sweep"], ["bogus", "--config", "config.json"],
+        ["sweep", "--config", "config.json", "--threads", "abc"],
+    ])
+    def test_usage_error_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_threads_only_on_sweep(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"certify": certify_block()})
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path),
+                     "--threads", "4"]) == 1
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_zero(self, argv):
+        assert main(argv) == 0
 
 
 class TestTopLevel:

@@ -131,6 +131,7 @@ class TestSweep:
         res = sweep(template, [0.2, 0.1, 0.05], [1e-2, 1e-4], cheap_policy(),
                     signs=(1,), seed=7)
         assert len(res.rows) == 6
+        assert all(row.l_max == 2 and row.sectors == 3 for row in res.rows)
         keys = {(row.h, row.eps, row.sign) for row in res.rows}
         assert len(keys) == 6
         by_eps = [row.g_measured for row in res.rows if row.eps == 1e-2]
@@ -148,6 +149,13 @@ class TestSweep:
                                   potential=zero_model)
         with pytest.raises(InvalidInputError):
             sweep(template, [], [1e-2], cheap_policy())
+
+    @pytest.mark.parametrize("signs", [(), (1, 0)])
+    def test_signs_other_than_plus_minus_one_rejected(self, zero_model, signs):
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=zero_model)
+        with pytest.raises(InvalidInputError, match="signs"):
+            sweep(template, [0.2], [1e-2], cheap_policy(), signs=signs)
 
     def test_unsorted_h_rejected(self, zero_model):
         template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
