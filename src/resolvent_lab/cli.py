@@ -10,8 +10,11 @@ Subcommands (each takes --config <path> and --out <dir>):
 
 The config file is a single JSON document with one block per subcommand and
 an optional integer "seed".  Only the keys a block gives are passed to the
-library, so every default is the library's; a value of the wrong JSON type
-is rejected with a message that names the key.  Every run that gets as far
+library, so every default is the library's.  Every block the config
+contains is checked before the command runs, not only the command's own: a
+value of the wrong JSON type, or a key that does not apply to the block's
+variant (certify.k under "lipschitz", convert.radial under "psi"), is
+rejected with a message that names the key.  Every run that gets as far
 as its handler writes manifest.json last (resolved config, artifact
 version, seed, the exit code and the environment: Python, numpy and scipy
 versions, CPU count and BLAS thread settings); pointing --config at a
@@ -76,43 +79,58 @@ _JSON_TYPES = {
     'a number or "auto"': lambda v: v == "auto" or _is_number(v),
 }
 
-# Allowed keys and their types, per block.  A key the config leaves out is
-# not passed on, so its default is the library's; the README lists them.
+# Allowed keys and their types, per block; a nested table is the key table of
+# a nested object.  A key the config leaves out is not passed on, so its
+# default is the library's; the README lists them.
 _POTENTIAL_KEYS = {"name": "a string", "params": "an object of numbers"}
+_GRID_KEYS = {"points_per_decade": "an integer", "span_factor": "a number"}
 _CERTIFY_KEYS = {
     "regularity": "a string", "alpha": "a number", "beta": "a number",
     "k": "a number", "s": "a number", "ell": "a number", "E": "a number",
     "h": "a number", "d": "an integer", "C": 'a number or "auto"',
-    "tau0_max": "a number", "potential": "a JSON object", "grid": "a JSON object",
+    "tau0_max": "a number", "potential": _POTENTIAL_KEYS, "grid": _GRID_KEYS,
     "r_min": "a number",
 }
-_GRID_KEYS = {"points_per_decade": "an integer", "span_factor": "a number"}
 _POLICY_KEYS = {"tail_tol": "a number", "dr_factor": "a number",
                 "l_max": "an integer", "r_min": "a number", "r_max_floor": "a number"}
-_SWEEP_KEYS = {
-    "d": "an integer", "E": "a number", "s": "a number",
-    "potential": "a JSON object", "h_values": "a list of numbers",
-    "eps_values": "a list of numbers", "signs": "a list of '+' and '-'",
-    "certificate": "a string", "fit": "a JSON object", **_POLICY_KEYS,
-}
 _FIT_KEYS = {"candidates": "a list of [class] or [class, alpha] lists",
              "eps": "a number", "sign": "an integer"}
-_MOLLIFY_KEYS = {"potential": "a JSON object", "alpha": "a number",
+_SWEEP_KEYS = {
+    "d": "an integer", "E": "a number", "s": "a number",
+    "potential": _POTENTIAL_KEYS, "h_values": "a list of numbers",
+    "eps_values": "a list of numbers", "signs": "a list of '+' and '-'",
+    "certificate": "a string", "fit": _FIT_KEYS, **_POLICY_KEYS,
+}
+_MOLLIFY_KEYS = {"potential": _POTENTIAL_KEYS, "alpha": "a number",
                  "thetas": "a list of numbers", "r_max": "a number",
                  "points": "an integer"}
 _CONVERT_KEYS = {"map": "a string", "class": "a string", "alpha": "a number",
                  "radial": "a boolean", "lambda0": "a number",
                  "values": "a list of numbers"}
+_BLOCK_KEYS = {"certify": _CERTIFY_KEYS, "sweep": _SWEEP_KEYS,
+               "mollify": _MOLLIFY_KEYS, "convert": _CONVERT_KEYS}
+# Required keys, by the dotted path of their block.
+_REQUIRED = {"certify": ("regularity", "s", "h"), "sweep": ("s", "h_values"),
+             "sweep.fit": ("candidates",), "mollify": ("thetas",),
+             "convert": ("map", "class", "values")}
+# Per command: the key that selects a variant, and for each variant the keys
+# it requires and the keys that do not apply to it.
+_VARIANTS = {
+    "certify": ("regularity", {LIPSCHITZ: (("beta",), ("alpha", "k")),
+                               HOLDER: ((), ("beta",))}),
+    "convert": ("map", {"psi": ((), ("radial",)), "omega": ((), ("lambda0",))}),
+}
 
 
-def _check_keys(block, types, where, required=()):
+def _check_keys(block, types, where):
     """Reject a non-object block and unknown, missing or wrongly typed keys.
 
     ``where`` is the block's dotted path in the config; ``types`` maps each
-    allowed key to its JSON type, or to None for a command block, which its
-    handler checks.  Messages call a command block "<command> block".
+    allowed key to its JSON type, to the key table of a nested object, which
+    is checked in turn, or to None for a command block, which _check_block
+    checks.  Messages call a command block "<command> block".
     """
-    name = f"{where} block" if where in _HANDLERS else where
+    name = f"{where} block" if where in _BLOCK_KEYS else where
     if not isinstance(block, dict):
         raise InvalidInputError(
             f"{name} must be a JSON object, got {type(block).__name__}")
@@ -120,13 +138,36 @@ def _check_keys(block, types, where, required=()):
     if unknown:
         raise InvalidInputError(
             f"unknown keys in {name}: {', '.join(sorted(unknown))}")
-    missing = [key for key in required if key not in block]
+    missing = [key for key in _REQUIRED.get(where, ()) if key not in block]
     if missing:
         raise InvalidInputError(f"{name} needs '{missing[0]}'")
     for key, value in block.items():
         kind = types[key]
-        if kind is not None and not _JSON_TYPES[kind](value):
+        if isinstance(kind, dict):
+            _check_keys(value, kind, f"{where}.{key}")
+        elif kind is not None and not _JSON_TYPES[kind](value):
             raise InvalidInputError(f"{where}.{key} must be {kind}, got {value!r}")
+
+
+def _check_block(command, block):
+    """Check a command block's keys and types and those of its variant."""
+    _check_keys(block, _BLOCK_KEYS[command], command)
+    if command not in _VARIANTS:
+        return
+    selector, variants = _VARIANTS[command]
+    variant = block[selector]
+    if variant not in variants:
+        raise InvalidInputError(
+            f"{command} {selector} must be "
+            f"{' or '.join(map(repr, variants))}, got {variant!r}")
+    required, excluded = variants[variant]
+    for key in required:
+        if key not in block:
+            raise InvalidInputError(f"{command} block needs '{key}'")
+    for key in excluded:
+        if key in block:
+            raise InvalidInputError(
+                f"{command}.{key} does not apply to {selector} {variant!r}")
 
 
 def _given(block, keys):
@@ -146,7 +187,10 @@ def _load_config(path):
         raise InvalidInputError("config must be a JSON object")
     if "artifact_version" in doc and "config" in doc:
         doc = doc["config"]  # rerun from a manifest
-    _check_keys(doc, {"seed": "an integer", **dict.fromkeys(_HANDLERS)}, "config")
+    _check_keys(doc, {"seed": "an integer", **dict.fromkeys(_BLOCK_KEYS)}, "config")
+    for command, block in doc.items():
+        if command in _BLOCK_KEYS:
+            _check_block(command, block)
     return doc
 
 
@@ -175,12 +219,9 @@ def _write_manifest(out_dir, command, seed, config, exit_code):
         fh.write("\n")
 
 
-def _build_model(block, where, **extra_params):
+def _build_model(block, **extra_params):
     """The block's potential; what it leaves out takes build_potential's defaults."""
-    spec = {}
-    if "potential" in block:
-        spec = block["potential"]
-        _check_keys(spec, _POTENTIAL_KEYS, where)
+    spec = block.get("potential", {})
     if extra_params:
         spec = dict(spec, params=dict(spec.get("params") or {}, **extra_params))
     return build_potential(**spec)
@@ -188,29 +229,21 @@ def _build_model(block, where, **extra_params):
 
 def _certify_template(block, model):
     """The search template; keys the block leaves out take the library's defaults."""
-    regularity = block["regularity"]
     kw = _given(block, ("ell", "d", "k", "E"))
-    if regularity == LIPSCHITZ:
-        _check_keys(block, _CERTIFY_KEYS, "certify", required=("beta",))
-        kw.pop("k", None)  # follows from beta
+    if block["regularity"] == LIPSCHITZ:
         return CarlemanConfig.lipschitz(block["beta"], block["s"], TAU0_START,
                                         h=block["h"], **kw)
-    if regularity == HOLDER:
-        return CarlemanConfig.holder(block.get("alpha", model.alpha), block["s"],
-                                     TAU0_START, h=block["h"], **kw)
-    raise InvalidInputError(
-        f"certify regularity must be '{LIPSCHITZ}' or '{HOLDER}', got {regularity!r}")
+    return CarlemanConfig.holder(block.get("alpha", model.alpha), block["s"],
+                                 TAU0_START, h=block["h"], **kw)
 
 
 def _cmd_certify(block, out_dir):
-    _check_keys(block, _CERTIFY_KEYS, "certify", required=("regularity", "s", "h"))
-    model = _build_model(block, "certify.potential")
+    model = _build_model(block)
     template = _certify_template(block, model)
     search_kw = _given(block, ("C", "tau0_max", "r_min"))
     if search_kw.get("C") == "auto":
         search_kw["C"] = recommended_audit_constant(model)
     if "grid" in block:
-        _check_keys(block["grid"], _GRID_KEYS, "certify.grid")
         search_kw["grid_spec"] = GridSpec(**block["grid"])
     if template.regularity == HOLDER:
         kernel = bump_kernel()
@@ -240,8 +273,7 @@ def _cmd_certify(block, out_dir):
 
 def _cmd_sweep(block, out_dir, **run_kw):
     """Sweep the block; ``run_kw`` holds the seed and threads when given."""
-    _check_keys(block, _SWEEP_KEYS, "sweep", required=("s", "h_values"))
-    model = _build_model(block, "sweep.potential")
+    model = _build_model(block)
     template = ResolventQuery(h=1.0, eps=1.0, sign=1, s=block["s"],
                               potential=model, **_given(block, ("d", "E")))
     sweep_kw = _given(block, ("eps_values",))
@@ -254,8 +286,6 @@ def _cmd_sweep(block, out_dir, **run_kw):
             raise InvalidInputError(
                 f"sweep.certificate {block['certificate']!r} is not a readable "
                 f"certificate: {exc!r}")
-    if "fit" in block:
-        _check_keys(block["fit"], _FIT_KEYS, "sweep.fit", required=("candidates",))
     policy = GridPolicy(**_given(block, _POLICY_KEYS))
     result = sweep(template, block["h_values"], grid_policy=policy,
                    **sweep_kw, **run_kw)
@@ -284,8 +314,7 @@ def _cmd_sweep(block, out_dir, **run_kw):
 
 
 def _cmd_mollify(block, out_dir):
-    _check_keys(block, _MOLLIFY_KEYS, "mollify", required=("thetas",))
-    model = _build_model(block, "mollify.potential", **_given(block, ("alpha",)))
+    model = _build_model(block, **_given(block, ("alpha",)))
     thetas = block["thetas"]
     if not thetas:
         raise InvalidInputError("mollify needs a nonempty theta list")
@@ -306,7 +335,6 @@ def _cmd_mollify(block, out_dir):
 
 
 def _cmd_convert(block, out_dir):
-    _check_keys(block, _CONVERT_KEYS, "convert", required=("map", "class", "values"))
     kind, cls, values = block["map"], block["class"], block["values"]
     if not values:
         raise InvalidInputError("convert needs a nonempty value list")
@@ -317,13 +345,11 @@ def _cmd_convert(block, out_dir):
         for lam, psi, h in zip(table.lambdas, table.psi, table.h):
             lines.append(f"{float(lam)!r}\t{float(psi)!r}\t{float(h)!r}"
                          f"\t{float(table.E)!r}")
-    elif kind == "omega":
+    else:
         omega = omega_map(cls, values, **_given(block, ("alpha", "radial")))
         lines.append("t\tomega")
         for t, om in zip(values, omega):
             lines.append(f"{float(t)!r}\t{float(om)!r}")
-    else:
-        raise InvalidInputError(f"convert map must be 'psi' or 'omega', got {kind!r}")
     with open(Path(out_dir) / "convert.tsv", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} converted values")

@@ -22,8 +22,10 @@ where m_alpha = int sigma**alpha rho and m_alpha' = int sigma**alpha |rho'|.
 The kernel's mass, gradient mass and moments are 128-node Gauss-Legendre
 sums on [0, 1] (split at 1/2 for the integrals of rho', where the bump's
 |rho'| has its kink), each checked against the 64-node rule; a kernel too
-rough for the rule raises AccuracyError instead of returning wrong moments.  The module needs numpy
-only (no scipy.integrate or scipy.special).
+rough for the rule raises AccuracyError instead of returning wrong moments.
+V_theta and V_theta' are evaluated in fixed blocks of rows of the quadrature
+window, so their memory peak does not grow with the grid (a few MB).  The
+module needs numpy only (no scipy.integrate or scipy.special).
 """
 
 from __future__ import annotations
@@ -88,8 +90,9 @@ def holder_seminorm(f, alpha, beta, grid):
 class PotentialModel:
     """Radial potential with envelope and weighted Hölder constant.
 
-    Instances are immutable; builders are expected to call ``validate`` on a
-    reference grid after construction.
+    Instances are immutable.  The built-in builders measure holder_const on
+    a reference grid and check the envelope there; ``validate`` checks a
+    model built by hand.
     """
 
     name: str
@@ -113,6 +116,15 @@ class PotentialModel:
         quotient exceeds holder_const.
         """
         r = REFERENCE_GRID if grid is None else np.asarray(grid, dtype=float)
+        self._check_envelope(r)
+        sem = holder_seminorm(self.evaluate, self.alpha, self.beta, r)
+        if sem > self.holder_const * (1.0 + 1e-9) + 1e-300:
+            raise InvalidInputError(
+                f"weighted Hölder quotient {sem:.6g} exceeds declared constant "
+                f"{self.holder_const:.6g} ({self.name})")
+
+    def _check_envelope(self, r):
+        """The envelope checks of ``validate``: p > 0 non-increasing and decaying, V <= p."""
         p = self.envelope_at(r)
         if np.any(p <= 0):
             raise InvalidInputError(f"envelope must be positive ({self.name})")
@@ -126,11 +138,6 @@ class PotentialModel:
             bad = r[v > p * (1.0 + 1e-12) + 1e-300][0]
             raise InvalidInputError(
                 f"potential exceeds its envelope at r={bad:.6g} ({self.name})")
-        sem = holder_seminorm(self.evaluate, self.alpha, self.beta, r)
-        if sem > self.holder_const * (1.0 + 1e-9) + 1e-300:
-            raise InvalidInputError(
-                f"weighted Hölder quotient {sem:.6g} exceeds declared constant "
-                f"{self.holder_const:.6g} ({self.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +257,21 @@ def bump_kernel():
 # Mollification
 # ---------------------------------------------------------------------------
 
+# Rows of the n x 64 quadrature window evaluated at once: each temporary of a
+# block is 0.5 MB, whatever n is.
+_BLOCK_ROWS = 1024
+
+
 class MollifiedPotential:
-    """Smoothed potential V_theta with its exact first derivative rule."""
+    """Smoothed potential V_theta with its exact first derivative rule.
+
+    ``evaluate`` and ``evaluate_deriv`` apply the 64-node rule to
+    _BLOCK_ROWS points at a time, so memory beyond the input and output
+    stays at a few MB for any grid (a traced peak of 4.0 MB on 166,360
+    points, where the whole window took 85 MB per temporary).  Each row is
+    computed by the same expression as on the whole window, so blocking
+    changes no value when BLAS runs on one thread.
+    """
 
     def __init__(self, base, kernel, theta):
         self.base = base
@@ -265,21 +285,26 @@ class MollifiedPotential:
         self._rho_weights = rw / rw.sum()  # exact on constants
         self._drho_weights = w * kernel.drho(x)
 
-    def _window(self, r):
+    def _blocked(self, r, deriv):
+        """V_theta(r), or V_theta'(r) with ``deriv``, _BLOCK_ROWS rows at a time."""
+        scalar = np.isscalar(r)
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        return r, self.base(r[:, None] + self.theta * self._nodes[None, :])
+        out = np.empty(r.size)
+        for start in range(0, r.size, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rb = r[block]
+            vals = self.base(rb[:, None] + self.theta * self._nodes[None, :])
+            if deriv:
+                out[block] = (vals - self.base(rb)[:, None]) @ self._drho_weights / self.theta
+            else:
+                out[block] = vals @ self._rho_weights
+        return float(out[0]) if scalar else out
 
     def evaluate(self, r):
-        scalar = np.isscalar(r)
-        r, vals = self._window(r)
-        out = vals @ self._rho_weights
-        return float(out[0]) if scalar else out
+        return self._blocked(r, deriv=False)
 
     def evaluate_deriv(self, r):
-        scalar = np.isscalar(r)
-        r, vals = self._window(r)
-        out = (vals - self.base(r)[:, None]) @ self._drho_weights / self.theta
-        return float(out[0]) if scalar else out
+        return self._blocked(r, deriv=True)
 
     def __call__(self, r):
         return self.evaluate(r)
@@ -362,8 +387,16 @@ def theta_for(h, alpha):
 # Built-in family
 # ---------------------------------------------------------------------------
 
-def _measured_const(f, alpha, beta, grid):
-    return holder_seminorm(f, alpha, beta, grid) * 1.25
+def _measured_model(name, v, p, alpha, beta, grid):
+    """The model with holder_const 1.25 times V's seminorm measured on ``grid``.
+
+    Runs the envelope checks of ``validate``; its seminorm check would
+    measure the same quotient on the same grid again and always pass.
+    """
+    model = PotentialModel(name, v, p, alpha=alpha, beta=beta,
+                           holder_const=holder_seminorm(v, alpha, beta, grid) * 1.25)
+    model._check_envelope(grid)
+    return model
 
 
 def zero_potential():
@@ -375,9 +408,7 @@ def zero_potential():
     def p(r):
         return 1e-12 / (np.asarray(r, dtype=float) + 1.0)
 
-    model = PotentialModel("zero", v, p, alpha=1.0, beta=4.0, holder_const=0.0)
-    model.validate()
-    return model
+    return _measured_model("zero", v, p, 1.0, 4.0, REFERENCE_GRID)
 
 
 def power_law(c=0.5, delta=1.0):
@@ -388,11 +419,7 @@ def power_law(c=0.5, delta=1.0):
     def v(r):
         return c * (np.asarray(r, dtype=float) + 1.0) ** (-delta)
 
-    model = PotentialModel(
-        "power_law", v, v, alpha=1.0, beta=delta + 1.0,
-        holder_const=_measured_const(v, 1.0, delta + 1.0, REFERENCE_GRID))
-    model.validate()
-    return model
+    return _measured_model("power_law", v, v, 1.0, delta + 1.0, REFERENCE_GRID)
 
 
 def holder_bump(c=1.0, alpha=0.5, freq=1.0):
@@ -415,11 +442,7 @@ def holder_bump(c=1.0, alpha=0.5, freq=1.0):
                               np.geomspace(1e-7, 0.3, 40)])
     extra = np.concatenate([k + offsets for k in kinks])
     grid = np.unique(np.concatenate([REFERENCE_GRID, extra[(extra >= 0) & (extra <= 30)]]))
-    model = PotentialModel(
-        "holder_bump", v, p, alpha=alpha, beta=4.0,
-        holder_const=_measured_const(v, alpha, 4.0, grid))
-    model.validate(grid)
-    return model
+    return _measured_model("holder_bump", v, p, alpha, 4.0, grid)
 
 
 def _logistic(x):
@@ -448,11 +471,7 @@ def barrier_well(height=2.5, r_well=2.0, r_barrier=5.0, smoothness=0.5):
         r = np.asarray(r, dtype=float)
         return np.maximum(np.interp(r, ref, p_ref), 1e-12 / (r + 1.0))
 
-    model = PotentialModel(
-        "barrier_well", v, p, alpha=1.0, beta=3.0,
-        holder_const=_measured_const(v, 1.0, 3.0, ref))
-    model.validate()
-    return model
+    return _measured_model("barrier_well", v, p, 1.0, 3.0, ref)
 
 
 POTENTIAL_BUILDERS = {

@@ -9,12 +9,14 @@ system per angular sector:
 discretized with second-order central differences on a uniform grid with
 Dirichlet ends.  The weighted resolvent norm per sector is the largest
 singular value of W A^{-1} W with W = diag((r+1)**(-s)), estimated by a
-Lanczos recurrence on the Hermitian Gram product.  Each sector is
-factorized once by the LAPACK tridiagonal LU (zgttrf), whose factors solve
-with A and with A^H (zgttrs); the same factors serve the phase-conjugated
-solve of the energy audit.  A dense singular-value oracle is kept alongside
-for verification.  The norm is the same for both signs of eps (A_- is the
-entrywise conjugate of A_+ and W is real), so sweeps measure one sign.
+Lanczos recurrence on the Hermitian Gram product, which allocates its
+vectors once per sector and multiplies and solves in them in place.  Each
+sector is factorized once by the LAPACK tridiagonal LU (zgttrf), whose
+factors solve with A and with A^H (zgttrs); the same factors serve the
+phase-conjugated solve of the energy audit.  A dense singular-value oracle
+is kept alongside for verification.  The norm is the same for both signs of
+eps (A_- is the entrywise conjugate of A_+ and W is real), so sweeps
+measure one sign.
 
 The energy audit evaluates, for a solution u of the phase-conjugated system,
 
@@ -134,16 +136,21 @@ class DiscreteOperator:
 
     def factor(self):
         """Factorize once; returns solve(rhs, trans) for trans "N" (A) or "C" (A^H)."""
-        *lu, info = zgttrf(*self.diagonals())
-        if info != 0:  # pragma: no cover - eps > 0 keeps this clear
-            raise SingularMatrixError(
-                f"sector factorization failed: zgttrf info={info} "
-                f"(sector l={self.sector.l})")
+        lu = self._lu()
 
         def solve(rhs, trans="N"):
             return zgttrs(*lu, rhs, trans=trans)[0]
 
         return solve
+
+    def _lu(self):
+        """The zgttrf factors (dl, d, du, du2, ipiv) that zgttrs takes."""
+        *lu, info = zgttrf(*self.diagonals())
+        if info != 0:  # pragma: no cover - eps > 0 keeps this clear
+            raise SingularMatrixError(
+                f"sector factorization failed: zgttrf info={info} "
+                f"(sector l={self.sector.l})")
+        return lu
 
 
 def assemble(query, sector, grid_spec):
@@ -214,26 +221,35 @@ def _lanczos_sector_norm(op, seed):
     most RESIDUAL_TOL.  Without reorthogonalization the top Ritz value
     converges before a spurious copy of it can form (Paige).  Returns
     sqrt(theta), the number of Gram products and the residual.
+
+    The four working vectors (r, a scratch vector, q and q_prev) are
+    allocated once; each step multiplies and solves in place in them.
     """
-    solve = op.factor()
+    lu = op._lu()
     w = _weight_vector(op.grid, op.query.s)
     rng = np.random.default_rng((seed, op.sector.l))
-    q = rng.standard_normal(op.grid.size) + 1j * rng.standard_normal(op.grid.size)
+    q = np.empty(op.grid.size, dtype=complex)
+    q.real = rng.standard_normal(op.grid.size)
+    q.imag = rng.standard_normal(op.grid.size)
     q /= np.linalg.norm(q)
     q_prev = np.zeros_like(q)
-
-    def apply_gram(v):
-        t = w * solve(w * v)
-        return w * solve(w * t, "C")
+    r = np.empty_like(q)
+    tmp = np.empty_like(q)
 
     alphas, betas = [], []
     beta = 0.0
     res = math.inf
     for k in range(1, LANCZOS_STEP_CAP + 1):
-        r = apply_gram(q)
+        # r = w A^{-H} (w (w A^{-1} (w q))), the factors of w applied one at a time
+        np.multiply(w, q, out=r)
+        zgttrs(*lu, r, trans="N", overwrite_b=True)  # contiguous: solves in r
+        r *= w
+        r *= w
+        zgttrs(*lu, r, trans="C", overwrite_b=True)
+        r *= w
         alpha = float(np.vdot(q, r).real)
-        r -= alpha * q
-        r -= beta * q_prev
+        r -= np.multiply(alpha, q, out=tmp)
+        r -= np.multiply(beta, q_prev, out=tmp)
         alphas.append(alpha)
         beta = float(np.linalg.norm(r))
         theta, s = sla.eigh_tridiagonal(alphas, betas, select="i",

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -252,6 +253,38 @@ class TestCertify:
         assert again.config == cert.config
         assert again.passed == cert.passed
         assert again.search_history == cert.search_history
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    # s_frac places s in the lower half of (1/2, s_hi), which keeps
+    # beta - 2k - 2s away from 0 and a = tau0**ell * h**(-m) finite
+    @given(holder=st.booleans(), beta=st.floats(1.5, 4.0),
+           alpha=st.floats(0.05, 0.95), steep=st.booleans(),
+           s_frac=st.floats(0.01, 0.5), h=st.floats(0.05, 1.0),
+           E=st.floats(0.5, 2.0), d=st.sampled_from([2, 3]),
+           tau0=st.sampled_from([4.0, 8.0, 16.0]), C=st.floats(1.0, 1e3),
+           moments=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+           history=st.lists(st.tuples(
+               st.floats(4.0, 4096.0), st.sampled_from(["carleman_main", "weight_monotone"]),
+               st.floats(-1e12, 1e12), st.floats(1e-6, 1e12)), max_size=3))
+    def test_random_certificate_roundtrip_is_bit_exact(
+            self, zero_model, holder, beta, alpha, steep, s_frac, h, E, d, tau0,
+            C, moments, history):
+        if holder:
+            k = 1.0 if steep else 0.5
+            s = 0.5 + 0.25 * s_frac  # below min(3, beta + 1)/4 = 3/4
+            cfg = CarlemanConfig.holder(alpha, s, tau0, h=h, E=E, d=d, k=k)
+            constants = dict(zip(("holder_const", "moment_alpha",
+                                  "moment_alpha_deriv"), moments))
+        else:
+            s = 0.5 + (0.25 * min(3.0, beta + 1.0) - 0.5) * s_frac
+            cfg = CarlemanConfig.lipschitz(beta, s, tau0, h=h, E=E, d=d)
+            constants = None
+        cert = certify(cfg, zero_model.envelope, C, mollifier_constants=constants)
+        cert = replace(cert, search_history=tuple(history), grid=None)
+        text = cert.to_json()
+        again = Certificate.from_json(text)
+        assert again.to_json() == text
+        assert again == cert
 
     def test_save_load(self, tmp_path, zero_model):
         cfg = CarlemanConfig.lipschitz(3.0, 0.6, 8.0, min_ell(0.25, 3.0, 0.6),

@@ -298,6 +298,9 @@ class TestConvertCommand:
         assert main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+CONVERT_BLOCK = {"map": "psi", "class": "lipschitz", "values": [10.0]}
+
+
 def _without(block, key):
     return {k: v for k, v in block.items() if k != key}
 
@@ -335,6 +338,26 @@ def _without(block, key):
     ("sweep", {"sweep": sweep_block(dr_factor=0)}, "dr_factor"),
     ("sweep", {"sweep": sweep_block(certificate=".")}, "sweep.certificate"),
     ("mollify", {"mollify": {"thetas": [0.1], "points": 0}}, "mollify.points"),
+    # keys that do not apply to the chosen variant
+    ("certify", {"certify": certify_block(k=1.0)}, "certify.k"),
+    ("certify", {"certify": certify_block(alpha=0.5)}, "certify.alpha"),
+    ("certify", {"certify": certify_block(regularity="holder")}, "certify.beta"),
+    ("convert", {"convert": {"map": "omega", "class": "linfty", "values": [8.886e6],
+                             "lambda0": 1.0}}, "convert.lambda0"),
+    ("convert", {"convert": {"map": "psi", "class": "lipschitz", "values": [10.0],
+                             "radial": True}}, "convert.radial"),
+    # blocks of the commands not being run
+    ("convert", {"convert": CONVERT_BLOCK, "sweep": 5}, "sweep block"),
+    ("convert", {"convert": CONVERT_BLOCK, "sweep": _without(sweep_block(), "s")},
+     "sweep block needs 's'"),
+    ("convert", {"convert": CONVERT_BLOCK, "certify": certify_block(
+        potential={"name": "zero", "params": [1]})}, "certify.potential.params"),
+    ("convert", {"convert": CONVERT_BLOCK, "certify": certify_block(
+        regularity="smooth")}, "certify regularity"),
+    ("certify", {"certify": certify_block(), "convert": dict(
+        CONVERT_BLOCK, radial=True)}, "convert.radial"),
+    ("certify", {"certify": certify_block(), "sweep": sweep_block(
+        fit={"candidates": [["lipschitz"]], "bogus": 1})}, "sweep.fit"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):

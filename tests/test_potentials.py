@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,9 +12,10 @@ from scipy.special import expit
 import resolvent_lab as rl
 from resolvent_lab.errors import (AccuracyError, EvaluationError,
                                   InvalidInputError)
-from resolvent_lab.potentials import (MollifierKernel, PotentialModel,
-                                      REFERENCE_GRID, barrier_well,
-                                      holder_seminorm, mollify, theta_for)
+from resolvent_lab.potentials import (_BLOCK_ROWS, MollifierKernel,
+                                      PotentialModel, REFERENCE_GRID,
+                                      barrier_well, holder_seminorm, mollify,
+                                      theta_for)
 
 
 def brute_force_seminorm(f, alpha, beta, grid):
@@ -184,6 +187,60 @@ class TestMollify:
         ratios = [mollify(model, kernel, t).error_ratio(grid)
                   for t in (1e-1, 1e-2, 1e-3)]
         assert max(ratios) / min(ratios) <= 2.0
+
+
+def whole_window(smoothed, r, deriv):
+    """V_theta or V_theta' from the whole n x 64 window in one expression."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    vals = smoothed.base(r[:, None] + smoothed.theta * smoothed._nodes[None, :])
+    if deriv:
+        return ((vals - smoothed.base(r)[:, None]) @ smoothed._drho_weights
+                / smoothed.theta)
+    return vals @ smoothed._rho_weights
+
+
+# the verify_mix audit grid size
+AUDIT_POINTS = 166_360
+
+
+class TestBlockedEvaluation:
+    @pytest.mark.parametrize("deriv", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                   _BLOCK_ROWS + 1, AUDIT_POINTS])
+    def test_matches_whole_window(self, kernel, n, deriv):
+        model = rl.build_potential("holder_bump", {"c": 1.0, "alpha": 0.3, "freq": 2.0})
+        smoothed = mollify(model, kernel, 0.01)
+        r = np.linspace(0.0, 10.0, n)
+        got = (smoothed.evaluate_deriv if deriv else smoothed.evaluate)(r)
+        ref = whole_window(smoothed, r, deriv)
+        assert got.shape == ref.shape == (n,)
+        if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            # each row is the same dot product, so blocking changes no bit
+            assert np.array_equal(got, ref)
+        elif n:
+            # a threaded gemv may split a row's sum differently
+            assert np.max(np.abs(got - ref)) <= 4e-16 * np.max(np.abs(ref))
+
+    def test_scalar_input_gives_a_float(self, kernel, holder_model):
+        smoothed = mollify(holder_model, kernel, 0.05)
+        for deriv, fn in ((False, smoothed.evaluate), (True, smoothed.evaluate_deriv)):
+            value = fn(1.2345)
+            assert isinstance(value, float)
+            assert value == whole_window(smoothed, 1.2345, deriv)[0]
+
+    def test_memory_does_not_grow_with_the_grid(self, kernel):
+        model = rl.build_potential("holder_bump", {"c": 1.0, "alpha": 0.3, "freq": 2.0})
+        smoothed = mollify(model, kernel, 0.01)
+        r = np.linspace(0.0, 10.0, AUDIT_POINTS)
+        tracemalloc.start()
+        try:
+            smoothed.evaluate(r)
+            smoothed.evaluate_deriv(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one whole n x 64 window would take 85 MB per temporary
+        assert peak < 16e6, peak
 
 
 class TestThetaFor:
