@@ -140,6 +140,14 @@ class CarlemanConfig:
         if not gap * self.ell > 2.0:
             raise InvalidConfigError(
                 f"(beta - 2k - 2s)*ell must exceed 2, got {gap * self.ell:.6g}")
+        try:
+            a = self.a
+        except OverflowError:  # a float power past the largest float
+            a = math.inf
+        if not math.isfinite(a):
+            raise InvalidConfigError(
+                f"a = tau0**ell * h**(-m) overflows a float at tau0 = {self.tau0:g}, "
+                f"ell = {self.ell:.6g}, h = {self.h:g}")
 
     @classmethod
     def lipschitz(cls, beta, s, tau0, ell=None, *, h, E=ENERGY, d=DIMENSION):
@@ -344,17 +352,23 @@ class FamilySummary:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Grid-verified margins for the weight/phase inequality families."""
+    """Grid-verified margins, which alone decide ``passed``; ``tau0_found`` is config.tau0."""
 
     config: CarlemanConfig
     C_used: float
     r_min: float
-    tau0_found: float
-    passed: bool
     families: tuple
     constants: dict
     grid: Optional[np.ndarray] = None
     search_history: tuple = ()
+
+    @property
+    def passed(self):
+        return all(f.min_margin >= 0.0 for f in self.families)
+
+    @property
+    def tau0_found(self):
+        return self.config.tau0
 
     def family(self, name):
         for fam in self.families:
@@ -388,7 +402,6 @@ class Certificate:
         fams = tuple(FamilySummary(**f) for f in doc["families"])
         history = tuple(tuple(step) for step in doc.get("search_history", ()))
         return cls(config=config, C_used=doc["C_used"], r_min=r_min,
-                   tau0_found=doc["tau0_found"], passed=doc["passed"],
                    families=fams, constants=constants, search_history=history)
 
     def save(self, path):
@@ -446,10 +459,8 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None,
             raise EvaluationError(f"margin {name} is not finite at r={bad:.6g}")
         idx = int(np.argmin(arr))
         families.append(FamilySummary(name, float(arr[idx]), float(grid[idx])))
-    passed = all(f.min_margin >= 0.0 for f in families)
     constants = {"c26": c26, "mollifier": mollifier_constants}
     return Certificate(config=config, C_used=float(C), r_min=float(r_min),
-                       tau0_found=config.tau0, passed=passed,
                        families=tuple(families), constants=constants,
                        grid=grid)
 
@@ -459,8 +470,10 @@ def search_tau0(config_template, envelope_p, C=C_FLOOR, grid_spec=None,
     """Double tau0 from TAU0_START until certification passes.
 
     Returns the first passing certificate, carrying the failed attempts in
-    ``search_history``.  Raises SearchExhaustedError with the last attempt's
-    worst margin and its location when no tau0 <= tau0_max is admissible.
+    ``search_history``.  Raises SearchExhaustedError, naming the last
+    attempt's worst margin and its location and carrying the attempts, when
+    no tau0 <= tau0_max is admissible; the search also ends there when a
+    larger tau0 would overflow the cutoff radius a.
     """
     if tau0_max < TAU0_START:
         raise InvalidInputError(
@@ -469,7 +482,12 @@ def search_tau0(config_template, envelope_p, C=C_FLOOR, grid_spec=None,
     tau0 = TAU0_START
     last = None
     while tau0 <= tau0_max:
-        cfg = replace(config_template, tau0=tau0)
+        try:
+            cfg = replace(config_template, tau0=tau0)
+        except InvalidConfigError:
+            if last is None:  # a overflows at the first amplitude already
+                raise
+            break  # a overflows here, and at every larger tau0
         cert = certify(cfg, envelope_p, C, grid_spec, r_min, mollifier_constants)
         worst = cert.worst()
         history.append((tau0, worst.name, worst.min_margin, worst.argmin_r))
@@ -478,11 +496,10 @@ def search_tau0(config_template, envelope_p, C=C_FLOOR, grid_spec=None,
         last = cert
         tau0 *= 2.0
     worst = last.worst()
+    stop = "" if tau0 > tau0_max else f" (a overflows from tau0 = {tau0:g})"
     raise SearchExhaustedError(
-        f"no admissible tau0 <= {tau0_max:g}: family {worst.name} has margin "
-        f"{worst.min_margin:.6g} at r={worst.argmin_r:.6g}",
-        worst_margin=worst.min_margin, worst_r=worst.argmin_r,
-        family=worst.name, history=history)
+        f"no admissible tau0 <= {tau0_max:g}{stop}: family {worst.name} has "
+        f"margin {worst.min_margin:.6g} at r={worst.argmin_r:.6g}", history=history)
 
 
 def search_tau0_with_fallback(config_template, envelope_p, C=C_FLOOR, grid_spec=None,

@@ -15,10 +15,12 @@ contains is checked before the command runs, not only the command's own: a
 value of the wrong JSON type, or a key that does not apply to the block's
 variant (certify.k under "lipschitz", convert.radial under "psi"), is
 rejected with a message that names the key.  Every run that gets as far
-as its handler writes manifest.json last (resolved config, artifact
-version, seed, the exit code and the environment: Python, numpy and scipy
-versions, CPU count and BLAS thread settings); pointing --config at a
-manifest reproduces the run.
+as its handler first removes the files its own command writes, so a
+failed run leaves none of an earlier run's behind (sweep keeps
+certificate.json), and writes manifest.json last (resolved config,
+artifact version, seed, the exit code and the environment: Python, numpy
+and scipy versions, CPU count and BLAS thread settings); pointing
+--config at a manifest reproduces the run.
 
 Exit codes: 0 success, 1 invalid input (also a command-line usage error),
 2 mathematical failure (search exhausted or bound violated), 3 internal
@@ -31,6 +33,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +47,9 @@ from .errors import (AccuracyError, EvaluationError, InvalidInputError,
                      ResolventLabError, SearchExhaustedError)
 from .potentials import bump_kernel, build_potential, mollify
 from .radial import SEED, ResolventQuery
-from .scaling import (GridPolicy, fit_models, omega_map, psi_map, sweep,
-                      write_plotdata_tsv, write_summary_json, write_sweep_csv)
+from .scaling import (HOL, LINF, LIP, GridPolicy, fit_models, omega_map,
+                      psi_map, sweep, write_plotdata_tsv, write_summary_json,
+                      write_sweep_csv)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -113,13 +117,20 @@ _BLOCK_KEYS = {"certify": _CERTIFY_KEYS, "sweep": _SWEEP_KEYS,
 _REQUIRED = {"certify": ("regularity", "s", "h"), "sweep": ("s", "h_values"),
              "sweep.fit": ("candidates",), "mollify": ("thetas",),
              "convert": ("map", "class", "values")}
-# Per command: the key that selects a variant, and for each variant the keys
+# Per command: each key that selects a variant, and for each variant the keys
 # it requires and the keys that do not apply to it.
 _VARIANTS = {
-    "certify": ("regularity", {LIPSCHITZ: (("beta",), ("alpha", "k")),
-                               HOLDER: ((), ("beta",))}),
-    "convert": ("map", {"psi": ((), ("radial",)), "omega": ((), ("lambda0",))}),
+    "certify": (("regularity", {LIPSCHITZ: (("beta",), ("alpha", "k")),
+                                HOLDER: ((), ("beta",))}),),
+    "convert": (("map", {"psi": ((), ("radial",)), "omega": ((), ("lambda0",))}),
+                ("class", {LIP: ((), ("alpha",)), HOL: (("alpha",), ()),
+                           LINF: ((), ("alpha",))})),
 }
+# The files each command writes besides manifest.json; a run first removes
+# its own, so a failed run leaves none of an earlier run's behind.
+_ARTIFACTS = {"certify": ("certificate.json",),
+              "sweep": ("sweep.csv", "summary.json", "plotdata.tsv"),
+              "mollify": ("mollify.tsv",), "convert": ("convert.tsv",)}
 
 
 def _check_keys(block, types, where):
@@ -150,24 +161,22 @@ def _check_keys(block, types, where):
 
 
 def _check_block(command, block):
-    """Check a command block's keys and types and those of its variant."""
+    """Check a command block's keys and types and those of its variants."""
     _check_keys(block, _BLOCK_KEYS[command], command)
-    if command not in _VARIANTS:
-        return
-    selector, variants = _VARIANTS[command]
-    variant = block[selector]
-    if variant not in variants:
-        raise InvalidInputError(
-            f"{command} {selector} must be "
-            f"{' or '.join(map(repr, variants))}, got {variant!r}")
-    required, excluded = variants[variant]
-    for key in required:
-        if key not in block:
-            raise InvalidInputError(f"{command} block needs '{key}'")
-    for key in excluded:
-        if key in block:
+    for selector, variants in _VARIANTS.get(command, ()):
+        variant = block[selector]
+        if variant not in variants:
             raise InvalidInputError(
-                f"{command}.{key} does not apply to {selector} {variant!r}")
+                f"{command} {selector} must be "
+                f"{' or '.join(map(repr, variants))}, got {variant!r}")
+        required, excluded = variants[variant]
+        for key in required:
+            if key not in block:
+                raise InvalidInputError(f"{command} block needs '{key}'")
+        for key in excluded:
+            if key in block:
+                raise InvalidInputError(
+                    f"{command}.{key} does not apply to {selector} {variant!r}")
 
 
 def _given(block, keys):
@@ -296,8 +305,7 @@ def _cmd_sweep(block, out_dir, **run_kw):
         try:
             outcome = fit_models(result, candidates,
                                  **_given(fit_block, ("eps", "sign")))
-            result = type(result)(rows=result.rows, fit=outcome,
-                                  bound_respected=result.bound_respected)
+            result = replace(result, fit=outcome)
         except InvalidInputError as exc:
             print(f"fit skipped: {exc}", file=sys.stderr)
     write_sweep_csv(result, Path(out_dir) / "sweep.csv")
@@ -388,6 +396,8 @@ def main(argv=None):
                 f"config has no '{args.command}' block")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        for name in _ARTIFACTS[args.command]:
+            (out_dir / name).unlink(missing_ok=True)
         block = doc[args.command]
         if args.command == "sweep":
             run_kw = _given(doc, ("seed",))

@@ -36,10 +36,6 @@ class SingularMatrixError(ResolventLabError):
 class SearchExhaustedError(ResolventLabError):
     """No admissible phase amplitude was found below the search cap."""
 
-    def __init__(self, message, worst_margin=None, worst_r=None, family=None,
-                 history=()):
+    def __init__(self, message, history=()):
         super().__init__(message)
-        self.worst_margin = worst_margin
-        self.worst_r = worst_r
-        self.family = family
         self.history = tuple(history)

@@ -268,17 +268,15 @@ class MollifiedPotential:
     ``evaluate`` and ``evaluate_deriv`` apply the 64-node rule to
     _BLOCK_ROWS points at a time, so memory beyond the input and output
     stays at a few MB for any grid (a traced peak of 4.0 MB on 166,360
-    points, where the whole window took 85 MB per temporary).  Each row is
-    computed by the same expression as on the whole window, so blocking
-    changes no value when BLAS runs on one thread.
+    points).  Each row is computed by the same expression as on the whole
+    window, so blocking changes no value when BLAS runs on one thread.
+    ``check_invariants`` reads the kernel's cached moments of order alpha.
     """
 
     def __init__(self, base, kernel, theta):
         self.base = base
         self.kernel = kernel
         self.theta = float(theta)
-        self.moment_alpha = kernel.moment_alpha(base.alpha)
-        self.moment_alpha_deriv = kernel.moment_alpha_deriv(base.alpha)
         x, w = _GL_NODES[64]
         rw = w * kernel.rho(x)
         self._nodes = x
@@ -328,19 +326,21 @@ class MollifiedPotential:
         multiplied by 1.5 to absorb grid and constant-measurement effects.
         """
         hc = self.base.holder_const
-        if self.error_ratio(grid) > hc * self.moment_alpha * 1.5 + 1e-300:
+        m_a = self.kernel.moment_alpha(self.base.alpha)
+        m_ad = self.kernel.moment_alpha_deriv(self.base.alpha)
+        if self.error_ratio(grid) > hc * m_a * 1.5 + 1e-300:
             raise EvaluationError("smoothing error exceeds its Hölder bound")
-        if self.deriv_ratio(grid) > hc * self.moment_alpha_deriv * 1.5 + 1e-300:
+        if self.deriv_ratio(grid) > hc * m_ad * 1.5 + 1e-300:
             raise EvaluationError("smoothed derivative exceeds its Hölder bound")
         r = np.asarray(grid, dtype=float)
         ceiling = (self.base.envelope_at(r)
-                   + hc * self.moment_alpha * self.theta ** self.base.alpha
+                   + hc * m_a * self.theta ** self.base.alpha
                    * (r + 1.0) ** (-self.base.beta))
         if np.any(self.evaluate(r) > ceiling * (1.0 + 1e-12) + 1e-300):
             raise EvaluationError("smoothed potential exceeds the lifted envelope")
 
 
-def mollify(base, kernel, theta, check=True):
+def mollify(base, kernel, theta):
     """Smooth ``base`` at width theta using ``kernel``.
 
     The evaluation rule is a fixed 64-node Gauss-Legendre discretization of
@@ -352,24 +352,23 @@ def mollify(base, kernel, theta, check=True):
     if not 0.0 < theta < 1.0:
         raise InvalidInputError(f"theta must lie in (0, 1), got {theta}")
     mp = MollifiedPotential(base, kernel, theta)
-    if check:
-        probe = np.linspace(0.0, 8.0, 257)
-        x, w = _GL_NODES[128]
-        rw = w * kernel.rho(x)
-        rw = rw / rw.sum()
-        fine = base(probe[:, None] + theta * x[None, :]) @ rw
-        coarse = mp.evaluate(probe)
-        scale = base.envelope_at(probe) + theta ** base.alpha + 1e-30
-        modulus = (3.0 * kernel.sup_value * base.holder_const
-                   * (theta / 64.0) ** base.alpha
-                   * (probe + 1.0) ** (-base.beta))
-        gap = np.abs(fine - coarse)
-        if np.any(gap > 1e-8 * scale + modulus):
-            worst = probe[np.argmax(gap - 1e-8 * scale - modulus)]
-            raise AccuracyError(
-                f"quadrature refinement check failed near r={worst:.4g}; "
-                "the potential is rougher than its declared class",
-                residual=float(np.max(gap)))
+    probe = np.linspace(0.0, 8.0, 257)
+    x, w = _GL_NODES[128]
+    rw = w * kernel.rho(x)
+    rw = rw / rw.sum()
+    fine = base(probe[:, None] + theta * x[None, :]) @ rw
+    coarse = mp.evaluate(probe)
+    scale = base.envelope_at(probe) + theta ** base.alpha + 1e-30
+    modulus = (3.0 * kernel.sup_value * base.holder_const
+               * (theta / 64.0) ** base.alpha
+               * (probe + 1.0) ** (-base.beta))
+    gap = np.abs(fine - coarse)
+    if np.any(gap > 1e-8 * scale + modulus):
+        worst = probe[np.argmax(gap - 1e-8 * scale - modulus)]
+        raise AccuracyError(
+            f"quadrature refinement check failed near r={worst:.4g}; "
+            "the potential is rougher than its declared class",
+            residual=float(np.max(gap)))
     return mp
 
 

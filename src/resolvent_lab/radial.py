@@ -123,16 +123,18 @@ class DiscreteOperator:
 
     grid: np.ndarray
     diag_real: np.ndarray
-    offdiag: float
-    eps_imag: float
     query: ResolventQuery
     sector: AngularSector
     dr: float
 
+    @property
+    def offdiag(self):
+        return -self.query.h ** 2 / self.dr ** 2
+
     def diagonals(self):
         """Sub-, main and super-diagonal of the matrix."""
         off = np.full(self.grid.size - 1, self.offdiag, dtype=complex)
-        return off, self.diag_real + 1j * self.eps_imag, off
+        return off, self.diag_real + 1j * (self.query.sign * self.query.eps), off
 
     def factor(self):
         """Factorize once; returns solve(rhs, trans) for trans "N" (A) or "C" (A^H)."""
@@ -182,10 +184,8 @@ def _sector_operator(query, sector, grid_spec, r, r2, v):
             + sector.lambda_value / r2
             - query.E
             + v)
-    return DiscreteOperator(grid=r, diag_real=diag,
-                            offdiag=-h2 / grid_spec.dr ** 2,
-                            eps_imag=query.sign * query.eps,
-                            query=query, sector=sector, dr=grid_spec.dr)
+    return DiscreteOperator(grid=r, diag_real=diag, query=query, sector=sector,
+                            dr=grid_spec.dr)
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +194,20 @@ def _sector_operator(query, sector, grid_spec, r, r2, v):
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Weighted resolvent norm over the computed sectors.
+    """Weighted resolvent norm, the largest of ``sector_values``; ``g_value`` is its log.
 
     ``iterations`` is the number of Gram products summed over the sectors;
     ``residual`` is the largest top Ritz residual among them.
     """
 
-    value: float
-    g_value: float
     iterations: int
     residual: float
     truncation_bound: float
     sector_values: tuple
+
+    @property
+    def g_value(self):
+        return math.log(max(self.sector_values))
 
 
 def _weight_vector(grid, s):
@@ -309,14 +311,11 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
     values = tuple(res[0] for res in results)
     iterations = sum(res[1] for res in results)
     residual = max(res[2] for res in results)
-    value = max(values)
     lam_next = AngularSector(query.d, l_max + 1, query.h).lambda_value
     margin = lam_next / grid_spec.r_max ** 2 - query.E
     truncation = 1.0 / margin if margin > 0 else math.inf
-    return NormEstimate(value=value, g_value=math.log(value),
-                        iterations=iterations, residual=residual,
-                        truncation_bound=truncation,
-                        sector_values=values)
+    return NormEstimate(iterations=iterations, residual=residual,
+                        truncation_bound=truncation, sector_values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +381,11 @@ def assemble_conjugated(query, sector, grid_spec, phase):
 class EnergyTrace:
     """Sector energy functional and the audited flux inequality.
 
-    F_values covers the whole grid; flux_residuals and residual_tolerance
-    cover the interior nodes grid[1:-1], where the centered flux derivative
-    has a full stencil.
+    F_values covers the sector grid r = grid_spec.points(); flux_residuals
+    and residual_tolerance cover its interior nodes r[1:-1], where the
+    centered flux derivative has a full stencil.
     """
 
-    grid: np.ndarray
     F_values: np.ndarray
     flux_residuals: np.ndarray
     residual_tolerance: np.ndarray
@@ -450,6 +448,6 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
     # telescoping sum of the central differences: only boundary values survive
     integral = float(np.sum(dmuF) * dr)
     scale = float(np.sum(np.abs(dmuF)) * dr)
-    return EnergyTrace(grid=r, F_values=F, flux_residuals=residuals,
+    return EnergyTrace(F_values=F, flux_residuals=residuals,
                        residual_tolerance=tol_scale, integral_value=integral,
                        integral_scale=scale)

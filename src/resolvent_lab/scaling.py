@@ -24,6 +24,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -82,9 +83,12 @@ class FitResult:
 class FitOutcome:
     fits: tuple
     best: FitResult
-    degenerate: bool
     eps: float
     sign: int
+
+    @property
+    def degenerate(self):
+        return all(f.degenerate for f in self.fits)
 
 
 def _fit_one(kind, alpha, h, g):
@@ -150,9 +154,7 @@ def fit_models(result, candidates, eps=None, sign=None):
         return num / den, has_log
 
     best = min(tied, key=growth)
-    return FitOutcome(fits=tuple(fits), best=best,
-                      degenerate=all(f.degenerate for f in fits),
-                      eps=eps_used, sign=sign_used)
+    return FitOutcome(fits=tuple(fits), best=best, eps=eps_used, sign=sign_used)
 
 
 # ---------------------------------------------------------------------------
@@ -161,20 +163,21 @@ def fit_models(result, candidates, eps=None, sign=None):
 
 @dataclass(frozen=True)
 class CertifiedBound:
-    """Computable bound from a passing certificate, recomposed per h."""
+    """Bound from a passing certificate, recomposed per h with C0 = certificate.C_used."""
 
     certificate: Certificate
-    C0: float
     h_values: tuple
-    g_values: tuple
-
-    def log_m(self, h):
-        cfg = replace(self.certificate.config, h=float(h))
-        phase = build_phase(cfg)
-        return phase.max_phi / h + math.log(self.C0 * cfg.a ** 2 / h)
 
     def g_bound(self, h):
-        return math.log(4.0) + 2.0 * self.log_m(float(h))
+        h = float(h)
+        cfg = replace(self.certificate.config, h=h)
+        log_m = (build_phase(cfg).max_phi / h
+                 + math.log(self.certificate.C_used * cfg.a ** 2 / h))
+        return math.log(4.0) + 2.0 * log_m
+
+    @cached_property
+    def g_values(self):
+        return tuple(self.g_bound(h) for h in self.h_values)
 
 
 def bound_from_certificate(certificate, h_values):
@@ -184,12 +187,10 @@ def bound_from_certificate(certificate, h_values):
     hs = tuple(float(h) for h in h_values)
     if not hs or any(not 0.0 < h <= 1.0 for h in hs):
         raise InvalidInputError("h values must lie in (0, 1] and be nonempty")
-    bound = CertifiedBound(certificate=certificate, C0=certificate.C_used,
-                           h_values=hs, g_values=())
-    values = tuple(bound.g_bound(h) for h in hs)
-    if not all(math.isfinite(v) for v in values):
+    bound = CertifiedBound(certificate=certificate, h_values=hs)
+    if not all(math.isfinite(v) for v in bound.g_values):
         raise InvalidInputError("composed bound is not finite on the sweep")
-    return replace(bound, g_values=values)
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,14 @@ class SweepRow:
 class SweepResult:
     rows: tuple
     fit: Optional[FitOutcome]
-    bound_respected: Optional[bool]
+
+    @property
+    def bound_respected(self):
+        """None without a bound column, else whether every row is ok and below it."""
+        if all(row.g_bound is None for row in self.rows):
+            return None
+        return all(row.status == "ok" and row.g_measured <= row.g_bound
+                   for row in self.rows)
 
 
 def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
@@ -303,14 +311,9 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
                 ms = 1000.0 * (time.perf_counter() - start)
                 rows.append(SweepRow(h, eps, sign, g, g_b, sectors,
                                      grid_policy.l_max, ms, status))
-    ok = [row for row in rows if row.status == "ok"]
-    if not ok:
+    if not any(row.status == "ok" for row in rows):
         raise AccuracyError("every sweep row failed")
-    respected = None
-    if bound is not None:
-        respected = (len(ok) == len(rows)
-                     and all(row.g_measured <= row.g_bound for row in ok))
-    return SweepResult(rows=tuple(rows), fit=None, bound_respected=respected)
+    return SweepResult(rows=tuple(rows), fit=None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -71,6 +72,15 @@ class TestConfig:
     def test_h_range(self):
         with pytest.raises(InvalidConfigError, match="h"):
             CarlemanConfig.lipschitz(2.0, 0.6, 8.0, 9.0, E=1.0, h=1.5)
+
+    def test_cutoff_radius_past_the_largest_float_rejected(self):
+        # beta near 1 and s near its upper bound make min_ell about 545,
+        # and 4.0**545 raises OverflowError
+        with pytest.raises(InvalidConfigError, match="ell = 545"):
+            CarlemanConfig.lipschitz(1.0625, 0.5137, 4.0, h=0.5)
+        # 2.0**1023 is a float; h**(-2) = 4 times it is inf
+        with pytest.raises(InvalidConfigError, match="ell = 1023"):
+            CarlemanConfig.holder(0.5, 0.7, 2.0, 1023.0, h=0.5)
 
 
 class TestWeightAndPhase:
@@ -230,8 +240,35 @@ class TestCertify:
         with pytest.raises(SearchExhaustedError) as info:
             search_tau0(cfg, holder_model.envelope, C, GridSpec(), 64.0, r_min=1.0)
         err = info.value
-        assert err.worst_margin < 0 and err.worst_r > 0 and err.family
+        _, family, margin, r = err.history[-1]
+        assert margin < 0 and r > 0 and family
         assert len(err.history) >= 1
+
+    def test_overflow_at_a_later_doubling_exhausts_the_search(self, zero_model):
+        # a = 4**400 is a float and 8**400 is not; C = 1e6 fails tau0 = 4
+        cfg = CarlemanConfig.lipschitz(1.1, 0.51, 4.0, 400.0, h=0.5)
+        with pytest.raises(SearchExhaustedError, match="overflows from tau0 = 8") as info:
+            search_tau0(cfg, zero_model.envelope, 1e6)
+        assert [step[0] for step in info.value.history] == [4.0]
+        assert info.value.history[0][2] < 0
+
+    def test_overflow_at_the_first_amplitude_is_a_config_error(self, zero_model):
+        cfg = CarlemanConfig.lipschitz(1.0625, 0.5137, 1.0, h=0.5)
+        with pytest.raises(InvalidConfigError, match="ell"):
+            search_tau0(cfg, zero_model.envelope)
+
+    def test_loaded_certificate_is_judged_by_its_margins(self, zero_model):
+        cfg = CarlemanConfig.lipschitz(3.0, 0.6, 8.0, min_ell(0.25, 3.0, 0.6),
+                                       E=1.0, h=0.5, d=3)
+        doc = json.loads(certify(cfg, zero_model.envelope, 6.0).to_json())
+        assert doc["passed"] is True
+        for fam in doc["families"]:
+            if fam["name"] == "carleman_main":
+                fam["min_margin"] = -1.0
+        loaded = Certificate.from_json(json.dumps(doc))
+        assert loaded.passed is False
+        assert loaded.tau0_found == 8.0
+        assert json.loads(loaded.to_json())["passed"] is False
 
     def test_d2_fallback_switches_pair(self, holder_model):
         cfg = CarlemanConfig.holder(0.5, 0.7, 4.0, min_ell(1.0, 4.0, 0.7),

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,9 +14,13 @@ import scipy
 from hypothesis import given, settings, strategies as st
 
 import resolvent_lab as rl
-from resolvent_lab.cli import main
+from resolvent_lab.carleman import Certificate
+from resolvent_lab.cli import _BLOCK_KEYS, main
 from resolvent_lab.radial import ResolventQuery
 from resolvent_lab.scaling import GridPolicy, sweep
+
+
+SWEEP_ARTIFACTS = ("sweep.csv", "summary.json", "plotdata.tsv")
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -82,6 +87,20 @@ class TestCertifyCommand:
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "certificate.json").exists()
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+
+    def test_cutoff_radius_past_the_largest_float_exits_one(self, tmp_path, capsys):
+        block = {"regularity": "lipschitz", "beta": 1.0625, "s": 0.5137, "h": 0.5}
+        cfg = write_config(tmp_path, {"certify": block})
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "ell = 545" in capsys.readouterr().err
+
+    def test_overflow_at_a_later_doubling_exits_two(self, tmp_path, capsys):
+        # a = 4**400 is a float and 8**400 is not; C = 1e6 fails tau0 = 4
+        block = certify_block(beta=1.1, s=0.51, ell=400.0, C=1e6)
+        cfg = write_config(tmp_path, {"certify": block})
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "certification failed" in err and "overflows from tau0 = 8" in err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"certify": certify_block(bogus=1)})
@@ -231,6 +250,42 @@ class TestSweepCommand:
         assert ([row["g_measured"] for row in via_cli]
                 == [row.g_measured for row in via_library])
 
+    def test_tampered_certificate_is_judged_by_its_margins(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cert_cfg = write_config(tmp_path, {"certify": certify_block()}, "cert.json")
+        assert main(["certify", "--config", cert_cfg, "--out", str(out)]) == 0
+        path = out / "certificate.json"
+        doc = json.loads(path.read_text())
+        for fam in doc["families"]:
+            if fam["name"] == "carleman_main":
+                fam["min_margin"] = -1.0
+        assert doc["passed"] is True
+        path.write_text(json.dumps(doc))
+        assert Certificate.from_json(path.read_text()).passed is False
+        block = sweep_block(certificate=str(path), h_values=[0.5, 0.4],
+                            eps_values=[1e-2])
+        cfg = write_config(tmp_path, {"sweep": block})
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert "passing certificate" in capsys.readouterr().err
+        for name in SWEEP_ARTIFACTS:
+            assert not (out / name).exists(), name
+
+    def test_failed_rerun_removes_the_earlier_artifacts(self, tmp_path):
+        out = tmp_path / "out"
+        cert_cfg = write_config(tmp_path, {"certify": certify_block()}, "cert.json")
+        assert main(["certify", "--config", cert_cfg, "--out", str(out)]) == 0
+        good = write_config(tmp_path, {"sweep": sweep_block(
+            h_values=[0.5, 0.4], eps_values=[1e-2])}, "good.json")
+        assert main(["sweep", "--config", good, "--out", str(out)]) == 0
+        assert all((out / name).exists() for name in SWEEP_ARTIFACTS)
+        # dr = h/2 breaks the h/10 assembly rule, so every row fails
+        bad = write_config(tmp_path, {"sweep": sweep_block(dr_factor=0.5)}, "bad.json")
+        assert main(["sweep", "--config", bad, "--out", str(out)]) == 2
+        for name in SWEEP_ARTIFACTS:
+            assert not (out / name).exists(), name
+        assert (out / "certificate.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+
 
 class TestMollifyCommand:
     def test_zero_potential_ratios_vanish(self, tmp_path):
@@ -358,6 +413,11 @@ def _without(block, key):
         CONVERT_BLOCK, radial=True)}, "convert.radial"),
     ("certify", {"certify": certify_block(), "sweep": sweep_block(
         fit={"candidates": [["lipschitz"]], "bogus": 1})}, "sweep.fit"),
+    # convert.alpha applies to the holder class only, which needs it
+    ("convert", {"convert": dict(CONVERT_BLOCK, alpha=0.5)}, "convert.alpha"),
+    ("convert", {"convert": {"map": "omega", "class": "linfty", "values": [8.886e6],
+                             "alpha": 0.5}}, "convert.alpha"),
+    ("convert", {"convert": dict(CONVERT_BLOCK, **{"class": "holder"})}, "'alpha'"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):
@@ -458,3 +518,29 @@ class TestTopLevel:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
+
+
+def _dotted_keys(types, prefix):
+    for key, kind in types.items():
+        yield f"{prefix}.{key}"
+        if isinstance(kind, dict):
+            yield from _dotted_keys(kind, f"{prefix}.{key}")
+
+
+def test_readme_key_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| key | type |"):]
+    table = table[:table.index("\n\n")].splitlines()[2:]
+    keys = {"seed"} | {key for command, types in _BLOCK_KEYS.items()
+                       for key in _dotted_keys(types, command)}
+    listed = set()
+    for line in table:
+        # a "*." key stands for that key in every block that has it
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            if name.startswith("*."):
+                matches = {key for key in keys if key.partition(".")[2] == name[2:]}
+                assert matches, name
+                listed |= matches
+            elif not name.startswith("--"):  # a command-line option
+                listed.add(name)
+    assert sorted(listed - keys) == [] and sorted(keys - listed) == []

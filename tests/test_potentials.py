@@ -127,7 +127,7 @@ class TestMollify:
         model = PotentialModel("const", lambda r: np.full_like(r, 2.5),
                                lambda r: np.full_like(r, 3.0),
                                alpha=1.0, beta=1.0, holder_const=0.0)
-        smoothed = mollify(model, kernel, 0.1, check=False)
+        smoothed = mollify(model, kernel, 0.1)
         r = np.linspace(0.0, 10.0, 101)
         assert_allclose(smoothed.evaluate(r), 2.5, rtol=1e-13)
         assert_allclose(smoothed.evaluate_deriv(r), 0.0, atol=1e-12)
@@ -138,7 +138,7 @@ class TestMollify:
                                alpha=1.0, beta=1.0, holder_const=1.0)
         theta = 0.05
         m1, _ = quad(lambda s: s * kernel.rho(s), 0.0, 1.0, epsabs=1e-13)
-        smoothed = mollify(model, kernel, theta, check=False)
+        smoothed = mollify(model, kernel, theta)
         r = np.linspace(0.0, 5.0, 41)
         assert_allclose(smoothed.evaluate(r), r + theta * m1, rtol=0, atol=1e-9)
 
@@ -150,8 +150,8 @@ class TestMollify:
             alpha=holder_model.alpha, beta=holder_model.beta,
             holder_const=holder_model.holder_const)
         theta = 0.03
-        a = mollify(shifted, kernel, theta, check=False)
-        b = mollify(holder_model, kernel, theta, check=False)
+        a = mollify(shifted, kernel, theta)
+        b = mollify(holder_model, kernel, theta)
         r = np.linspace(0.0, 6.0, 301)
         assert_allclose(a.evaluate(r), b.evaluate(r + c), rtol=0, atol=1e-12)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,16 +11,15 @@ from resolvent_lab.carleman import (CarlemanConfig, Certificate, FamilySummary,
                                     build_phase, certify, min_ell)
 from resolvent_lab.errors import AccuracyError, InvalidInputError
 from resolvent_lab.radial import ResolventQuery
-from resolvent_lab.scaling import (bound_from_certificate, fit_models,
-                                   omega_map, psi_map, sweep)
+from resolvent_lab.scaling import (SweepResult, SweepRow, bound_from_certificate,
+                                   fit_models, omega_map, psi_map, sweep)
 
 from conftest import cheap_policy, growth_shape
 
 
 def synthetic_certificate(config, C_used=6.0):
     fams = (FamilySummary("carleman_main", 0.1, 1.0),)
-    return Certificate(config=config, C_used=C_used, r_min=0.0,
-                       tau0_found=config.tau0, passed=True, families=fams,
+    return Certificate(config=config, C_used=C_used, r_min=0.0, families=fams,
                        constants={"c26": [1.0, 1.0, 1.0], "mollifier": None})
 
 
@@ -48,8 +48,8 @@ class TestCertifiedBound:
         cfg = CarlemanConfig.lipschitz(2.0, 0.6, 8.0, 9.0, E=1.0, h=0.1)
         cert = synthetic_certificate(cfg)
         failed = Certificate(config=cert.config, C_used=6.0, r_min=0.0,
-                             tau0_found=8.0, passed=False,
-                             families=cert.families, constants=cert.constants)
+                             families=(FamilySummary("carleman_main", -0.1, 1.0),),
+                             constants=cert.constants)
         with pytest.raises(InvalidInputError):
             bound_from_certificate(failed, [0.1])
 
@@ -181,6 +181,44 @@ class TestSweep:
                     certificate=cert, signs=(1, -1), seed=7)
         assert all(row.g_bound is not None for row in res.rows)
         assert res.bound_respected is True
+
+
+OK_ROW = SweepRow(h=0.5, eps=1e-2, sign=1, g_measured=1.0, g_bound=2.0,
+                  sectors=3, l_max=2, runtime_ms=0.0, status="ok")
+FAILED_ROW = replace(OK_ROW, g_measured=None, sectors=0, status="failed: forced")
+
+
+@pytest.mark.parametrize("rows,respected", [
+    ((replace(OK_ROW, g_bound=None),), None),
+    ((replace(OK_ROW, g_bound=None), replace(FAILED_ROW, g_bound=None)), None),
+    ((OK_ROW, replace(OK_ROW, sign=-1)), True),
+    ((OK_ROW, replace(OK_ROW, g_measured=2.0)), True),
+    ((OK_ROW, replace(OK_ROW, g_measured=2.5)), False),
+    ((OK_ROW, FAILED_ROW), False),
+])
+def test_bound_respected_follows_the_rows(rows, respected):
+    assert SweepResult(rows=rows, fit=None).bound_respected is respected
+
+
+def test_sweep_verdict_none_true_false(zero_model, monkeypatch):
+    cfg = CarlemanConfig.lipschitz(3.0, 0.6, 4.0, min_ell(0.25, 3.0, 0.6),
+                                   E=1.0, h=0.1, d=3)
+    cert = rl.search_tau0(cfg, zero_model.envelope, 6.0, rl.GridSpec(), 1024.0)
+    template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                              potential=zero_model)
+    args = (template, [0.2, 0.1], [1e-2], cheap_policy())
+    assert sweep(*args, seed=7).bound_respected is None
+    assert sweep(*args, certificate=cert, seed=7).bound_respected is True
+    real = scaling.weighted_resolvent_norm
+
+    def failing_at_small_h(query, *rest, **kwargs):
+        if query.h == 0.1:
+            raise AccuracyError("forced failure")
+        return real(query, *rest, **kwargs)
+
+    monkeypatch.setattr(scaling, "weighted_resolvent_norm", failing_at_small_h)
+    assert sweep(*args, seed=7).bound_respected is None
+    assert sweep(*args, certificate=cert, seed=7).bound_respected is False
 
 
 class TestSweepMirror:
