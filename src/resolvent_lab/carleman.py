@@ -234,9 +234,6 @@ class PhaseFunction:
                     - rc * (self.a + 1.0) ** (-self.k))
         return self.tau * ramp
 
-    def __call__(self, r):
-        return self.value(r)
-
     @property
     def max_phi(self):
         return float(self.value(self.a))
@@ -370,12 +367,6 @@ class Certificate:
     def tau0_found(self):
         return self.config.tau0
 
-    def family(self, name):
-        for fam in self.families:
-            if fam.name == name:
-                return fam
-        raise KeyError(name)
-
     def worst(self):
         return min(self.families, key=lambda f: f.min_margin)
 
@@ -415,17 +406,19 @@ class Certificate:
             return cls.from_json(fh.read())
 
 
-def certify(config, envelope_p, C, grid_spec=None, r_min=None,
-            mollifier_constants=None):
+def certify(config, envelope_p, C, grid_spec=None, r_min=None):
     """Verify every margin family on a dense grid and return the record.
 
     ``r_min`` defaults to 0 for d >= 3 and to R_MIN_D2 in dimension two,
     where the two-dimensional family is certified on r >= r_min > 0 only.
+    ``constants["mollifier"]`` is None, for a caller to fill in.
     """
     if grid_spec is None:
         grid_spec = GridSpec()
     if r_min is None:
         r_min = R_MIN_D2 if config.d == 2 else 0.0
+    if r_min < 0:
+        raise InvalidInputError(f"r_min must be nonnegative, got {r_min}")
     if config.d == 2 and r_min <= 0:
         raise InvalidInputError("dimension two requires a positive left endpoint")
     if C <= 0:
@@ -459,14 +452,14 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None,
             raise EvaluationError(f"margin {name} is not finite at r={bad:.6g}")
         idx = int(np.argmin(arr))
         families.append(FamilySummary(name, float(arr[idx]), float(grid[idx])))
-    constants = {"c26": c26, "mollifier": mollifier_constants}
+    constants = {"c26": c26, "mollifier": None}
     return Certificate(config=config, C_used=float(C), r_min=float(r_min),
                        families=tuple(families), constants=constants,
                        grid=grid)
 
 
 def search_tau0(config_template, envelope_p, C=C_FLOOR, grid_spec=None,
-                tau0_max=TAU0_MAX, r_min=None, mollifier_constants=None):
+                tau0_max=TAU0_MAX, r_min=None):
     """Double tau0 from TAU0_START until certification passes.
 
     Returns the first passing certificate, carrying the failed attempts in
@@ -488,7 +481,7 @@ def search_tau0(config_template, envelope_p, C=C_FLOOR, grid_spec=None,
             if last is None:  # a overflows at the first amplitude already
                 raise
             break  # a overflows here, and at every larger tau0
-        cert = certify(cfg, envelope_p, C, grid_spec, r_min, mollifier_constants)
+        cert = certify(cfg, envelope_p, C, grid_spec, r_min)
         worst = cert.worst()
         history.append((tau0, worst.name, worst.min_margin, worst.argmin_r))
         if cert.passed:
@@ -503,15 +496,14 @@ def search_tau0(config_template, envelope_p, C=C_FLOOR, grid_spec=None,
 
 
 def search_tau0_with_fallback(config_template, envelope_p, C=C_FLOOR, grid_spec=None,
-                              tau0_max=TAU0_MAX, r_min=None,
-                              mollifier_constants=None):
+                              tau0_max=TAU0_MAX, r_min=None):
     """Two-dimensional Hölder search that retries with (k, k0) = (1/2, 0).
 
     The steep weight (k = 1) certifies only for small h; outside that regime
     the shallow pair takes over, at the larger of the template's ell and
     the shallow default.  Returns (certificate, used_fallback).
     """
-    rest = (envelope_p, C, grid_spec, tau0_max, r_min, mollifier_constants)
+    rest = (envelope_p, C, grid_spec, tau0_max, r_min)
     try:
         return search_tau0(config_template, *rest), False
     except SearchExhaustedError:

@@ -14,13 +14,14 @@ library, so every default is the library's.  Every block the config
 contains is checked before the command runs, not only the command's own: a
 value of the wrong JSON type, or a key that does not apply to the block's
 variant (certify.k under "lipschitz", convert.radial under "psi"), is
-rejected with a message that names the key.  Every run that gets as far
-as its handler first removes the files its own command writes, so a
-failed run leaves none of an earlier run's behind (sweep keeps
-certificate.json), and writes manifest.json last (resolved config,
-artifact version, seed, the exit code and the environment: Python, numpy
-and scipy versions, CPU count and BLAS thread settings); pointing
---config at a manifest reproduces the run.
+rejected with a message that names the key.  Every run first removes the
+files its own command writes and manifest.json, except the file --config
+names, so a failed run leaves none of an earlier run's behind (sweep
+keeps certificate.json).  A run whose config loads and has the command's
+block writes manifest.json last (resolved config, artifact version, seed,
+the exit code and the environment: Python, numpy and scipy versions, CPU
+count and BLAS thread settings); pointing --config at a manifest, also
+the one in --out, reproduces the run.
 
 Exit codes: 0 success, 1 invalid input (also a command-line usage error),
 2 mathematical failure (search exhausted or bound violated), 3 internal
@@ -127,7 +128,7 @@ _VARIANTS = {
                            LINF: ((), ("alpha",))})),
 }
 # The files each command writes besides manifest.json; a run first removes
-# its own, so a failed run leaves none of an earlier run's behind.
+# them and manifest.json, so a failed run leaves none of an earlier run's behind.
 _ARTIFACTS = {"certify": ("certificate.json",),
               "sweep": ("sweep.csv", "summary.json", "plotdata.tsv"),
               "mollify": ("mollify.tsv",), "convert": ("convert.tsv",)}
@@ -184,7 +185,8 @@ def _given(block, keys):
     return {key: block[key] for key in keys if key in block}
 
 
-def _load_config(path):
+def _load_config(path, command):
+    """The checked config document, which must have a block for ``command``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -197,9 +199,11 @@ def _load_config(path):
     if "artifact_version" in doc and "config" in doc:
         doc = doc["config"]  # rerun from a manifest
     _check_keys(doc, {"seed": "an integer", **dict.fromkeys(_BLOCK_KEYS)}, "config")
-    for command, block in doc.items():
-        if command in _BLOCK_KEYS:
-            _check_block(command, block)
+    for name, block in doc.items():
+        if name in _BLOCK_KEYS:
+            _check_block(name, block)
+    if command not in doc:
+        raise InvalidInputError(f"config has no '{command}' block")
     return doc
 
 
@@ -254,12 +258,6 @@ def _cmd_certify(block, out_dir):
         search_kw["C"] = recommended_audit_constant(model)
     if "grid" in block:
         search_kw["grid_spec"] = GridSpec(**block["grid"])
-    if template.regularity == HOLDER:
-        kernel = bump_kernel()
-        search_kw["mollifier_constants"] = {
-            "holder_const": model.holder_const,
-            "moment_alpha": kernel.moment_alpha(template.alpha),
-            "moment_alpha_deriv": kernel.moment_alpha_deriv(template.alpha)}
     try:
         if template.d == 2 and template.regularity == HOLDER:
             cert, fellback = search_tau0_with_fallback(
@@ -272,6 +270,12 @@ def _cmd_certify(block, out_dir):
     except SearchExhaustedError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_MATH
+    if template.regularity == HOLDER:
+        kernel = bump_kernel()
+        cert = replace(cert, constants=dict(cert.constants, mollifier={
+            "holder_const": model.holder_const,
+            "moment_alpha": kernel.moment_alpha(template.alpha),
+            "moment_alpha_deriv": kernel.moment_alpha_deriv(template.alpha)}))
     cert.save(Path(out_dir) / "certificate.json")
     worst = cert.worst()
     print(f"certified tau0={cert.tau0_found:g} C={cert.C_used:g} "
@@ -326,11 +330,13 @@ def _cmd_mollify(block, out_dir):
     thetas = block["thetas"]
     if not thetas:
         raise InvalidInputError("mollify needs a nonempty theta list")
-    points = block.get("points", 4001)
+    points, r_max = block.get("points", 4001), block.get("r_max", 10.0)
     if points < 1:
         raise InvalidInputError(f"mollify.points must be positive, got {points}")
+    if not r_max > 0:
+        raise InvalidInputError(f"mollify.r_max must be positive, got {r_max}")
     kernel = bump_kernel()
-    r = np.linspace(0.0, block.get("r_max", 10.0), points)
+    r = np.linspace(0.0, r_max, points)
     lines = ["theta\terror_ratio\tderiv_ratio"]
     for theta in thetas:
         smoothed = mollify(model, kernel, theta)
@@ -388,16 +394,16 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_INVALID if exc.code else EXIT_OK
-    out_dir = None
+    out_dir, doc = Path(args.out), None
     try:
-        doc = _load_config(args.config)
-        if args.command not in doc:
-            raise InvalidInputError(
-                f"config has no '{args.command}' block")
-        out_dir = Path(args.out)
+        # before the config loads, so that no failed run leaves an earlier
+        # run's outputs behind; the config may be the manifest in --out
+        config_path = Path(args.config).resolve()
+        for name in (*_ARTIFACTS[args.command], "manifest.json"):
+            if (out_dir / name).resolve() != config_path:
+                (out_dir / name).unlink(missing_ok=True)
+        doc = _load_config(args.config, args.command)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name in _ARTIFACTS[args.command]:
-            (out_dir / name).unlink(missing_ok=True)
         block = doc[args.command]
         if args.command == "sweep":
             run_kw = _given(doc, ("seed",))
@@ -418,7 +424,7 @@ def main(argv=None):
     except Exception as exc:  # pragma: no cover - safety net
         print(f"internal error: {exc!r}", file=sys.stderr)
         code = EXIT_INTERNAL
-    if out_dir is not None and out_dir.is_dir():
+    if doc is not None and out_dir.is_dir():
         _write_manifest(out_dir, args.command, doc.get("seed", SEED), doc, code)
     return code
 

@@ -105,19 +105,15 @@ class PotentialModel:
     def __call__(self, r):
         return self.evaluate(np.asarray(r, dtype=float))
 
-    def envelope_at(self, r):
-        return self.envelope(np.asarray(r, dtype=float))
-
-    def validate(self, grid=None):
-        """Check the defining invariants on a sample grid.
+    def validate(self):
+        """Check the defining invariants on REFERENCE_GRID.
 
         Raises InvalidInputError if the envelope fails to decrease to a
         smaller value, if V exceeds p anywhere, or if the weighted Hölder
         quotient exceeds holder_const.
         """
-        r = REFERENCE_GRID if grid is None else np.asarray(grid, dtype=float)
-        self._check_envelope(r)
-        sem = holder_seminorm(self.evaluate, self.alpha, self.beta, r)
+        self._check_envelope(REFERENCE_GRID)
+        sem = holder_seminorm(self.evaluate, self.alpha, self.beta, REFERENCE_GRID)
         if sem > self.holder_const * (1.0 + 1e-9) + 1e-300:
             raise InvalidInputError(
                 f"weighted Hölder quotient {sem:.6g} exceeds declared constant "
@@ -125,7 +121,7 @@ class PotentialModel:
 
     def _check_envelope(self, r):
         """The envelope checks of ``validate``: p > 0 non-increasing and decaying, V <= p."""
-        p = self.envelope_at(r)
+        p = self.envelope(r)
         if np.any(p <= 0):
             raise InvalidInputError(f"envelope must be positive ({self.name})")
         if np.any(np.diff(p) > 0):
@@ -270,12 +266,10 @@ class MollifiedPotential:
     stays at a few MB for any grid (a traced peak of 4.0 MB on 166,360
     points).  Each row is computed by the same expression as on the whole
     window, so blocking changes no value when BLAS runs on one thread.
-    ``check_invariants`` reads the kernel's cached moments of order alpha.
     """
 
     def __init__(self, base, kernel, theta):
         self.base = base
-        self.kernel = kernel
         self.theta = float(theta)
         x, w = _GL_NODES[64]
         rw = w * kernel.rho(x)
@@ -304,9 +298,6 @@ class MollifiedPotential:
     def evaluate_deriv(self, r):
         return self._blocked(r, deriv=True)
 
-    def __call__(self, r):
-        return self.evaluate(r)
-
     def error_ratio(self, grid):
         """sup over the grid of |V - V_theta| (r+1)**beta / theta**alpha."""
         r = np.asarray(grid, dtype=float)
@@ -318,26 +309,6 @@ class MollifiedPotential:
         r = np.asarray(grid, dtype=float)
         dv = np.abs(self.evaluate_deriv(r))
         return float(np.max(dv * (r + 1.0) ** self.base.beta)) / self.theta ** (self.base.alpha - 1.0)
-
-    def check_invariants(self, grid):
-        """Verify the smoothing-error, derivative and envelope bounds on a grid.
-
-        Raises EvaluationError when a bound fails; the provable constants are
-        multiplied by 1.5 to absorb grid and constant-measurement effects.
-        """
-        hc = self.base.holder_const
-        m_a = self.kernel.moment_alpha(self.base.alpha)
-        m_ad = self.kernel.moment_alpha_deriv(self.base.alpha)
-        if self.error_ratio(grid) > hc * m_a * 1.5 + 1e-300:
-            raise EvaluationError("smoothing error exceeds its Hölder bound")
-        if self.deriv_ratio(grid) > hc * m_ad * 1.5 + 1e-300:
-            raise EvaluationError("smoothed derivative exceeds its Hölder bound")
-        r = np.asarray(grid, dtype=float)
-        ceiling = (self.base.envelope_at(r)
-                   + hc * m_a * self.theta ** self.base.alpha
-                   * (r + 1.0) ** (-self.base.beta))
-        if np.any(self.evaluate(r) > ceiling * (1.0 + 1e-12) + 1e-300):
-            raise EvaluationError("smoothed potential exceeds the lifted envelope")
 
 
 def mollify(base, kernel, theta):
@@ -358,7 +329,7 @@ def mollify(base, kernel, theta):
     rw = rw / rw.sum()
     fine = base(probe[:, None] + theta * x[None, :]) @ rw
     coarse = mp.evaluate(probe)
-    scale = base.envelope_at(probe) + theta ** base.alpha + 1e-30
+    scale = base.envelope(probe) + theta ** base.alpha + 1e-30
     modulus = (3.0 * kernel.sup_value * base.holder_const
                * (theta / 64.0) ** base.alpha
                * (probe + 1.0) ** (-base.beta))

@@ -51,6 +51,8 @@ ENERGY = 1.0
 # the Lanczos start-vector seed and the sector worker threads when none is given
 SEED = 2024
 THREADS = min(8, os.cpu_count() or 1)
+# the assembly rule: the radial step dr is at most h / STEPS_PER_H
+STEPS_PER_H = 10.0
 
 
 @dataclass(frozen=True)
@@ -136,15 +138,6 @@ class DiscreteOperator:
         off = np.full(self.grid.size - 1, self.offdiag, dtype=complex)
         return off, self.diag_real + 1j * (self.query.sign * self.query.eps), off
 
-    def factor(self):
-        """Factorize once; returns solve(rhs, trans) for trans "N" (A) or "C" (A^H)."""
-        lu = self._lu()
-
-        def solve(rhs, trans="N"):
-            return zgttrs(*lu, rhs, trans=trans)[0]
-
-        return solve
-
     def _lu(self):
         """The zgttrf factors (dl, d, du, du2, ipiv) that zgttrs takes."""
         *lu, info = zgttrf(*self.diagonals())
@@ -164,9 +157,10 @@ def assemble(query, sector, grid_spec):
 
 def _radial_terms(query, grid_spec):
     """Grid r, r**2 and V(r) shared by every sector of one query."""
-    if grid_spec.dr > query.h / 10.0 * (1.0 + 1e-12):
+    if grid_spec.dr > query.h / STEPS_PER_H * (1.0 + 1e-12):
         raise InvalidInputError(
-            f"dr rule violated: dr={grid_spec.dr:g} must be at most h/10={query.h / 10:g}")
+            f"dr rule violated: dr={grid_spec.dr:g} must be at most "
+            f"h/{STEPS_PER_H:g}={query.h / STEPS_PER_H:g}")
     tail = (grid_spec.r_max + 1.0) ** (-2.0 * query.s)
     if tail > grid_spec.tail_tol * (1.0 + 1e-9):
         raise InvalidInputError(
@@ -202,7 +196,6 @@ class NormEstimate:
 
     iterations: int
     residual: float
-    truncation_bound: float
     sector_values: tuple
 
     @property
@@ -287,35 +280,24 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
     Each sector gets one LAPACK tridiagonal factorization (zgttrf) and a
     Lanczos recurrence on W A^{-1} W^2 A^{-H} W until the top Ritz residual
     reaches RESIDUAL_TOL.  ``iterations`` counts the Gram products over all
-    sectors.  Sectors run independently; the reduction over sectors is an
-    ordered max, so results do not depend on the thread count.  The
-    truncation bound is the inverse ellipticity margin of the first
-    neglected sector when that margin is positive, infinite otherwise.
+    sectors.  Sectors run independently on a pool of ``threads`` workers,
+    one worker included; the reduction over sectors is an ordered max, so
+    results do not depend on the thread count.
     """
     if l_max < 0:
         raise InvalidInputError(f"l_max must be nonnegative, got {l_max}")
     if seed < 0:
         raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    if threads < 1:
+        raise InvalidInputError(f"threads must be at least 1, got {threads}")
     terms = _radial_terms(query, grid_spec)
     ops = [_sector_operator(query, AngularSector(query.d, l, query.h), grid_spec, *terms)
            for l in range(l_max + 1)]
-
-    def work(op):
-        return _lanczos_sector_norm(op, seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, ops))
-    else:
-        results = [work(op) for op in ops]
-    values = tuple(res[0] for res in results)
-    iterations = sum(res[1] for res in results)
-    residual = max(res[2] for res in results)
-    lam_next = AngularSector(query.d, l_max + 1, query.h).lambda_value
-    margin = lam_next / grid_spec.r_max ** 2 - query.E
-    truncation = 1.0 / margin if margin > 0 else math.inf
-    return NormEstimate(iterations=iterations, residual=residual,
-                        truncation_bound=truncation, sector_values=values)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda op: _lanczos_sector_norm(op, seed), ops))
+    return NormEstimate(iterations=sum(res[1] for res in results),
+                        residual=max(res[2] for res in results),
+                        sector_values=tuple(res[0] for res in results))
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +333,6 @@ class ConjugatedOperator:
         out[1:] += off * ratio * v[:-1]
         return out
 
-    def apply(self, v):
-        return self._stencil(self.base.diagonals()[1], self.base.offdiag,
-                             self._ratios(), v)
-
     def backward_error(self, u, rhs):
         """Componentwise backward error of the conjugated system."""
         off, ratio = self.base.offdiag, self._ratios()
@@ -366,7 +344,7 @@ class ConjugatedOperator:
 
     def solve(self, rhs):
         """Solve by ungauging: u = exp(phi/h) * (plain solve of exp(-phi/h) rhs)."""
-        w = self.base.factor()(np.exp(-self.phi_over_h) * rhs)
+        w = zgttrs(*self.base._lu(), np.exp(-self.phi_over_h) * rhs)[0]
         return np.exp(self.phi_over_h) * w
 
 
@@ -381,12 +359,11 @@ def assemble_conjugated(query, sector, grid_spec, phase):
 class EnergyTrace:
     """Sector energy functional and the audited flux inequality.
 
-    F_values covers the sector grid r = grid_spec.points(); flux_residuals
-    and residual_tolerance cover its interior nodes r[1:-1], where the
-    centered flux derivative has a full stencil.
+    flux_residuals and residual_tolerance cover the interior nodes r[1:-1]
+    of the sector grid r = grid_spec.points(), where the centered flux
+    derivative has a full stencil.
     """
 
-    F_values: np.ndarray
     flux_residuals: np.ndarray
     residual_tolerance: np.ndarray
     integral_value: float
@@ -448,6 +425,6 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
     # telescoping sum of the central differences: only boundary values survive
     integral = float(np.sum(dmuF) * dr)
     scale = float(np.sum(np.abs(dmuF)) * dr)
-    return EnergyTrace(F_values=F, flux_residuals=residuals,
+    return EnergyTrace(flux_residuals=residuals,
                        residual_tolerance=tol_scale, integral_value=integral,
                        integral_scale=scale)

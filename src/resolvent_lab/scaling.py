@@ -31,8 +31,8 @@ import numpy as np
 
 from .carleman import R_MIN_D2, Certificate, build_phase
 from .errors import AccuracyError, InvalidInputError, ResolventLabError
-from .radial import (SEED, THREADS, AngularSector, UniformGridSpec,
-                     weighted_resolvent_norm)
+from .radial import (SEED, STEPS_PER_H, THREADS, AngularSector,
+                     UniformGridSpec, weighted_resolvent_norm)
 
 LIP = "lipschitz"
 HOL = "holder"
@@ -103,44 +103,23 @@ def _fit_one(kind, alpha, h, g):
 
 
 def fit_models(result, candidates, eps=None, sign=None):
-    """Least-squares fit of measured g against each candidate shape.
+    """Least-squares fit of a sweep's measured g against each candidate shape.
 
-    ``result`` is a SweepResult or a sequence of (h, g) pairs.  Sweep rows
-    are restricted to a single (eps, sign) group: the one given, or the
-    first group in row order with at least four successful rows.  Ties in
-    residual go to the slowest-growing shape.
+    The successful rows of one (eps, sign) group are fitted: the first
+    group in row order with at least four of them, among those matching
+    the ``eps`` and ``sign`` given.  Ties in residual go to the
+    slowest-growing shape.
     """
-    if hasattr(result, "rows"):
-        groups = {}
-        order = []
-        for row in result.rows:
-            if row.status != "ok":
-                continue
-            key = (row.eps, row.sign)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((row.h, row.g_measured))
-        if eps is not None or sign is not None:
-            order = [k for k in order
-                     if (eps is None or k[0] == eps) and (sign is None or k[1] == sign)]
-        chosen = None
-        for key in order:
-            if len(groups[key]) >= 4:
-                chosen = key
-                break
-        if chosen is None:
-            raise InvalidInputError(
-                "fit needs at least 4 successful rows at a single eps")
-        pairs = groups[chosen]
-        eps_used, sign_used = chosen
-    else:
-        pairs = [(float(h), float(g)) for h, g in result]
-        if len(pairs) < 4:
-            raise InvalidInputError("fit needs at least 4 data points")
-        eps_used, sign_used = float("nan"), 0
-    h = np.array([p[0] for p in pairs])
-    g = np.array([p[1] for p in pairs])
+    groups = {}  # in row order: a dict keeps its keys in insertion order
+    for row in result.rows:
+        if row.status == "ok":
+            groups.setdefault((row.eps, row.sign), []).append((row.h, row.g_measured))
+    chosen = next((key for key, pairs in groups.items() if len(pairs) >= 4
+                   and (eps is None or key[0] == eps)
+                   and (sign is None or key[1] == sign)), None)
+    if chosen is None:
+        raise InvalidInputError("fit needs at least 4 successful rows at a single eps")
+    h, g = (np.array(column) for column in zip(*groups[chosen]))
     fits = []
     for cand in candidates:
         kind, alpha = (cand, None) if isinstance(cand, str) else (cand[0], cand[1])
@@ -154,7 +133,7 @@ def fit_models(result, candidates, eps=None, sign=None):
         return num / den, has_log
 
     best = min(tied, key=growth)
-    return FitOutcome(fits=tuple(fits), best=best, eps=eps_used, sign=sign_used)
+    return FitOutcome(fits=tuple(fits), best=best, eps=chosen[0], sign=chosen[1])
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +180,9 @@ def bound_from_certificate(certificate, h_values):
 class GridPolicy:
     """Turns a query into a uniform operator grid and a sector cap.
 
-    The default step h/20 sits a factor two inside the h/10 assembly rule so
-    that halving it moves the measured g by well under 1e-2.
+    The default step h/20 sits a factor two inside the h/10 assembly rule
+    (radial.STEPS_PER_H) so that halving it moves the measured g by well
+    under 1e-2.
     """
 
     tail_tol: float = 1e-4
@@ -214,8 +194,13 @@ class GridPolicy:
     def __post_init__(self):
         if not self.tail_tol > 0:
             raise InvalidInputError(f"tail_tol must be positive, got {self.tail_tol}")
-        if not self.dr_factor > 0:
-            raise InvalidInputError(f"dr_factor must be positive, got {self.dr_factor}")
+        if not 0.0 < self.dr_factor <= 1.0 / STEPS_PER_H:
+            raise InvalidInputError(
+                f"dr_factor must lie in (0, 1/{STEPS_PER_H:g}], got {self.dr_factor}")
+        if self.l_max < 0:
+            raise InvalidInputError(f"l_max must be nonnegative, got {self.l_max}")
+        if not self.r_min >= 0:
+            raise InvalidInputError(f"r_min must be nonnegative, got {self.r_min}")
 
     def r_max_for(self, query):
         r_tail = self.tail_tol ** (-1.0 / (2.0 * query.s)) - 1.0
@@ -267,9 +252,10 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     once, at the first sign in descending order, and that result, success
     or failure, fills the row of every requested sign; the norm does not
     depend on the sign, so the default asks for the + rows only.  Rows
-    whose norm estimate fails are marked and the sweep continues; a sweep
-    with no successful row raises.  Output rows are ordered by (descending
-    h, eps, sign) so runs are reproducible.
+    whose norm estimate fails numerically are marked and the sweep
+    continues; a sweep with no successful row raises AccuracyError, and
+    invalid input (InvalidInputError) ends the sweep at once.  Output rows
+    are ordered by (descending h, eps, sign) so runs are reproducible.
     """
     hs = [float(h) for h in h_values]
     if not hs:
@@ -284,8 +270,6 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     if not signs or any(sign not in (1, -1) for sign in signs):
         raise InvalidInputError(
             f"signs must be a nonempty list of +1 and -1, got {signs!r}")
-    if seed < 0:  # checked here too, or every row would fail on it
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     if grid_policy is None:
         grid_policy = GridPolicy()
     bound = bound_from_certificate(certificate, hs) if certificate else None
@@ -305,6 +289,8 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
                             query, grid_policy.grid_for(query),
                             grid_policy.l_max, seed=seed, threads=threads)
                         measured = (est.g_value, len(est.sector_values), "ok")
+                    except InvalidInputError:
+                        raise
                     except ResolventLabError as exc:
                         measured = (None, 0, f"failed: {exc}")
                 g, sectors, status = measured

@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 import resolvent_lab as rl
-from resolvent_lab.carleman import (CarlemanConfig, GridSpec, PhaseFunction,
-                                    min_ell, search_tau0)
+from resolvent_lab.carleman import CarlemanConfig, GridSpec, min_ell, search_tau0
 from resolvent_lab.errors import InvalidInputError
 from resolvent_lab.potentials import (PotentialModel, REFERENCE_GRID,
                                       holder_seminorm)
 from resolvent_lab.radial import ResolventQuery
-from resolvent_lab.scaling import GridPolicy, sweep
+from resolvent_lab.scaling import GridPolicy, SweepResult, SweepRow, sweep
 
 H_SWEEP = (0.2, 0.15, 0.1, 0.07, 0.05)
-
-# tau = 0 makes the gauge exp(phi/h) identically one, so the conjugated
-# operator's apply is the plain sector matvec
-ZERO_PHASE = PhaseFunction(k=1.0, a=1.0, tau=0.0)
 
 
 def growth_shape(kind, h, alpha=0.5):
@@ -26,6 +21,13 @@ def growth_shape(kind, h, alpha=0.5):
         return 1.0 / h
     power = 4.0 / (alpha + 3.0) if kind == "holder" else 4.0 / 3.0
     return h ** (-power) * np.log(1.0 / h)
+
+
+def measured(h, g, eps=1e-2, sign=1):
+    """(h, g) pairs as the successful rows of one (eps, sign) sweep group."""
+    rows = tuple(SweepRow(float(hv), eps, sign, float(gv), None, 1, 0, 0.0, "ok")
+                 for hv, gv in zip(h, g))
+    return SweepResult(rows=rows, fit=None)
 
 
 def gaussian_bump(center=3.0, width=1.0):

@@ -19,12 +19,13 @@ from resolvent_lab.errors import SearchExhaustedError
 from resolvent_lab.radial import (AngularSector, ResolventQuery,
                                   UniformGridSpec, assemble,
                                   assemble_conjugated, dense_weighted_norm,
-                                  energy_audit, _lanczos_sector_norm)
+                                  energy_audit, _dense_matrix,
+                                  _lanczos_sector_norm)
 from resolvent_lab.scaling import (GridPolicy, fit_models, omega_map,
                                    psi_map, sweep)
 
-from conftest import (H_SWEEP, ZERO_PHASE, conjugate_check, gaussian_bump,
-                      growth_shape)
+from conftest import (H_SWEEP, conjugate_check, gaussian_bump, growth_shape,
+                      measured)
 
 THREADS = 2
 
@@ -97,7 +98,8 @@ def test_criterion_3_two_dimensional_fallback(holder_model):
         cert = search_tau0(cfg, holder_model.envelope, C, GridSpec(), 4096.0,
                            r_min=1.0)
         assert cert.passed
-        assert cert.family("carleman_2d").min_margin >= 0.0
+        margins = {f.name: f.min_margin for f in cert.families}
+        assert margins["carleman_2d"] >= 0.0
         shallow_tau.append(cert.tau0_found)
     steep = CarlemanConfig.holder(0.5, 0.7, 4.0, min_ell(1.0, 4.0, 0.7),
                                   E=1.0, h=0.5, d=2, k=1.0)
@@ -136,12 +138,12 @@ def test_criterion_4_discrete_operator_fidelity(power_law_model):
     for sign in (1, -1):
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=0.5, sign=sign, s=0.6,
                            potential=power_law_model)
-        op = assemble_conjugated(q, AngularSector(3, 1, 0.5), gs, ZERO_PHASE)
-        n = op.grid.size
+        mat = _dense_matrix(assemble(q, AngularSector(3, 1, 0.5), gs))
+        n = mat.shape[0]
         for _ in range(50):
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             lhs = q.eps * np.vdot(f, f).real
-            rhs = sign * np.imag(np.vdot(f, op.apply(f)))
+            rhs = sign * np.imag(np.vdot(f, mat @ f))
             worst = max(worst, abs(lhs - rhs) / lhs)
     assert worst <= 1e-12
     report(4, f"conjugation order {order:.3f}, symmetry identity to {worst:.2e}")
@@ -201,15 +203,15 @@ def test_criterion_7_scaling_shape_recovery(free_sweep):
     h = np.geomspace(0.3, 0.02, 8)
     for kind in ("lipschitz", "holder", "linfty"):
         g = 2.5 * growth_shape(kind, h) + 0.7
-        outcome = fit_models(list(zip(h, g)),
+        outcome = fit_models(measured(h, g),
                              ["lipschitz", ("holder", 0.5), "linfty"])
         match = [f for f in outcome.fits if f.kind == kind][0]
         assert match.C == pytest.approx(2.5, rel=1e-8)
 
-    measured = fit_models(free_sweep, ["lipschitz", ("holder", 0.5), "linfty"])
-    assert measured.best.kind == "lipschitz"
+    free = fit_models(free_sweep, ["lipschitz", ("holder", 0.5), "linfty"])
+    assert free.best.kind == "lipschitz"
     report(7, f"self-fits recover C to 1e-8; free sweep selects "
-              f"{measured.best.kind} (C={measured.best.C:.3g})")
+              f"{free.best.kind} (C={free.best.C:.3g})")
 
 
 def test_criterion_8_corollary_maps():

@@ -169,7 +169,7 @@ class TestAudit:
         # with a vanishing phase the squared-curvature term drops entirely
         assert_allclose(av.B2, 0.0, atol=1e-300)
         assert_allclose(av.B1, (r + 1.0) ** (-cfg.beta) * w(r)
-                        + zero_model.envelope_at(r) * mup, rtol=1e-12)
+                        + zero_model.envelope(r) * mup, rtol=1e-12)
 
     def test_singular_radius_rejected(self, zero_model):
         cfg = CarlemanConfig.lipschitz(2.0, 0.6, 4.0, 9.0, E=1.0, h=0.1)
@@ -182,7 +182,8 @@ class TestCertify:
     def test_monotone_family_nonnegative(self, zero_model):
         cfg = CarlemanConfig.holder(0.5, 0.7, 30.0, 3.5, E=1.0, h=0.1, k=1.0)
         cert = certify(cfg, zero_model.envelope, 6.0)
-        assert cert.family("weight_monotone").min_margin >= 0.0
+        margins = {f.name: f.min_margin for f in cert.families}
+        assert margins["weight_monotone"] >= 0.0
 
     def test_monotone_margin_beyond_cutoff_paper_bound(self, zero_model):
         cfg = CarlemanConfig.holder(0.5, 0.7, 30.0, 3.5, E=1.0, h=0.1, k=1.0)
@@ -310,14 +311,16 @@ class TestCertify:
             k = 1.0 if steep else 0.5
             s = 0.5 + 0.25 * s_frac  # below min(3, beta + 1)/4 = 3/4
             cfg = CarlemanConfig.holder(alpha, s, tau0, h=h, E=E, d=d, k=k)
-            constants = dict(zip(("holder_const", "moment_alpha",
+            mollifier = dict(zip(("holder_const", "moment_alpha",
                                   "moment_alpha_deriv"), moments))
         else:
             s = 0.5 + (0.25 * min(3.0, beta + 1.0) - 0.5) * s_frac
             cfg = CarlemanConfig.lipschitz(beta, s, tau0, h=h, E=E, d=d)
-            constants = None
-        cert = certify(cfg, zero_model.envelope, C, mollifier_constants=constants)
-        cert = replace(cert, search_history=tuple(history), grid=None)
+            mollifier = None
+        cert = certify(cfg, zero_model.envelope, C)
+        # the Hölder kernel constants are attached as the CLI attaches them
+        cert = replace(cert, constants=dict(cert.constants, mollifier=mollifier),
+                       search_history=tuple(history), grid=None)
         text = cert.to_json()
         again = Certificate.from_json(text)
         assert again.to_json() == text

@@ -14,8 +14,10 @@ import scipy
 from hypothesis import given, settings, strategies as st
 
 import resolvent_lab as rl
+from resolvent_lab import scaling
 from resolvent_lab.carleman import Certificate
 from resolvent_lab.cli import _BLOCK_KEYS, main
+from resolvent_lab.errors import AccuracyError
 from resolvent_lab.radial import ResolventQuery
 from resolvent_lab.scaling import GridPolicy, sweep
 
@@ -270,21 +272,71 @@ class TestSweepCommand:
         for name in SWEEP_ARTIFACTS:
             assert not (out / name).exists(), name
 
-    def test_failed_rerun_removes_the_earlier_artifacts(self, tmp_path):
-        out = tmp_path / "out"
+    def good_run(self, tmp_path, out):
+        """A certify, then a sweep into ``out``; returns the sweep's config."""
         cert_cfg = write_config(tmp_path, {"certify": certify_block()}, "cert.json")
         assert main(["certify", "--config", cert_cfg, "--out", str(out)]) == 0
         good = write_config(tmp_path, {"sweep": sweep_block(
             h_values=[0.5, 0.4], eps_values=[1e-2])}, "good.json")
         assert main(["sweep", "--config", good, "--out", str(out)]) == 0
         assert all((out / name).exists() for name in SWEEP_ARTIFACTS)
-        # dr = h/2 breaks the h/10 assembly rule, so every row fails
-        bad = write_config(tmp_path, {"sweep": sweep_block(dr_factor=0.5)}, "bad.json")
-        assert main(["sweep", "--config", bad, "--out", str(out)]) == 2
+        return good
+
+    def test_failed_rerun_removes_the_earlier_artifacts(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        good = self.good_run(tmp_path, out)
+
+        def failing(query, *rest, **kwargs):
+            raise AccuracyError("forced failure")
+
+        # every row fails numerically
+        monkeypatch.setattr(scaling, "weighted_resolvent_norm", failing)
+        assert main(["sweep", "--config", good, "--out", str(out)]) == 2
         for name in SWEEP_ARTIFACTS:
             assert not (out / name).exists(), name
         assert (out / "certificate.json").exists()
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+
+    def test_invalid_rerun_removes_the_earlier_artifacts(self, tmp_path):
+        out = tmp_path / "out"
+        self.good_run(tmp_path, out)
+        # dr = h/2 breaks the h/10 assembly rule
+        bad = write_config(tmp_path, {"sweep": sweep_block(dr_factor=0.5)}, "bad.json")
+        assert main(["sweep", "--config", bad, "--out", str(out)]) == 1
+        for name in SWEEP_ARTIFACTS:
+            assert not (out / name).exists(), name
+        assert (out / "certificate.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"sweep": sweep_block(bogus=1)},  # an unknown key: the config fails to load
+        {"certify": certify_block()},  # no sweep block
+    ])
+    def test_failed_config_load_removes_the_earlier_outputs(self, tmp_path, doc):
+        out = tmp_path / "out"
+        self.good_run(tmp_path, out)
+        bad = write_config(tmp_path, doc, "bad.json")
+        assert main(["sweep", "--config", bad, "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["certificate.json"]
+
+    def test_rerun_from_the_manifest_in_out_keeps_it(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"sweep": sweep_block(
+            h_values=[0.5, 0.4], eps_values=[1e-2])})
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        manifest = (out / "manifest.json").read_text()
+        summary = (out / "summary.json").read_text()
+        assert main(["sweep", "--config", str(out / "manifest.json"),
+                     "--out", str(out)]) == 0
+        assert (out / "manifest.json").read_text() == manifest
+        assert (out / "summary.json").read_text() == summary
+        # a manifest that no longer loads is left in place, not removed
+        broken = manifest.replace('"sweep": {', '"sweep": {"bogus": 1, ', 1)
+        (out / "manifest.json").write_text(broken)
+        assert main(["sweep", "--config", str(out / "manifest.json"),
+                     "--out", str(out)]) == 1
+        assert (out / "manifest.json").read_text() == broken
+        assert not (out / "summary.json").exists()
 
 
 class TestMollifyCommand:
@@ -418,11 +470,19 @@ def _without(block, key):
     ("convert", {"convert": {"map": "omega", "class": "linfty", "values": [8.886e6],
                              "alpha": 0.5}}, "convert.alpha"),
     ("convert", {"convert": dict(CONVERT_BLOCK, **{"class": "holder"})}, "'alpha'"),
+    # values out of range; a command may carry its options
+    ("sweep", {"sweep": sweep_block(dr_factor=0.2)}, "dr_factor"),
+    ("sweep", {"sweep": sweep_block(l_max=-1)}, "l_max"),
+    ("sweep", {"sweep": sweep_block(r_min=-1)}, "r_min"),
+    ("sweep", {"sweep": sweep_block(d=2, r_min=-1)}, "r_min"),
+    ("certify", {"certify": certify_block(r_min=-1)}, "r_min"),
+    ("mollify", {"mollify": {"thetas": [0.1], "r_max": -5}}, "mollify.r_max"),
+    ("sweep --threads 0", {"sweep": sweep_block()}, "threads"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):
     cfg = write_config(tmp_path, doc)
-    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert main([*command.split(), "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid input:") and named in err
 

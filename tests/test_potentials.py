@@ -146,7 +146,7 @@ class TestMollify:
         c = 0.7
         shifted = PotentialModel(
             "shifted", lambda r: holder_model(np.asarray(r) + c),
-            lambda r: holder_model.envelope_at(np.asarray(r) + c),
+            lambda r: holder_model.envelope(np.asarray(r) + c),
             alpha=holder_model.alpha, beta=holder_model.beta,
             holder_const=holder_model.holder_const)
         theta = 0.03
@@ -179,7 +179,16 @@ class TestMollify:
         model = rl.build_potential(name, params)
         smoothed = mollify(model, kernel, theta)
         grid = np.linspace(0.0, 12.0, 2001)
-        smoothed.check_invariants(grid)
+        # the smoothing-error, derivative and lifted-envelope bounds, with the
+        # provable constants times 1.5 for grid and measurement effects
+        hc = model.holder_const
+        m_a = kernel.moment_alpha(model.alpha)
+        assert smoothed.error_ratio(grid) <= hc * m_a * 1.5 + 1e-300
+        assert (smoothed.deriv_ratio(grid)
+                <= hc * kernel.moment_alpha_deriv(model.alpha) * 1.5 + 1e-300)
+        ceiling = (model.envelope(grid)
+                   + hc * m_a * theta ** model.alpha * (grid + 1.0) ** (-model.beta))
+        assert np.all(smoothed.evaluate(grid) <= ceiling * (1.0 + 1e-12) + 1e-300)
 
     def test_error_ratio_stable_across_decades(self, kernel):
         model = rl.build_potential("holder_bump", {"c": 1.0, "alpha": 0.5, "freq": 1.0})
@@ -288,7 +297,7 @@ class TestModels:
 
     def test_envelope_dominates_everywhere(self, barrier_model):
         r = REFERENCE_GRID
-        assert np.all(barrier_model(r) <= barrier_model.envelope_at(r) * (1 + 1e-12))
+        assert np.all(barrier_model(r) <= barrier_model.envelope(r) * (1 + 1e-12))
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(InvalidInputError, match="power_law"):

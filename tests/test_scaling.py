@@ -14,7 +14,7 @@ from resolvent_lab.radial import ResolventQuery
 from resolvent_lab.scaling import (SweepResult, SweepRow, bound_from_certificate,
                                    fit_models, omega_map, psi_map, sweep)
 
-from conftest import cheap_policy, growth_shape
+from conftest import cheap_policy, growth_shape, measured
 
 
 def synthetic_certificate(config, C_used=6.0):
@@ -77,8 +77,8 @@ class TestCertifiedBound:
 class TestFit:
     def test_recovers_lipschitz_generator(self):
         h = np.array([0.2, 0.15, 0.1, 0.07, 0.05])
-        data = list(zip(h, 3.0 / h))
-        outcome = fit_models(data, ["lipschitz", ("holder", 0.5), "linfty"])
+        outcome = fit_models(measured(h, 3.0 / h),
+                             ["lipschitz", ("holder", 0.5), "linfty"])
         lip = [f for f in outcome.fits if f.kind == "lipschitz"][0]
         assert lip.C == pytest.approx(3.0, rel=1e-10)
         assert lip.residual < 1e-10
@@ -88,7 +88,7 @@ class TestFit:
                                             ("holder", 0.5), ("linfty", None)])
     def test_recovers_each_generator_to_high_accuracy(self, kind, alpha):
         h = np.array([0.3, 0.2, 0.15, 0.1, 0.07, 0.05])
-        data = list(zip(h, 2.0 * growth_shape(kind, h, alpha) + 1.0))
+        data = measured(h, 2.0 * growth_shape(kind, h, alpha) + 1.0)
         cands = ["lipschitz", ("holder", 0.5), "linfty"]
         outcome = fit_models(data, cands)
         match = [f for f in outcome.fits if f.kind == kind][0]
@@ -101,22 +101,22 @@ class TestFit:
         shape = h ** (-4.0 / 3.5) * np.log(1.0 / h)
         g = 2.0 * shape + 1.0
         g = g * (1.0 + 0.01 * rng.standard_normal(h.size))
-        outcome = fit_models(list(zip(h, g)), [("holder", 0.5), "lipschitz", "linfty"])
+        outcome = fit_models(measured(h, g), [("holder", 0.5), "lipschitz", "linfty"])
         assert outcome.best.kind == "holder"
         assert outcome.best.C == pytest.approx(2.0, rel=0.05)
 
     def test_constant_data_is_degenerate(self):
         h = np.array([0.2, 0.15, 0.1, 0.05])
-        outcome = fit_models(list(zip(h, np.full(4, 3.0))),
+        outcome = fit_models(measured(h, np.full(4, 3.0)),
                              ["lipschitz", ("holder", 0.5), "linfty"])
         assert outcome.degenerate
 
     def test_needs_four_rows(self):
         with pytest.raises(InvalidInputError):
-            fit_models([(0.2, 1.0), (0.1, 2.0), (0.05, 3.0)], ["lipschitz"])
+            fit_models(measured([0.2, 0.1, 0.05], [1.0, 2.0, 3.0]), ["lipschitz"])
 
     def test_holder_alpha_outside_class_rejected_like_the_maps(self):
-        data = [(0.2, 1.0), (0.15, 2.0), (0.1, 3.0), (0.05, 4.0)]
+        data = measured([0.2, 0.15, 0.1, 0.05], [1.0, 2.0, 3.0, 4.0])
         for call in (lambda: fit_models(data, [("holder", 1.5)]),
                      lambda: psi_map("holder", [2.0], 1.0, alpha=1.5),
                      lambda: omega_map("holder", [100.0], alpha=1.5)):
@@ -163,13 +163,26 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             sweep(template, [0.1, 0.2], [1e-2], cheap_policy())
 
-    def test_fully_failed_sweep_raises(self, zero_model):
+    def test_fully_failed_sweep_raises(self, zero_model, monkeypatch):
         template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
                                   potential=zero_model)
-        # a step above the h/10 assembly rule fails every row
-        bad = cheap_policy(dr_factor=0.11)
+
+        def failing(query, *rest, **kwargs):
+            raise AccuracyError("forced failure")
+
+        monkeypatch.setattr(scaling, "weighted_resolvent_norm", failing)
         with pytest.raises(AccuracyError, match="every sweep row"):
-            sweep(template, [0.5, 0.4, 0.3, 0.25], [1e-2], bad, signs=(1,))
+            sweep(template, [0.5, 0.4, 0.3, 0.25], [1e-2], cheap_policy(),
+                  signs=(1,))
+        # a step above the h/10 assembly rule is invalid input, not a failed row
+        with pytest.raises(InvalidInputError, match="dr_factor"):
+            cheap_policy(dr_factor=0.11)
+
+    def test_invalid_input_in_a_row_ends_the_sweep(self, zero_model):
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=zero_model)
+        with pytest.raises(InvalidInputError, match="threads"):
+            sweep(template, [0.2, 0.1], [1e-2], cheap_policy(), threads=0)
 
     def test_bound_column_and_verdict(self, zero_model):
         cfg = CarlemanConfig.lipschitz(3.0, 0.6, 4.0, min_ell(0.25, 3.0, 0.6),
