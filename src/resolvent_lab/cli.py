@@ -389,13 +389,15 @@ def main(argv=None):
         p.add_argument("--out", default=".")
         if name == "sweep":
             p.add_argument("--threads", type=int,
-                           help="sector worker threads (default: radial.THREADS)")
+                           help="sector worker threads (default: potentials.THREADS)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_INVALID if exc.code else EXIT_OK
     out_dir, doc = Path(args.out), None
     try:
+        if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+            raise InvalidInputError(f"--out {args.out!r} is not a directory")
         # before the config loads, so that no failed run leaves an earlier
         # run's outputs behind; the config may be the manifest in --out
         config_path = Path(args.config).resolve()

@@ -30,7 +30,6 @@ to zero when u decays at both ends.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,7 +39,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import (AccuracyError, EvaluationError, InvalidInputError,
                      SingularMatrixError)
-from .potentials import PotentialModel
+from .potentials import THREADS, PotentialModel
 
 LANCZOS_STEP_CAP = 1_000
 RESIDUAL_TOL = 1e-6
@@ -48,9 +47,8 @@ RESIDUAL_TOL = 1e-6
 # Carleman certificate a sweep is checked against
 DIMENSION = 3
 ENERGY = 1.0
-# the Lanczos start-vector seed and the sector worker threads when none is given
+# the Lanczos start-vector seed when none is given
 SEED = 2024
-THREADS = min(8, os.cpu_count() or 1)
 # the assembly rule: the radial step dr is at most h / STEPS_PER_H
 STEPS_PER_H = 10.0
 
@@ -108,8 +106,11 @@ class UniformGridSpec:
     r_min: float = 0.0
     tail_tol: float = 1e-4
 
+    def _interior_count(self):
+        return int(math.ceil((self.r_max - self.r_min) / self.dr - 1e-9)) - 1
+
     def points(self):
-        n = int(math.ceil((self.r_max - self.r_min) / self.dr - 1e-9)) - 1
+        n = self._interior_count()
         if n < 3:
             raise InvalidInputError("grid needs at least 3 interior points")
         return self.r_min + self.dr * np.arange(1, n + 1)
@@ -207,6 +208,15 @@ def _weight_vector(grid, s):
     return (grid + 1.0) ** (-s)
 
 
+def _real_dot(x, y):
+    """Re <x, y> of two contiguous complex vectors, summed on one thread.
+
+    einsum over the interleaved real views adds in a fixed order, where
+    BLAS zdotc and dznrm2 split long vectors across their own threads.
+    """
+    return float(np.einsum("i,i", x.view(float), y.view(float)))
+
+
 def _lanczos_sector_norm(op, seed):
     """Top singular value of W A^{-1} W by Lanczos on its Gram operator.
 
@@ -218,7 +228,9 @@ def _lanczos_sector_norm(op, seed):
     sqrt(theta), the number of Gram products and the residual.
 
     The four working vectors (r, a scratch vector, q and q_prev) are
-    allocated once; each step multiplies and solves in place in them.
+    allocated once; each step multiplies and solves in place in them.  The
+    inner products and norms go through _real_dot, so the result does not
+    depend on the BLAS thread count.
     """
     lu = op._lu()
     w = _weight_vector(op.grid, op.query.s)
@@ -226,7 +238,7 @@ def _lanczos_sector_norm(op, seed):
     q = np.empty(op.grid.size, dtype=complex)
     q.real = rng.standard_normal(op.grid.size)
     q.imag = rng.standard_normal(op.grid.size)
-    q /= np.linalg.norm(q)
+    q /= math.sqrt(_real_dot(q, q))
     q_prev = np.zeros_like(q)
     r = np.empty_like(q)
     tmp = np.empty_like(q)
@@ -242,11 +254,11 @@ def _lanczos_sector_norm(op, seed):
         r *= w
         zgttrs(*lu, r, trans="C", overwrite_b=True)
         r *= w
-        alpha = float(np.vdot(q, r).real)
+        alpha = _real_dot(q, r)
         r -= np.multiply(alpha, q, out=tmp)
         r -= np.multiply(beta, q_prev, out=tmp)
         alphas.append(alpha)
-        beta = float(np.linalg.norm(r))
+        beta = math.sqrt(_real_dot(r, r))
         theta, s = sla.eigh_tridiagonal(alphas, betas, select="i",
                                         select_range=(k - 1, k - 1))
         theta = float(theta[0])

@@ -212,9 +212,15 @@ class GridPolicy:
         r_min = self.r_min
         if query.d == 2 and r_min <= 0.0:
             r_min = R_MIN_D2
-        return UniformGridSpec(dr=self.dr_factor * query.h,
+        spec = UniformGridSpec(dr=self.dr_factor * query.h,
                                r_max=self.r_max_for(query),
                                r_min=r_min, tail_tol=self.tail_tol)
+        if spec._interior_count() < 3:
+            raise InvalidInputError(
+                f"grid needs at least 3 interior points: r_max={spec.r_max:g}, "
+                f"set by tail_tol, l_max and r_max_floor, leaves none past "
+                f"r_min={r_min:g} at h={query.h:g}")
+        return spec
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import scipy
 from hypothesis import given, settings, strategies as st
 
 import resolvent_lab as rl
-from resolvent_lab import scaling
+from resolvent_lab import potentials, scaling
 from resolvent_lab.carleman import Certificate
 from resolvent_lab.cli import _BLOCK_KEYS, main
 from resolvent_lab.errors import AccuracyError
@@ -23,6 +23,12 @@ from resolvent_lab.scaling import GridPolicy, sweep
 
 
 SWEEP_ARTIFACTS = ("sweep.csv", "summary.json", "plotdata.tsv")
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config():
+    """The example config of the README, its first JSON block."""
+    return json.loads(re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -374,6 +380,17 @@ class TestMollifyCommand:
         err = capsys.readouterr().err
         assert "barrier_well" in err and "zero" in err
 
+    def test_readme_table_does_not_depend_on_the_pool_size(self, tmp_path,
+                                                           monkeypatch):
+        cfg = write_config(tmp_path, readme_config())
+        tables = []
+        for threads in (1, 2):
+            monkeypatch.setattr(potentials, "THREADS", threads)
+            out = tmp_path / f"out{threads}"
+            assert main(["mollify", "--config", cfg, "--out", str(out)]) == 0
+            tables.append((out / "mollify.tsv").read_bytes())
+        assert tables[0] == tables[1]
+
 
 class TestConvertCommand:
     def test_psi_lipschitz_values(self, tmp_path):
@@ -478,6 +495,9 @@ def _without(block, key):
     ("certify", {"certify": certify_block(r_min=-1)}, "r_min"),
     ("mollify", {"mollify": {"thetas": [0.1], "r_max": -5}}, "mollify.r_max"),
     ("sweep --threads 0", {"sweep": sweep_block()}, "threads"),
+    # a tail_tol above 1 leaves r_max = 0 when l_max and r_max_floor add nothing
+    ("sweep", {"sweep": {"s": 0.6, "h_values": [0.5], "tail_tol": 2.0, "l_max": 0}},
+     "tail_tol, l_max and r_max_floor"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):
@@ -549,6 +569,16 @@ class TestTopLevel:
         cfg = write_config(tmp_path, {"certify": certify_block()})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_under_a_file_exits_one(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("kept\n")
+        cfg = write_config(tmp_path, {"convert": CONVERT_BLOCK})
+        out = str(tmp_path / out)
+        assert main(["convert", "--config", cfg, "--out", out]) == 1
+        assert f"--out {out!r}" in capsys.readouterr().err
+        assert (tmp_path / "afile").read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
     def test_missing_file(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
@@ -588,7 +618,7 @@ def _dotted_keys(types, prefix):
 
 
 def test_readme_key_table_lists_exactly_the_config_keys():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     table = readme[readme.index("| key | type |"):]
     table = table[:table.index("\n\n")].splitlines()[2:]
     keys = {"seed"} | {key for command, types in _BLOCK_KEYS.items()

@@ -2,6 +2,7 @@ import math
 import os
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 import resolvent_lab as rl
+from resolvent_lab import potentials
 from resolvent_lab.errors import (AccuracyError, EvaluationError,
                                   InvalidInputError)
 from resolvent_lab.potentials import (_BLOCK_ROWS, MollifierKernel,
@@ -210,25 +212,46 @@ def whole_window(smoothed, r, deriv):
 
 # the verify_mix audit grid size
 AUDIT_POINTS = 166_360
+# worker counts of the row-block pool: serial, the benchmark machine's, the cap
+POOL_SIZES = (1, 2, 8)
 
 
 class TestBlockedEvaluation:
+    # pool sizes are looped inside each test, not parametrized, which keeps
+    # the test ids stable; two blocks are one per worker of a 2-pool
     @pytest.mark.parametrize("deriv", [False, True])
     @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
-                                   _BLOCK_ROWS + 1, AUDIT_POINTS])
-    def test_matches_whole_window(self, kernel, n, deriv):
+                                   _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS - 1,
+                                   2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 7, AUDIT_POINTS])
+    def test_matches_whole_window(self, kernel, monkeypatch, n, deriv):
         model = rl.build_potential("holder_bump", {"c": 1.0, "alpha": 0.3, "freq": 2.0})
         smoothed = mollify(model, kernel, 0.01)
         r = np.linspace(0.0, 10.0, n)
-        got = (smoothed.evaluate_deriv if deriv else smoothed.evaluate)(r)
         ref = whole_window(smoothed, r, deriv)
-        assert got.shape == ref.shape == (n,)
-        if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
-            # each row is the same dot product, so blocking changes no bit
-            assert np.array_equal(got, ref)
-        elif n:
-            # a threaded gemv may split a row's sum differently
-            assert np.max(np.abs(got - ref)) <= 4e-16 * np.max(np.abs(ref))
+        for threads in POOL_SIZES:
+            monkeypatch.setattr(potentials, "THREADS", threads)
+            got = (smoothed.evaluate_deriv if deriv else smoothed.evaluate)(r)
+            assert got.shape == ref.shape == (n,)
+            if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+                # each row is the same dot product, so neither blocking nor
+                # the worker that computes it changes a bit
+                assert np.array_equal(got, ref), threads
+            elif n:
+                # a threaded gemv may split a row's sum differently
+                assert np.max(np.abs(got - ref)) <= 4e-16 * np.max(np.abs(ref))
+
+    def test_an_error_in_a_worker_reaches_the_caller(self, kernel, holder_model):
+        def failing(r):
+            if np.max(r) > 9.0:
+                raise EvaluationError("V failed past r=9")
+            return holder_model.evaluate(r)
+
+        smoothed = rl.MollifiedPotential(replace(holder_model, evaluate=failing),
+                                         kernel, 0.05)
+        r = np.linspace(0.0, 10.0, 3 * _BLOCK_ROWS)
+        with pytest.raises(EvaluationError, match="past r=9"):
+            smoothed.evaluate(r)
 
     def test_scalar_input_gives_a_float(self, kernel, holder_model):
         smoothed = mollify(holder_model, kernel, 0.05)
@@ -237,19 +260,22 @@ class TestBlockedEvaluation:
             assert isinstance(value, float)
             assert value == whole_window(smoothed, 1.2345, deriv)[0]
 
-    def test_memory_does_not_grow_with_the_grid(self, kernel):
+    def test_memory_does_not_grow_with_the_grid(self, kernel, monkeypatch):
         model = rl.build_potential("holder_bump", {"c": 1.0, "alpha": 0.3, "freq": 2.0})
         smoothed = mollify(model, kernel, 0.01)
         r = np.linspace(0.0, 10.0, AUDIT_POINTS)
-        tracemalloc.start()
-        try:
-            smoothed.evaluate(r)
-            smoothed.evaluate_deriv(r)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks = {}
+        for threads in POOL_SIZES:
+            monkeypatch.setattr(potentials, "THREADS", threads)
+            tracemalloc.start()
+            try:
+                smoothed.evaluate(r)
+                smoothed.evaluate_deriv(r)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         # one whole n x 64 window would take 85 MB per temporary
-        assert peak < 16e6, peak
+        assert max(peaks.values()) < 16e6, peaks
 
 
 class TestThetaFor:

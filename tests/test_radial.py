@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +189,30 @@ class TestNorms:
                                         threads=threads)
             # every field bit for bit: sector values, iterations and residual
             assert a == b
+
+    def test_blas_threads_do_not_change_result(self):
+        # the h=0.1 row of perfbench's readme_sweep config: 13,794 points,
+        # long enough for OpenBLAS to split a vector reduction across threads
+        script = textwrap.dedent("""
+            import resolvent_lab as rl
+            from resolvent_lab.scaling import GridPolicy
+            policy = GridPolicy(tail_tol=1e-3, dr_factor=0.1, l_max=8)
+            query = rl.ResolventQuery(h=0.1, eps=1e-2, sign=1, s=0.7,
+                                      potential=rl.build_potential("barrier_well"))
+            est = rl.weighted_resolvent_norm(query, policy.grid_for(query),
+                                             policy.l_max, threads=2)
+            print(repr(est.sector_values), est.iterations, repr(est.residual))
+        """)
+        src = os.path.dirname(os.path.dirname(rl.__file__))
+        outputs = []
+        for blas in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=blas,
+                       OMP_NUM_THREADS=blas)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_doubling_eps_does_not_increase_norm(self, power_law_model):
         gs = small_grid(3)
