@@ -312,6 +312,13 @@ def _cmd_sweep(block, out_dir, **run_kw):
             result = replace(result, fit=outcome)
         except InvalidInputError as exc:
             print(f"fit skipped: {exc}", file=sys.stderr)
+        else:
+            best = outcome.best
+            if best is None:
+                print("fit: no growth")
+            else:
+                alpha = "" if best.alpha is None else f" {best.alpha:g}"
+                print(f"fit: {best.kind}{alpha} C={best.C:.6g}")
     write_sweep_csv(result, Path(out_dir) / "sweep.csv")
     write_summary_json(result, Path(out_dir) / "summary.json")
     write_plotdata_tsv(result, Path(out_dir) / "plotdata.tsv")

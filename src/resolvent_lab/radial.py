@@ -13,10 +13,10 @@ Lanczos recurrence on the Hermitian Gram product, which allocates its
 vectors once per sector and multiplies and solves in them in place.  Each
 sector is factorized once by the LAPACK tridiagonal LU (zgttrf), whose
 factors solve with A and with A^H (zgttrs); the same factors serve the
-phase-conjugated solve of the energy audit.  A dense singular-value oracle
-is kept alongside for verification.  The norm is the same for both signs of
-eps (A_- is the entrywise conjugate of A_+ and W is real), so sweeps
-measure one sign.
+phase-conjugated solve of the energy audit and the dense singular-value
+oracle kept alongside for verification.  The norm is the same for both
+signs of eps (A_- is the entrywise conjugate of A_+ and W is real), so
+sweeps measure one sign.
 
 The energy audit evaluates, for a solution u of the phase-conjugated system,
 
@@ -273,16 +273,15 @@ def _lanczos_sector_norm(op, seed):
         f"{LANCZOS_STEP_CAP} steps (sector l={op.sector.l})", residual=res)
 
 
-def _dense_matrix(op):
-    dl, d, du = op.diagonals()
-    return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
-
-
 def dense_weighted_norm(query, sector, grid_spec):
-    """Full singular-value oracle for one sector; dense, small grids only."""
+    """Full singular-value oracle for one sector; dense, small grids only.
+
+    A^{-1} W comes from the sector's own zgttrf factors, solved against
+    the n columns of diag(w); only the singular values are dense.
+    """
     op = assemble(query, sector, grid_spec)
     w = _weight_vector(op.grid, query.s)
-    inv_w = sla.solve(_dense_matrix(op), np.diag(w))
+    inv_w = zgttrs(*op._lu(), np.diag(w))[0]
     return float(sla.svdvals(w[:, None] * inv_w)[0])
 
 

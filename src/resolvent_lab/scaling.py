@@ -81,14 +81,16 @@ class FitResult:
 
 @dataclass(frozen=True)
 class FitOutcome:
+    """The fits of every candidate; ``best`` is None when none shows growth."""
+
     fits: tuple
-    best: FitResult
+    best: Optional[FitResult]
     eps: float
     sign: int
 
     @property
     def degenerate(self):
-        return all(f.degenerate for f in self.fits)
+        return self.best is None
 
 
 def _fit_one(kind, alpha, h, g):
@@ -107,8 +109,10 @@ def fit_models(result, candidates, eps=None, sign=None):
 
     The successful rows of one (eps, sign) group are fitted: the first
     group in row order with at least four of them, among those matching
-    the ``eps`` and ``sign`` given.  Ties in residual go to the
-    slowest-growing shape.
+    the ``eps`` and ``sign`` given.  ``best`` is the fit of least
+    residual among the non-degenerate ones, whose growth C * span clears
+    the threshold (so C > 0), with ties going to the slowest-growing
+    shape; when every fit is degenerate it is None: no growth.
     """
     groups = {}  # in row order: a dict keeps its keys in insertion order
     for row in result.rows:
@@ -124,15 +128,16 @@ def fit_models(result, candidates, eps=None, sign=None):
     for cand in candidates:
         kind, alpha = (cand, None) if isinstance(cand, str) else (cand[0], cand[1])
         fits.append(_fit_one(kind, alpha, h, g))
-    best_res = min(f.residual for f in fits)
+    growing = [f for f in fits if not f.degenerate]
+    best_res = min((f.residual for f in growing), default=math.inf)
     tol = 1e-9 * (1.0 + best_res)
-    tied = [f for f in fits if f.residual <= best_res + tol]
+    tied = [f for f in growing if f.residual <= best_res + tol]
 
     def growth(fit):
         num, den, has_log = _growth_law(fit.kind, fit.alpha)
         return num / den, has_log
 
-    best = min(tied, key=growth)
+    best = min(tied, key=growth, default=None)
     return FitOutcome(fits=tuple(fits), best=best, eps=chosen[0], sign=chosen[1])
 
 
@@ -341,12 +346,11 @@ def write_summary_json(result, path):
         "fit": None,
     }
     if result.fit is not None:
+        best = result.fit.best
         doc["fit"] = {
-            "best": {"kind": result.fit.best.kind,
-                     "alpha": result.fit.best.alpha,
-                     "C": result.fit.best.C,
-                     "intercept": result.fit.best.intercept,
-                     "residual": result.fit.best.residual},
+            "best": None if best is None else {
+                "kind": best.kind, "alpha": best.alpha, "C": best.C,
+                "intercept": best.intercept, "residual": best.residual},
             "candidates": [
                 {"kind": f.kind, "alpha": f.alpha, "C": f.C,
                  "intercept": f.intercept, "residual": f.residual,

@@ -30,6 +30,23 @@ def measured(h, g, eps=1e-2, sign=1):
     return SweepResult(rows=rows, fit=None)
 
 
+def dense_matrix(op):
+    """The sector operator's tridiagonal matrix as a dense array."""
+    dl, d, du = op.diagonals()
+    return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+
+
+def two_pass_ratios(smoothed, grid):
+    """(error ratio, derivative ratio) by two full passes: V_theta, then V_theta'."""
+    r = np.asarray(grid, dtype=float)
+    weight = (r + 1.0) ** smoothed.base.beta
+    alpha, theta = smoothed.base.alpha, smoothed.theta
+    err = np.abs(smoothed.base(r) - smoothed.evaluate(r))
+    der = np.abs(smoothed.evaluate_deriv(r))
+    return (float(np.max(err * weight)) / theta ** alpha,
+            float(np.max(der * weight)) / theta ** (alpha - 1.0))
+
+
 def gaussian_bump(center=3.0, width=1.0):
     """Smooth localized radial test function with analytic derivatives."""
 

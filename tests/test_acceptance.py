@@ -19,13 +19,12 @@ from resolvent_lab.errors import SearchExhaustedError
 from resolvent_lab.radial import (AngularSector, ResolventQuery,
                                   UniformGridSpec, assemble,
                                   assemble_conjugated, dense_weighted_norm,
-                                  energy_audit, _dense_matrix,
-                                  _lanczos_sector_norm)
+                                  energy_audit, _lanczos_sector_norm)
 from resolvent_lab.scaling import (GridPolicy, fit_models, omega_map,
                                    psi_map, sweep)
 
-from conftest import (H_SWEEP, conjugate_check, gaussian_bump, growth_shape,
-                      measured)
+from conftest import (H_SWEEP, conjugate_check, dense_matrix, gaussian_bump,
+                      growth_shape, measured)
 
 THREADS = 2
 
@@ -138,7 +137,7 @@ def test_criterion_4_discrete_operator_fidelity(power_law_model):
     for sign in (1, -1):
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=0.5, sign=sign, s=0.6,
                            potential=power_law_model)
-        mat = _dense_matrix(assemble(q, AngularSector(3, 1, 0.5), gs))
+        mat = dense_matrix(assemble(q, AngularSector(3, 1, 0.5), gs))
         n = mat.shape[0]
         for _ in range(50):
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)

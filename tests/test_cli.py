@@ -21,6 +21,8 @@ from resolvent_lab.errors import AccuracyError
 from resolvent_lab.radial import ResolventQuery
 from resolvent_lab.scaling import GridPolicy, sweep
 
+from conftest import two_pass_ratios
+
 
 SWEEP_ARTIFACTS = ("sweep.csv", "summary.json", "plotdata.tsv")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -187,6 +189,25 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert "fit skipped: holder class needs alpha in (0, 1)" in capsys.readouterr().err
         assert json.loads((tmp_path / "summary.json").read_text())["fit"] is None
+
+    @pytest.mark.parametrize("potential,h_values,line", [
+        ({"name": "zero"}, [0.5, 0.4, 0.3, 0.25, 0.2], "fit: linfty C=0.00280422"),
+        # g falls as h falls, so every candidate's C is negative
+        ({"name": "holder_bump"}, [0.5, 0.45, 0.4, 0.3], "fit: no growth"),
+    ])
+    def test_fit_line_names_the_best_class_or_no_growth(self, tmp_path, capsys,
+                                                        potential, h_values, line):
+        fit = {"candidates": [["lipschitz"], ["holder", 0.5], ["linfty"]]}
+        block = sweep_block(potential=potential, h_values=h_values,
+                            eps_values=[1e-2], fit=fit)
+        cfg = write_config(tmp_path, {"sweep": block})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+        doc = json.loads((tmp_path / "summary.json").read_text())["fit"]
+        growing = [c for c in doc["candidates"] if c["C"] > 0]
+        assert doc["degenerate"] is (doc["best"] is None) is (not growing)
+        if doc["best"] is not None:
+            assert doc["best"]["kind"] == line.split()[1]
 
     def test_missing_certificate_exits_one(self, tmp_path):
         block = sweep_block(certificate=str(tmp_path / "nope.json"))
@@ -390,6 +411,20 @@ class TestMollifyCommand:
             assert main(["mollify", "--config", cfg, "--out", str(out)]) == 0
             tables.append((out / "mollify.tsv").read_bytes())
         assert tables[0] == tables[1]
+
+    def test_readme_table_equals_the_two_pass_ratios(self, tmp_path):
+        doc = readme_config()
+        block = doc["mollify"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["mollify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        model = rl.build_potential(block["potential"]["name"],
+                                   {**block["potential"]["params"], "alpha": block["alpha"]})
+        grid = np.linspace(0.0, 10.0, 4001)  # the table's default grid
+        lines = ["theta\terror_ratio\tderiv_ratio"]
+        for theta in block["thetas"]:
+            err, der = two_pass_ratios(rl.mollify(model, rl.bump_kernel(), theta), grid)
+            lines.append(f"{float(theta)!r}\t{err!r}\t{der!r}")
+        assert (tmp_path / "mollify.tsv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestConvertCommand:

@@ -19,6 +19,8 @@ from resolvent_lab.potentials import (_BLOCK_ROWS, MollifierKernel,
                                       barrier_well, holder_seminorm, mollify,
                                       theta_for)
 
+from conftest import two_pass_ratios
+
 
 def brute_force_seminorm(f, alpha, beta, grid):
     """Independent quadratic-time oracle over all ordered pairs."""
@@ -276,6 +278,72 @@ class TestBlockedEvaluation:
                 tracemalloc.stop()
         # one whole n x 64 window would take 85 MB per temporary
         assert max(peaks.values()) < 16e6, peaks
+
+
+BUILT_IN = [("zero", {}), ("power_law", {"c": 0.5, "delta": 1.0}),
+            ("holder_bump", {"c": 1.0, "alpha": 0.3, "freq": 2.0}),
+            ("barrier_well", {})]
+
+
+def counting(model):
+    """``model`` with an evaluate that records the size of every call."""
+    sizes = []
+
+    def evaluate(r):
+        sizes.append(np.size(r))  # list.append is atomic across the workers
+        return model.evaluate(r)
+
+    return replace(model, evaluate=evaluate), sizes
+
+
+class TestRatios:
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 13, 3 * _BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("name,params", BUILT_IN)
+    def test_one_pass_equals_two_passes(self, kernel, monkeypatch, name, params, n):
+        smoothed = mollify(rl.build_potential(name, params), kernel, 0.01)
+        grid = np.linspace(0.0, 10.0, n)
+        ref = two_pass_ratios(smoothed, grid)
+        for threads in (1, 3):
+            monkeypatch.setattr(potentials, "THREADS", threads)
+            fresh = rl.MollifiedPotential(smoothed.base, kernel, smoothed.theta)
+            assert (fresh.error_ratio(grid), fresh.deriv_ratio(grid)) == ref, threads
+            fresh = rl.MollifiedPotential(smoothed.base, kernel, smoothed.theta)
+            assert (fresh.deriv_ratio(grid), fresh.error_ratio(grid)) == ref[::-1], threads
+
+    def test_equal_grid_evaluates_nothing(self, kernel, holder_model):
+        model, sizes = counting(holder_model)
+        smoothed = rl.MollifiedPotential(model, kernel, 0.01)
+        grid = np.linspace(0.0, 10.0, 3 * _BLOCK_ROWS)
+        err = smoothed.error_ratio(grid)
+        # one window pass: 64 nodes and the row itself per grid point
+        assert sum(sizes) == 65 * grid.size
+        sizes.clear()
+        pair = (smoothed.error_ratio(list(grid)), smoothed.deriv_ratio(grid.copy()))
+        assert sizes == []
+        assert pair == (err, two_pass_ratios(smoothed, grid)[1])
+
+    def test_a_changed_grid_is_recomputed(self, kernel, holder_model):
+        model, sizes = counting(holder_model)
+        smoothed = rl.MollifiedPotential(model, kernel, 0.01)
+        grid = np.linspace(0.0, 10.0, 2 * _BLOCK_ROWS)
+        smoothed.error_ratio(grid)
+        other = np.linspace(0.0, 5.0, grid.size)
+        sizes.clear()
+        assert (smoothed.error_ratio(other), smoothed.deriv_ratio(other)) == \
+            two_pass_ratios(smoothed, other)
+        assert sizes
+        smoothed.error_ratio(grid)
+        grid[_BLOCK_ROWS:] += 1.0  # the caller's array, changed in place
+        sizes.clear()
+        assert (smoothed.deriv_ratio(grid), smoothed.error_ratio(grid)) == \
+            two_pass_ratios(smoothed, grid)[::-1]
+        assert sizes
+
+    def test_empty_grid_raises(self, kernel, holder_model):
+        smoothed = mollify(holder_model, kernel, 0.01)
+        for ratio in (smoothed.error_ratio, smoothed.deriv_ratio):
+            with pytest.raises(ValueError, match="zero-size array"):
+                ratio(np.array([]))
 
 
 class TestThetaFor:

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg.lapack import zgttrs
@@ -19,9 +20,9 @@ from resolvent_lab.radial import (AngularSector, ResolventQuery,
                                   UniformGridSpec, assemble,
                                   assemble_conjugated, dense_weighted_norm,
                                   energy_audit, weighted_resolvent_norm,
-                                  _dense_matrix, _lanczos_sector_norm)
+                                  _lanczos_sector_norm)
 
-from conftest import conjugate_check, gaussian_bump
+from conftest import conjugate_check, dense_matrix, gaussian_bump
 
 
 def small_grid(d):
@@ -51,7 +52,7 @@ class TestAssemble:
             q = ResolventQuery(d=3, E=1.0, h=0.5, eps=0.1, sign=sign, s=0.6,
                                potential=power_law_model)
             op = assemble(q, AngularSector(3, 0, 0.5), small_grid(3))
-            mat = _dense_matrix(op)
+            mat = dense_matrix(op)
             assert_allclose(np.imag(np.diag(mat)), sign * 0.1, rtol=0, atol=0.0)
             off = mat - np.diag(np.diag(mat))
             assert_allclose(np.imag(off), 0.0, atol=0.0)
@@ -96,7 +97,7 @@ class TestAssemble:
             op = assemble(q, AngularSector(3, 1, 0.5), gs)
             r = op.grid
             f = tf.value(r).astype(complex)
-            applied = _dense_matrix(op) @ f
+            applied = dense_matrix(op) @ f
             lam = op.sector.lambda_value
             exact = (-0.25 * tf.d2(r)
                      + (lam / r ** 2 - 1.0 + power_law_model(r) + 0.1j) * tf.value(r))
@@ -110,7 +111,7 @@ class TestAssemble:
         for sign in (1, -1):
             q = ResolventQuery(d=3, E=1.0, h=0.5, eps=0.5, sign=sign, s=0.6,
                                potential=power_law_model)
-            mat = _dense_matrix(assemble(q, AngularSector(3, 1, 0.5), small_grid(3)))
+            mat = dense_matrix(assemble(q, AngularSector(3, 1, 0.5), small_grid(3)))
             n = mat.shape[0]
             for _ in range(20):
                 f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -171,6 +172,24 @@ class TestNorms:
         value, _, res = _lanczos_sector_norm(op, 0)
         assert res <= 1e-6
         assert value == pytest.approx(dense, rel=1e-6)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dense_oracle_matches_a_dense_solve(self, power_law_model, d):
+        # criterion 5's grid; the oracle solves on the sector's zgttrf
+        # factors, the reference by LU of the dense matrix
+        gs = small_grid(d)
+        for l in (0, 1, 2):
+            for eps in (1e-2, 1e-4):
+                for sign in (1, -1):
+                    q = ResolventQuery(d=d, E=1.0, h=0.5, eps=eps, sign=sign,
+                                       s=0.6, potential=power_law_model)
+                    sec = AngularSector(d, l, 0.5)
+                    op = assemble(q, sec, gs)
+                    w = (op.grid + 1.0) ** (-q.s)
+                    inv_w = sla.solve(dense_matrix(op), np.diag(w))
+                    ref = sla.svdvals(w[:, None] * inv_w)[0]
+                    assert dense_weighted_norm(q, sec, gs) == pytest.approx(
+                        ref, rel=1e-15, abs=0)
 
     def test_norm_estimate_fields(self, power_law_model):
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
@@ -270,7 +289,7 @@ class TestFactor:
                            potential=model)
         op = assemble(q, sec, gs)
         assert op.grid.size <= 400
-        mat = _dense_matrix(op)
+        mat = dense_matrix(op)
         lu = op._lu()
         rng = np.random.default_rng(0)
         b = rng.standard_normal(op.grid.size) + 1j * rng.standard_normal(op.grid.size)

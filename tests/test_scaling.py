@@ -111,6 +111,23 @@ class TestFit:
                              ["lipschitz", ("holder", 0.5), "linfty"])
         assert outcome.degenerate
 
+    def test_falling_g_names_no_class(self):
+        h = np.array([0.2, 0.15, 0.1, 0.05])
+        outcome = fit_models(measured(h, 3.0 + h),
+                             ["lipschitz", ("holder", 0.5), "linfty"])
+        assert all(f.C < 0 and f.degenerate for f in outcome.fits)
+        assert outcome.best is None and outcome.degenerate
+
+    def test_best_skips_a_closer_fit_without_growth(self):
+        # a kink at log(1/h) = 2.2: the linfty fit has the smaller residual
+        # but a negative C, the lipschitz fit a positive one
+        h = np.array([0.3, 0.2, 0.15, 0.1, 0.07, 0.05])
+        outcome = fit_models(measured(h, -np.abs(np.log(1.0 / h) - 2.2)),
+                             ["linfty", "lipschitz"])
+        linf, lip = outcome.fits
+        assert linf.C < 0 and linf.residual < lip.residual
+        assert outcome.best == lip and lip.C > 0
+
     def test_needs_four_rows(self):
         with pytest.raises(InvalidInputError):
             fit_models(measured([0.2, 0.1, 0.05], [1.0, 2.0, 3.0]), ["lipschitz"])
