@@ -14,8 +14,8 @@ with tau = tau0 in the Lipschitz regime and tau = tau0 * theta**(2 alpha/3)
 
 Each regime fixes beta, k, k0 and m (``_regime_constants``): Lipschitz
 takes beta > 1 with k = min(1, beta-1)/4 and k0 = m = 0; Hölder has beta = 4,
-m = 2 and (k, k0) = (1, 1/2) or (1/2, 0).  Both need 1/2 < s < min(3,
-beta+1)/4, and ell defaults to min_ell(k, beta, s).
+m = 2 and (k, k0) = (1, 1/2) or (1/2, 0), so a configuration derives k0 and
+m.  Both need 1/2 < s < min(3, beta+1)/4, and ell defaults to min_ell(k, beta, s).
 
 The audit quantities are
 
@@ -91,11 +91,9 @@ class CarlemanConfig:
     beta: float
     alpha: Optional[float]
     k: float
-    k0: float
     s: float
     tau0: float
     ell: Optional[float]
-    m: float
     E: float
     h: float
     d: int
@@ -120,13 +118,13 @@ class CarlemanConfig:
                                           or not 0.0 < self.alpha < 1.0):
             raise InvalidConfigError(
                 f"Hölder regime needs alpha in (0, 1), got {self.alpha}")
-        beta, k, k0, m = _regime_constants(self.regularity, self.beta, self.k)
+        beta, k, k0, _ = _regime_constants(self.regularity, self.beta, self.k)
         if k0 is None:
             raise InvalidConfigError(f"Hölder regime allows k in {{1, 1/2}}, got {self.k}")
-        if (self.beta, self.k0, self.m) != (beta, k0, m) or abs(self.k - k) > 1e-12:
+        if self.beta != beta or abs(self.k - k) > 1e-12:
             raise InvalidConfigError(
-                f"{self.regularity} regime fixes (beta, k, k0, m) = ({beta:g}, "
-                f"{k:.6g}, {k0:g}, {m:g}), got ({self.beta}, {self.k}, {self.k0}, {self.m})")
+                f"{self.regularity} regime fixes (beta, k) = ({beta:g}, {k:.6g}), "
+                f"got ({self.beta}, {self.k})")
         s_hi = 0.25 * min(3.0, self.beta + 1.0)
         if not self.s < s_hi:
             raise InvalidConfigError(
@@ -151,13 +149,21 @@ class CarlemanConfig:
 
     @classmethod
     def lipschitz(cls, beta, s, tau0, ell=None, *, h, E=ENERGY, d=DIMENSION):
-        beta, k, k0, m = _regime_constants(LIPSCHITZ, beta, None)
-        return cls(LIPSCHITZ, beta, None, k, k0, s, tau0, ell, m, E, h, d)
+        beta, k, _, _ = _regime_constants(LIPSCHITZ, beta, None)
+        return cls(LIPSCHITZ, beta, None, k, s, tau0, ell, E, h, d)
 
     @classmethod
     def holder(cls, alpha, s, tau0, ell=None, *, h, E=ENERGY, d=DIMENSION, k=1.0):
-        beta, k, k0, m = _regime_constants(HOLDER, None, k)
-        return cls(HOLDER, beta, alpha, k, k0, s, tau0, ell, m, E, h, d)
+        beta, k, _, _ = _regime_constants(HOLDER, None, k)
+        return cls(HOLDER, beta, alpha, k, s, tau0, ell, E, h, d)
+
+    @property
+    def k0(self):
+        return _regime_constants(self.regularity, self.beta, self.k)[2]
+
+    @property
+    def m(self):
+        return _regime_constants(self.regularity, self.beta, self.k)[3]
 
     @property
     def theta(self):
@@ -265,11 +271,11 @@ class AuditValues:
     lhs_2d: np.ndarray
 
 
-def audit_at(r, config, weight, phase, envelope_p, C):
+def audit_at(r, config, envelope_p, C):
     """Evaluate A, B1, B2 and the certified left-hand sides at radii r.
 
-    r may be a scalar or an array; all points must be positive and distinct
-    from the cutoff radius a.
+    The weight and phase are the ones ``config`` fixes; r may be a scalar or
+    an array of positive points distinct from the cutoff radius a.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r <= 0):
@@ -277,6 +283,7 @@ def audit_at(r, config, weight, phase, envelope_p, C):
     if np.any(r == config.a):
         raise SingularPointError(
             f"audit undefined at the singular radius r = a = {config.a:.6g}")
+    weight, phase = build_weight(config), build_phase(config)
     mu = weight(r)
     mup = weight.derivative(r)
     if np.any(mup <= 0):
@@ -371,8 +378,8 @@ class Certificate:
         return min(self.families, key=lambda f: f.min_margin)
 
     def to_json(self):
-        cfg = asdict(self.config)
-        cfg.update(r_min=self.r_min, constants=self.constants)
+        cfg = dict(asdict(self.config), k0=self.config.k0, m=self.config.m,
+                   r_min=self.r_min, constants=self.constants)
         doc = {
             "config": cfg,
             "C_used": self.C_used,
@@ -386,7 +393,8 @@ class Certificate:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        cfg = dict(doc["config"])
+        # k0 and m are written for readers, but (regularity, k) fix them
+        cfg = {key: value for key, value in doc["config"].items() if key not in ("k0", "m")}
         r_min = cfg.pop("r_min")
         constants = cfg.pop("constants")
         config = CarlemanConfig(**cfg)
@@ -425,8 +433,7 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None):
         raise InvalidInputError("audit constant C must be positive")
     grid = certification_grid(grid_spec, config.a, r_min)
     weight = build_weight(config)
-    phase = build_phase(config)
-    audit = audit_at(grid, config, weight, phase, envelope_p, C)
+    audit = audit_at(grid, config, envelope_p, C)
     mu = weight(grid)
     mup = weight.derivative(grid)
     k, k0, s, a = config.k, config.k0, config.s, config.a
@@ -509,9 +516,8 @@ def search_tau0_with_fallback(config_template, envelope_p, C=C_FLOOR, grid_spec=
     except SearchExhaustedError:
         t = config_template
         if t.d == 2 and t.regularity == HOLDER and t.k == 1.0:
-            shallow = CarlemanConfig.holder(t.alpha, t.s, t.tau0, E=t.E, h=t.h,
-                                            d=t.d, k=0.5)
-            return search_tau0(replace(shallow, ell=max(t.ell, shallow.ell)), *rest), True
+            shallow = replace(t, k=0.5, ell=max(t.ell, min_ell(0.5, t.beta, t.s)))
+            return search_tau0(shallow, *rest), True
         raise
 
 

@@ -99,7 +99,7 @@ _CERTIFY_KEYS = {
 _POLICY_KEYS = {"tail_tol": "a number", "dr_factor": "a number",
                 "l_max": "an integer", "r_min": "a number", "r_max_floor": "a number"}
 _FIT_KEYS = {"candidates": "a list of [class] or [class, alpha] lists",
-             "eps": "a number", "sign": "an integer"}
+             "eps": "a number"}
 _SWEEP_KEYS = {
     "d": "an integer", "E": "a number", "s": "a number",
     "potential": _POTENTIAL_KEYS, "h_values": "a list of numbers",
@@ -308,7 +308,7 @@ def _cmd_sweep(block, out_dir, **run_kw):
                       for c in fit_block["candidates"]]
         try:
             outcome = fit_models(result, candidates,
-                                 **_given(fit_block, ("eps", "sign")))
+                                 **_given(fit_block, ("eps",)))
             result = replace(result, fit=outcome)
         except InvalidInputError as exc:
             print(f"fit skipped: {exc}", file=sys.stderr)

@@ -23,16 +23,17 @@ The kernel's mass, gradient mass and moments are 128-node Gauss-Legendre
 sums on [0, 1] (split at 1/2 for the integrals of rho', where the bump's
 |rho'| has its kink), each checked against the 64-node rule; a kernel too
 rough for the rule raises AccuracyError instead of returning wrong moments.
-V_theta and V_theta' are evaluated in fixed blocks of rows of the quadrature
-window, so their memory peak does not grow with the grid.  A call that spans
-more than one block maps its blocks over THREADS worker threads, so a
-model's ``evaluate`` may run on several threads at once; the traced peak of
-both evaluations on 166,360 points is 3.0 MB with one worker, 4.0 MB with
-two and 9.7 MB with eight.  The two measured ratios, the weighted sups of
-|V - V_theta| and |V_theta'| above divided by theta**alpha and
-theta**(alpha-1), come from one pass over the same blocks, each block
-reduced to its two maxima, and the pair of the last grid is kept.  The
-module needs numpy only (no scipy.integrate or scipy.special).
+V_theta is evaluated in fixed blocks of rows of the quadrature window, so
+its memory peak does not grow with the grid.  A call that spans more than
+one block maps its blocks over THREADS worker threads, so a model's
+``evaluate`` may run on several threads at once; the traced peak of
+V_theta, and of the ratio pass below, on 166,360 points is 3.0 MB with one
+worker, 4.0 MB with two and about 10 MB with eight.  The two measured
+ratios, the weighted sups of |V - V_theta| and |V_theta'| above divided by
+theta**alpha and theta**(alpha-1), come from one pass over the same
+blocks, which forms V_theta' only there and reduces each block to its two
+maxima, and the pair of the last grid is kept.  The module needs numpy
+only (no scipy.integrate or scipy.special).
 """
 
 from __future__ import annotations
@@ -275,34 +276,35 @@ _BLOCK_ROWS = 512
 
 
 def _map_blocks(fill, n):
-    """[fill(start) for each block of _BLOCK_ROWS of n rows], in row order.
+    """[fill(rows) for each slice ``rows`` of _BLOCK_ROWS of n rows], in row order.
 
     More than one block maps over THREADS workers; one block runs inline.
     """
-    starts = range(0, n, _BLOCK_ROWS)
-    if len(starts) > 1:
+    blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
+    if len(blocks) > 1:
         # numpy releases the GIL in the window's loops
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            return list(pool.map(fill, starts))
-    return [fill(start) for start in starts]
+            return list(pool.map(fill, blocks))
+    return [fill(rows) for rows in blocks]
 
 
 class MollifiedPotential:
-    """Smoothed potential V_theta with its exact first derivative rule.
+    """Smoothed potential V_theta, and the sups of |V - V_theta| and |V_theta'|.
 
-    ``evaluate`` and ``evaluate_deriv`` apply the 64-node rule to
-    _BLOCK_ROWS points at a time; a call that spans more than one block
-    maps its blocks over THREADS worker threads, which call the base
-    model's ``evaluate``.  Memory beyond the input and output stays at a
-    few MB for any grid (a traced peak of 4.0 MB on 166,360 points with two
-    workers).  Each block writes its own rows by the same expression as on
-    the whole window, so neither blocking nor the thread count changes a
-    value when BLAS runs on one thread.
+    ``evaluate`` applies the 64-node rule to _BLOCK_ROWS points at a time;
+    a call that spans more than one block maps its blocks over THREADS
+    worker threads, which call the base model's ``evaluate``.  Memory
+    beyond the input and output stays at a few MB for any grid (a traced
+    peak of 4.0 MB on 166,360 points with two workers).  Each block writes
+    its own rows by the same expression as on the whole window, so neither
+    blocking nor the thread count changes a value when BLAS runs on one
+    thread.
 
     ``error_ratio`` and ``deriv_ratio`` come from one pass over the same
-    blocks, which reduces each block to its two maxima and forms no
-    n-length V_theta.  The pair of the last grid is kept with a copy of
-    that grid, so the second ratio on an equal grid evaluates nothing.
+    blocks, which forms V_theta and V_theta' (by the exact first derivative
+    rule) a block at a time and reduces each block to its two maxima.  The
+    pair of the last grid is kept with a copy of that grid, so the second
+    ratio on an equal grid evaluates nothing.
     """
 
     def __init__(self, base, kernel, theta):
@@ -315,42 +317,23 @@ class MollifiedPotential:
         self._drho_weights = w * kernel.drho(x)
         self._last_ratios = None  # ((shape, bytes) of a grid, its two ratios)
 
-    def _rows(self, rb, value, deriv):
-        """(V, V_theta, V_theta') on the rows ``rb`` by the 64-node rule.
+    def _window(self, rb):
+        """(V on the quadrature window of the rows ``rb``, V_theta(rb)).
 
-        The one block expression behind ``evaluate``, ``evaluate_deriv``
-        and the ratio pass.  V_theta is formed only with ``value``, V and
-        V_theta' only with ``deriv``; the rest is None.
+        The one block expression behind ``evaluate`` and the ratio pass.
         """
         # rb is a float array, so evaluate serves, not __call__, which the
         # benchmark's tracer wraps in spans that have no parent on a worker
-        evaluate = self.base.evaluate
-        vals = evaluate(rb[:, None] + self.theta * self._nodes[None, :])
-        smooth = vals @ self._rho_weights if value else None
-        if not deriv:
-            return None, smooth, None
-        v0 = evaluate(rb)
-        return v0, smooth, (vals - v0[:, None]) @ self._drho_weights / self.theta
+        vals = self.base.evaluate(rb[:, None] + self.theta * self._nodes[None, :])
+        return vals, vals @ self._rho_weights
 
-    def _blocked(self, r, deriv):
-        """V_theta(r), or V_theta'(r) with ``deriv``, _BLOCK_ROWS rows at a time."""
+    def evaluate(self, r):
+        """V_theta(r), _BLOCK_ROWS rows at a time."""
         scalar = np.isscalar(r)
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.empty(r.size)
-
-        def fill(start):
-            block = slice(start, start + _BLOCK_ROWS)
-            _, smooth, slope = self._rows(r[block], value=not deriv, deriv=deriv)
-            out[block] = slope if deriv else smooth
-
-        _map_blocks(fill, r.size)
+        _map_blocks(lambda rows: np.copyto(out[rows], self._window(r[rows])[1]), r.size)
         return float(out[0]) if scalar else out
-
-    def evaluate(self, r):
-        return self._blocked(r, deriv=False)
-
-    def evaluate_deriv(self, r):
-        return self._blocked(r, deriv=True)
 
     def _ratios(self, grid):
         """(error ratio, derivative ratio) on ``grid``, from one window pass.
@@ -365,9 +348,11 @@ class MollifiedPotential:
             return last[1]
         beta = self.base.beta
 
-        def maxima(start):
-            rb = r[start:start + _BLOCK_ROWS]
-            v0, smooth, slope = self._rows(rb, value=True, deriv=True)
+        def maxima(rows):
+            rb = r[rows]
+            vals, smooth = self._window(rb)
+            v0 = self.base.evaluate(rb)
+            slope = (vals - v0[:, None]) @ self._drho_weights / self.theta
             weight = (rb + 1.0) ** beta
             return np.max(np.abs(v0 - smooth) * weight), np.max(np.abs(slope) * weight)
 

@@ -86,7 +86,6 @@ class FitOutcome:
     fits: tuple
     best: Optional[FitResult]
     eps: float
-    sign: int
 
     @property
     def degenerate(self):
@@ -104,26 +103,25 @@ def _fit_one(kind, alpha, h, g):
                      bool(degenerate))
 
 
-def fit_models(result, candidates, eps=None, sign=None):
+def fit_models(result, candidates, eps=None):
     """Least-squares fit of a sweep's measured g against each candidate shape.
 
-    The successful rows of one (eps, sign) group are fitted: the first
-    group in row order with at least four of them, among those matching
-    the ``eps`` and ``sign`` given.  ``best`` is the fit of least
-    residual among the non-degenerate ones, whose growth C * span clears
-    the threshold (so C > 0), with ties going to the slowest-growing
-    shape; when every fit is degenerate it is None: no growth.
+    The successful rows of one eps, one g per h (a - row copies its + row),
+    are fitted: the first eps in row order with four h or more, among those
+    equal to the ``eps`` given.  ``best`` is the fit of least residual
+    among the non-degenerate ones, whose growth C * span clears the
+    threshold (so C > 0), with ties going to the slowest-growing shape;
+    when every fit is degenerate it is None: no growth.
     """
     groups = {}  # in row order: a dict keeps its keys in insertion order
     for row in result.rows:
         if row.status == "ok":
-            groups.setdefault((row.eps, row.sign), []).append((row.h, row.g_measured))
-    chosen = next((key for key, pairs in groups.items() if len(pairs) >= 4
-                   and (eps is None or key[0] == eps)
-                   and (sign is None or key[1] == sign)), None)
+            groups.setdefault(row.eps, {}).setdefault(row.h, row.g_measured)
+    chosen = next((key for key, by_h in groups.items() if len(by_h) >= 4
+                   and (eps is None or key == eps)), None)
     if chosen is None:
         raise InvalidInputError("fit needs at least 4 successful rows at a single eps")
-    h, g = (np.array(column) for column in zip(*groups[chosen]))
+    h, g = (np.array(column) for column in zip(*groups[chosen].items()))
     fits = []
     for cand in candidates:
         kind, alpha = (cand, None) if isinstance(cand, str) else (cand[0], cand[1])
@@ -138,7 +136,7 @@ def fit_models(result, candidates, eps=None, sign=None):
         return num / den, has_log
 
     best = min(tied, key=growth, default=None)
-    return FitOutcome(fits=tuple(fits), best=best, eps=chosen[0], sign=chosen[1])
+    return FitOutcome(fits=tuple(fits), best=best, eps=chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +233,14 @@ class SweepRow:
     sign: int
     g_measured: Optional[float]
     g_bound: Optional[float]
-    sectors: int
     l_max: int
     runtime_ms: float
     status: str
+
+    @property
+    def sectors(self):
+        """Sectors measured: l = 0..l_max on an ok row, none on a failed one."""
+        return self.l_max + 1 if self.status == "ok" else 0
 
 
 @dataclass(frozen=True)
@@ -259,10 +261,11 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
           certificate=None, signs=(1,), seed=SEED, threads=THREADS):
     """Measure g over the (h, eps, sign) product, with optional bound columns.
 
-    h values must be sorted descending in (0, 1].  Each (h, eps) is measured
-    once, at the first sign in descending order, and that result, success
-    or failure, fills the row of every requested sign; the norm does not
-    depend on the sign, so the default asks for the + rows only.  Rows
+    h values must be strictly descending in (0, 1]; eps values and signs
+    must not repeat.  Each (h, eps) is measured once, at the first sign in
+    descending order, and that result, success or failure, fills the row
+    of every requested sign; the norm does not depend on the sign, so the
+    default asks for the + rows only.  Rows
     whose norm estimate fails numerically are marked and the sweep
     continues; a sweep with no successful row raises AccuracyError, and
     invalid input (InvalidInputError) ends the sweep at once.  Output rows
@@ -273,14 +276,17 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
         raise InvalidInputError("h_values must not be empty")
     if any(not 0.0 < h <= 1.0 for h in hs):
         raise InvalidInputError("h values must lie in (0, 1]")
-    if sorted(hs, reverse=True) != hs:
-        raise InvalidInputError("h_values must be sorted descending")
+    if any(a <= b for a, b in zip(hs, hs[1:])):
+        raise InvalidInputError(f"h_values must be strictly descending, got {hs!r}")
     eps_list = [float(e) for e in eps_values]
     if not eps_list:
         raise InvalidInputError("eps_values must not be empty")
     if not signs or any(sign not in (1, -1) for sign in signs):
         raise InvalidInputError(
             f"signs must be a nonempty list of +1 and -1, got {signs!r}")
+    for key, values in (("eps_values", eps_list), ("signs", signs)):
+        if len(set(values)) < len(values):  # a repeat would only repeat rows
+            raise InvalidInputError(f"{key} must not repeat a value, got {values!r}")
     if grid_policy is None:
         grid_policy = GridPolicy()
     bound = bound_from_certificate(certificate, hs) if certificate else None
@@ -299,15 +305,15 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
                         est = weighted_resolvent_norm(
                             query, grid_policy.grid_for(query),
                             grid_policy.l_max, seed=seed, threads=threads)
-                        measured = (est.g_value, len(est.sector_values), "ok")
+                        measured = (est.g_value, "ok")
                     except InvalidInputError:
                         raise
                     except ResolventLabError as exc:
-                        measured = (None, 0, f"failed: {exc}")
-                g, sectors, status = measured
+                        measured = (None, f"failed: {exc}")
+                g, status = measured
                 ms = 1000.0 * (time.perf_counter() - start)
-                rows.append(SweepRow(h, eps, sign, g, g_b, sectors,
-                                     grid_policy.l_max, ms, status))
+                rows.append(SweepRow(h, eps, sign, g, g_b, grid_policy.l_max,
+                                     ms, status))
     if not any(row.status == "ok" for row in rows):
         raise AccuracyError("every sweep row failed")
     return SweepResult(rows=tuple(rows), fit=None)
@@ -359,7 +365,6 @@ def write_summary_json(result, path):
             ],
             "degenerate": result.fit.degenerate,
             "eps": result.fit.eps,
-            "sign": result.fit.sign,
         }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

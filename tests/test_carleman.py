@@ -29,11 +29,15 @@ def demo_phase():
 
 
 @pytest.fixture()
-def a_term(demo_weight, demo_phase, zero_model):
-    """A = (mu phi'**2)' of the demo weight and phase, as audit_at computes it."""
-    cfg = CarlemanConfig.holder(0.5, 0.6, 4.0, 3.5, E=1.0, h=0.5)
-    return lambda r: audit_at(r, cfg, demo_weight, demo_phase,
-                              zero_model.envelope, 6.0).A
+def demo_config():
+    """A steep Hölder configuration: k = 1, k0 = 1/2, a = 4**3.5 * 0.5**-2 = 512."""
+    return CarlemanConfig.holder(0.5, 0.6, 4.0, 3.5, E=1.0, h=0.5)
+
+
+@pytest.fixture()
+def a_term(demo_config, zero_model):
+    """A = (mu phi'**2)' of the demo configuration, as audit_at computes it."""
+    return lambda r: audit_at(r, demo_config, zero_model.envelope, 6.0).A
 
 
 class TestConfig:
@@ -135,35 +139,38 @@ class TestWeightAndPhase:
 
 
 class TestAudit:
-    def test_a_term_matches_expanded_formula(self, demo_phase, a_term):
-        r, k, k0, a, tau = 1.0, 1.0, 0.5, 10.0, 5.0
-        p1 = demo_phase.derivative(r)
-        p2 = demo_phase.second_derivative(r)
+    def test_a_term_matches_expanded_formula(self, demo_config, a_term):
+        r, k, k0, a, tau = 1.0, 1.0, 0.5, demo_config.a, demo_config.tau
+        phase = PhaseFunction(k=k, a=a, tau=tau)
+        p1 = phase.derivative(r)
+        p2 = phase.second_derivative(r)
         expanded = (-2.0 * (r + 1.0) ** (2 * k0) * p1 * p2
                     - 2.0 * k0 * (r + 1.0) ** (2 * k0 - 1) * p1 ** 2
                     - 2.0 * k * tau ** 2 * (r + 1.0) ** (k - 1) * (a + 1.0) ** (-k)
                     * (1.0 - (r + 1.0) ** k * (a + 1.0) ** (-k)))
         assert a_term(r)[0] == pytest.approx(expanded, rel=1e-12)
 
-    def test_a_term_matches_finite_differences(self, demo_weight, demo_phase,
-                                               a_term):
+    def test_a_term_matches_finite_differences(self, demo_config, a_term):
+        weight, phase = build_weight(demo_config), build_phase(demo_config)
+        a = demo_config.a
         rng = np.random.default_rng(3)
-        rs = np.concatenate([rng.uniform(0.05, 9.9, 80), rng.uniform(10.1, 60.0, 20)])
+        rs = np.concatenate([rng.uniform(0.05, 0.99 * a, 80),
+                             rng.uniform(1.01 * a, 6.0 * a, 20)])
         step = 1e-6 * (rs + 1.0)
-        fd = (demo_weight(rs + step) * demo_phase.derivative(rs + step) ** 2
-              - demo_weight(rs - step) * demo_phase.derivative(rs - step) ** 2) / (2 * step)
+        fd = (weight(rs + step) * phase.derivative(rs + step) ** 2
+              - weight(rs - step) * phase.derivative(rs - step) ** 2) / (2 * step)
         closed = a_term(rs)
         mask = np.abs(fd) > 1e-10
         assert_allclose(closed[mask], fd[mask], rtol=1e-5)
 
-    def test_a_vanishes_beyond_cutoff(self, a_term):
-        assert_allclose(a_term(np.array([11.0, 50.0])), 0.0)
+    def test_a_vanishes_beyond_cutoff(self, demo_config, a_term):
+        assert_allclose(a_term(np.array([1.1, 5.0]) * demo_config.a), 0.0)
 
     def test_audit_beyond_cutoff_reduces(self, zero_model):
         cfg = CarlemanConfig.lipschitz(2.0, 0.6, 4.0, 9.0, E=1.0, h=0.1)
-        w, ph = build_weight(cfg), build_phase(cfg)
+        w = build_weight(cfg)
         r = np.array([cfg.a * 2.0, cfg.a * 5.0])
-        av = audit_at(r, cfg, w, ph, zero_model.envelope, 6.0)
+        av = audit_at(r, cfg, zero_model.envelope, 6.0)
         assert_allclose(av.A, 0.0)
         mup = w.derivative(r)
         # with a vanishing phase the squared-curvature term drops entirely
@@ -173,9 +180,8 @@ class TestAudit:
 
     def test_singular_radius_rejected(self, zero_model):
         cfg = CarlemanConfig.lipschitz(2.0, 0.6, 4.0, 9.0, E=1.0, h=0.1)
-        w, ph = build_weight(cfg), build_phase(cfg)
         with pytest.raises(SingularPointError):
-            audit_at(cfg.a, cfg, w, ph, zero_model.envelope, 6.0)
+            audit_at(cfg.a, cfg, zero_model.envelope, 6.0)
 
 
 class TestCertify:
@@ -325,6 +331,39 @@ class TestCertify:
         again = Certificate.from_json(text)
         assert again.to_json() == text
         assert again == cert
+
+    @pytest.mark.parametrize("regime,k0,m", [("lipschitz", 0.0, 0.0),
+                                             ("holder", 0.5, 2.0)])
+    def test_certificate_file_still_writes_k0_and_m(self, zero_model, regime,
+                                                    k0, m):
+        if regime == "lipschitz":
+            cfg = CarlemanConfig.lipschitz(3.0, 0.6, 8.0, E=1.0, h=0.5)
+        else:
+            cfg = CarlemanConfig.holder(0.5, 0.6, 8.0, E=1.0, h=0.5)
+        cert = certify(cfg, zero_model.envelope, 6.0)
+        # the layout of the file from when k0 and m were fields of the config
+        config = {"regularity": cfg.regularity, "beta": cfg.beta,
+                  "alpha": cfg.alpha, "k": cfg.k, "k0": k0, "s": cfg.s,
+                  "tau0": cfg.tau0, "ell": cfg.ell, "m": m, "E": cfg.E,
+                  "h": cfg.h, "d": cfg.d, "r_min": cert.r_min,
+                  "constants": cert.constants}
+        doc = {"config": config, "C_used": cert.C_used,
+               "families": [{"name": f.name, "min_margin": f.min_margin,
+                             "argmin_r": f.argmin_r} for f in cert.families],
+               "tau0_found": cfg.tau0, "passed": cert.passed,
+               "search_history": []}
+        assert cert.to_json() == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_k0_and_m_of_a_file_are_derived_on_load(self, zero_model):
+        cfg = CarlemanConfig.holder(0.5, 0.6, 8.0, E=1.0, h=0.5)
+        text = certify(cfg, zero_model.envelope, 6.0).to_json()
+        doc = json.loads(text)
+        doc["config"].update(k0=0.0, m=7.0)  # the shallow k0 and no regime's m
+        loaded = Certificate.from_json(json.dumps(doc))
+        assert (loaded.config.k0, loaded.config.m) == (0.5, 2.0)
+        assert loaded.config == cfg and loaded.to_json() == text
+        del doc["config"]["k0"], doc["config"]["m"]
+        assert Certificate.from_json(json.dumps(doc)).to_json() == text
 
     def test_save_load(self, tmp_path, zero_model):
         cfg = CarlemanConfig.lipschitz(3.0, 0.6, 8.0, min_ell(0.25, 3.0, 0.6),

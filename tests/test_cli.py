@@ -279,6 +279,23 @@ class TestSweepCommand:
         assert ([row["g_measured"] for row in via_cli]
                 == [row.g_measured for row in via_library])
 
+    def test_k0_and_m_of_a_certificate_file_are_not_read(self, tmp_path):
+        out = tmp_path / "out"
+        cert_cfg = write_config(tmp_path, {"certify": certify_block()}, "cert.json")
+        assert main(["certify", "--config", cert_cfg, "--out", str(out)]) == 0
+        path = out / "certificate.json"
+        block = sweep_block(certificate=str(path), h_values=[0.5, 0.4],
+                            eps_values=[1e-2])
+        cfg = write_config(tmp_path, {"seed": 5, "sweep": block})
+        summaries = []
+        for k0, m in ((0.0, 0.0), (0.5, 2.0)):  # the Lipschitz pair, then the Hölder one
+            doc = json.loads(path.read_text())
+            doc["config"].update(k0=k0, m=m)
+            path.write_text(json.dumps(doc))
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+            summaries.append((out / "summary.json").read_text())
+        assert summaries[0] == summaries[1]
+
     def test_tampered_certificate_is_judged_by_its_margins(self, tmp_path, capsys):
         out = tmp_path / "out"
         cert_cfg = write_config(tmp_path, {"certify": certify_block()}, "cert.json")
@@ -533,6 +550,13 @@ def _without(block, key):
     # a tail_tol above 1 leaves r_max = 0 when l_max and r_max_floor add nothing
     ("sweep", {"sweep": {"s": 0.6, "h_values": [0.5], "tail_tol": 2.0, "l_max": 0}},
      "tail_tol, l_max and r_max_floor"),
+    # a repeated h, eps or sign would only repeat a row
+    ("sweep", {"sweep": sweep_block(h_values=[0.5, 0.5, 0.4])}, "h_values"),
+    ("sweep", {"sweep": sweep_block(eps_values=[1e-2, 1e-2])}, "eps_values"),
+    ("sweep", {"sweep": sweep_block(signs=["+", "+"])}, "signs"),
+    # the fit takes one g per h, whichever sign the row has
+    ("sweep", {"sweep": sweep_block(fit={"candidates": [["lipschitz"]], "sign": 1})},
+     "unknown keys in sweep.fit: sign"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):

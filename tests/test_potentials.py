@@ -19,7 +19,7 @@ from resolvent_lab.potentials import (_BLOCK_ROWS, MollifierKernel,
                                       barrier_well, holder_seminorm, mollify,
                                       theta_for)
 
-from conftest import two_pass_ratios
+from conftest import by_the_rule, two_pass_ratios
 
 
 def brute_force_seminorm(f, alpha, beta, grid):
@@ -134,7 +134,8 @@ class TestMollify:
         smoothed = mollify(model, kernel, 0.1)
         r = np.linspace(0.0, 10.0, 101)
         assert_allclose(smoothed.evaluate(r), 2.5, rtol=1e-13)
-        assert_allclose(smoothed.evaluate_deriv(r), 0.0, atol=1e-12)
+        # alpha = 1: the derivative ratio is the sup of |V_theta'| (r+1)
+        assert smoothed.deriv_ratio(r) <= 1e-12
 
     def test_linear_shift_by_first_moment(self, kernel):
         model = PotentialModel("linear", lambda r: np.asarray(r, dtype=float),
@@ -202,16 +203,6 @@ class TestMollify:
         assert max(ratios) / min(ratios) <= 2.0
 
 
-def whole_window(smoothed, r, deriv):
-    """V_theta or V_theta' from the whole n x 64 window in one expression."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    vals = smoothed.base(r[:, None] + smoothed.theta * smoothed._nodes[None, :])
-    if deriv:
-        return ((vals - smoothed.base(r)[:, None]) @ smoothed._drho_weights
-                / smoothed.theta)
-    return vals @ smoothed._rho_weights
-
-
 # the verify_mix audit grid size
 AUDIT_POINTS = 166_360
 # worker counts of the row-block pool: serial, the benchmark machine's, the cap
@@ -230,18 +221,31 @@ class TestBlockedEvaluation:
         model = rl.build_potential("holder_bump", {"c": 1.0, "alpha": 0.3, "freq": 2.0})
         smoothed = mollify(model, kernel, 0.01)
         r = np.linspace(0.0, 10.0, n)
-        ref = whole_window(smoothed, r, deriv)
+        ref = by_the_rule(smoothed, r, deriv)
+        weight = (r + 1.0) ** model.beta
+        # V_theta' is formed only by the ratio pass, which keeps its weighted sup
+        scale = smoothed.theta ** (model.alpha - 1.0)
         for threads in POOL_SIZES:
             monkeypatch.setattr(potentials, "THREADS", threads)
-            got = (smoothed.evaluate_deriv if deriv else smoothed.evaluate)(r)
-            assert got.shape == ref.shape == (n,)
+            if deriv and not n:
+                with pytest.raises(ValueError, match="zero-size array"):
+                    rl.MollifiedPotential(model, kernel, 0.01).deriv_ratio(r)
+                continue
+            if deriv:
+                got = rl.MollifiedPotential(model, kernel, 0.01).deriv_ratio(r)
+                want = float(np.max(np.abs(ref) * weight)) / scale
+                bound = 4e-16 * np.max(np.abs(ref)) * np.max(weight) / scale
+            else:
+                got, want = smoothed.evaluate(r), ref
+                bound = 4e-16 * np.max(np.abs(ref), initial=0.0)
+                assert got.shape == ref.shape == (n,)
             if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
                 # each row is the same dot product, so neither blocking nor
                 # the worker that computes it changes a bit
-                assert np.array_equal(got, ref), threads
-            elif n:
+                assert np.array_equal(got, want), threads
+            else:
                 # a threaded gemv may split a row's sum differently
-                assert np.max(np.abs(got - ref)) <= 4e-16 * np.max(np.abs(ref))
+                assert np.max(np.abs(got - want), initial=0.0) <= bound
 
     def test_an_error_in_a_worker_reaches_the_caller(self, kernel, holder_model):
         def failing(r):
@@ -257,10 +261,9 @@ class TestBlockedEvaluation:
 
     def test_scalar_input_gives_a_float(self, kernel, holder_model):
         smoothed = mollify(holder_model, kernel, 0.05)
-        for deriv, fn in ((False, smoothed.evaluate), (True, smoothed.evaluate_deriv)):
-            value = fn(1.2345)
-            assert isinstance(value, float)
-            assert value == whole_window(smoothed, 1.2345, deriv)[0]
+        value = smoothed.evaluate(1.2345)
+        assert isinstance(value, float)
+        assert value == by_the_rule(smoothed, 1.2345, deriv=False)[0]
 
     def test_memory_does_not_grow_with_the_grid(self, kernel, monkeypatch):
         model = rl.build_potential("holder_bump", {"c": 1.0, "alpha": 0.3, "freq": 2.0})
@@ -272,7 +275,8 @@ class TestBlockedEvaluation:
             tracemalloc.start()
             try:
                 smoothed.evaluate(r)
-                smoothed.evaluate_deriv(r)
+                # the ratio pass forms V_theta' as well; a fresh one keeps no pair
+                rl.MollifiedPotential(model, kernel, 0.01).error_ratio(r)
                 peaks[threads] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -28,8 +28,9 @@ class TestCertifiedBound:
         # k = 1/4, a0 = 8, m = 0: the ramp integrates in closed form
         tau0 = 8.0 ** (1.0 / 9.0)
         cfg = CarlemanConfig(regularity="lipschitz", beta=2.0, alpha=None,
-                             k=0.25, k0=0.0, s=0.55, tau0=tau0, ell=9.0,
-                             m=0.0, E=1.0, h=1.0, d=3)
+                             k=0.25, s=0.55, tau0=tau0, ell=9.0, E=1.0, h=1.0,
+                             d=3)
+        assert (cfg.k0, cfg.m) == (0.0, 0.0)
         cert = synthetic_certificate(cfg)
         bound = bound_from_certificate(cert, [1.0])
         a = 8.0
@@ -132,6 +133,30 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit_models(measured([0.2, 0.1, 0.05], [1.0, 2.0, 3.0]), ["lipschitz"])
 
+    def test_fits_one_g_per_h_whatever_the_signs(self):
+        h = np.array([0.2, 0.15, 0.1, 0.05])
+        plus = measured(h, 3.0 / h)
+        # the rows of a two-sign sweep: each - row follows its + row
+        both = SweepResult(rows=tuple(row for plus_row in plus.rows for row in
+                                      (plus_row, replace(plus_row, sign=-1))),
+                           fit=None)
+        cands = ["lipschitz", ("holder", 0.5), "linfty"]
+        assert fit_models(both, cands) == fit_models(plus, cands)
+        minus = SweepResult(rows=both.rows[1::2], fit=None)
+        assert fit_models(minus, cands) == fit_models(plus, cands)
+        # four rows at two h, whatever their signs, are two points: too few
+        for rows in (both.rows[:4], measured([0.5, 0.5, 0.4, 0.4], [1.0] * 4).rows):
+            with pytest.raises(InvalidInputError, match="at least 4"):
+                fit_models(SweepResult(rows=rows, fit=None), cands)
+
+    def test_fits_the_first_eps_with_four_h_or_the_one_given(self):
+        h = [0.2, 0.15, 0.1, 0.05]
+        rows = (measured(h, [1.0, 2.0, 3.0, 4.0], eps=1e-4).rows
+                + measured(h, [1.0, 2.0, 4.0, 8.0], eps=1e-2).rows)
+        data = SweepResult(rows=rows, fit=None)
+        assert fit_models(data, ["lipschitz"]).eps == 1e-4
+        assert fit_models(data, ["lipschitz"], eps=1e-2).eps == 1e-2
+
     def test_holder_alpha_outside_class_rejected_like_the_maps(self):
         data = measured([0.2, 0.15, 0.1, 0.05], [1.0, 2.0, 3.0, 4.0])
         for call in (lambda: fit_models(data, [("holder", 1.5)]),
@@ -149,6 +174,7 @@ class TestSweep:
                     signs=(1,), seed=7)
         assert len(res.rows) == 6
         assert all(row.l_max == 2 and row.sectors == 3 for row in res.rows)
+        assert FAILED_ROW.sectors == 0
         keys = {(row.h, row.eps, row.sign) for row in res.rows}
         assert len(keys) == 6
         by_eps = [row.g_measured for row in res.rows if row.eps == 1e-2]
@@ -179,6 +205,26 @@ class TestSweep:
                                   potential=zero_model)
         with pytest.raises(InvalidInputError):
             sweep(template, [0.1, 0.2], [1e-2], cheap_policy())
+
+    @pytest.mark.parametrize("h_values,eps_values,signs,key", [
+        ([0.5, 0.5, 0.4], [1e-2], (1,), "h_values"),
+        ([0.5, 0.4], [1e-2, 1e-2], (1,), "eps_values"),
+        ([0.5, 0.4], [1e-2, 1e-4, 1e-2], (1,), "eps_values"),
+        ([0.5, 0.4], [1e-2], (1, 1), "signs"),
+        ([0.5, 0.4], [1e-2], (1, -1, -1), "signs"),
+        # every key repeated: 12 rows from 2 distinct points
+        ([0.5, 0.5, 0.4], [1e-2, 1e-2], (1, 1), "h_values"),
+    ])
+    def test_repeated_values_rejected(self, zero_model, monkeypatch, h_values,
+                                      eps_values, signs, key):
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=zero_model)
+        calls = []
+        monkeypatch.setattr(scaling, "weighted_resolvent_norm",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(InvalidInputError, match=key):
+            sweep(template, h_values, eps_values, cheap_policy(), signs=signs)
+        assert calls == []
 
     def test_fully_failed_sweep_raises(self, zero_model, monkeypatch):
         template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
@@ -214,8 +260,8 @@ class TestSweep:
 
 
 OK_ROW = SweepRow(h=0.5, eps=1e-2, sign=1, g_measured=1.0, g_bound=2.0,
-                  sectors=3, l_max=2, runtime_ms=0.0, status="ok")
-FAILED_ROW = replace(OK_ROW, g_measured=None, sectors=0, status="failed: forced")
+                  l_max=2, runtime_ms=0.0, status="ok")
+FAILED_ROW = replace(OK_ROW, g_measured=None, status="failed: forced")
 
 
 @pytest.mark.parametrize("rows,respected", [
