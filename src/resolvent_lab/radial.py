@@ -9,14 +9,16 @@ system per angular sector:
 discretized with second-order central differences on a uniform grid with
 Dirichlet ends.  The weighted resolvent norm per sector is the largest
 singular value of W A^{-1} W with W = diag((r+1)**(-s)), estimated by a
-Lanczos recurrence on the Hermitian Gram product, which allocates its
-vectors once per sector and multiplies and solves in them in place.  Each
-sector is factorized once by the LAPACK tridiagonal LU (zgttrf), whose
-factors solve with A and with A^H (zgttrs); the same factors serve the
-phase-conjugated solve of the energy audit and the dense singular-value
-oracle kept alongside for verification.  The norm is the same for both
-signs of eps (A_- is the entrywise conjugate of A_+ and W is real), so
-sweeps measure one sign.
+Lanczos recurrence on the Hermitian Gram product.  The weight, its square
+and one seeded start vector are built once per query and only read by the
+sectors; each sector allocates its four working vectors once, multiplies
+and solves in them in place, and takes its top Ritz pair from LAPACK
+dstebz/dstein on the Lanczos tridiagonal.  Each sector is factorized
+once by the LAPACK tridiagonal LU (zgttrf), whose factors solve with A and
+with A^H (zgttrs); the same factors serve the phase-conjugated solve of
+the energy audit and the dense singular-value oracle kept alongside for
+verification.  The norm is the same for both signs of eps (A_- is the
+entrywise conjugate of A_+ and W is real), so sweeps measure one sign.
 
 The energy audit evaluates, for a solution u of the phase-conjugated system,
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import dstebz, dstein, zgttrf, zgttrs
 
 from .errors import (AccuracyError, EvaluationError, InvalidInputError,
                      SingularMatrixError)
@@ -217,15 +219,45 @@ def _real_dot(x, y):
     return float(np.einsum("i,i", x.view(float), y.view(float)))
 
 
-def _lanczos_sector_norm(op, seed):
+def _start_vector(n, seed):
+    """The normalized complex Gaussian start vector of length n for ``seed``."""
+    rng = np.random.default_rng(seed)
+    q = np.empty(n, dtype=complex)
+    q.real = rng.standard_normal(n)
+    q.imag = rng.standard_normal(n)
+    q /= math.sqrt(_real_dot(q, q))
+    return q
+
+
+def _top_ritz_pair(alphas, betas):
+    """Top eigenvalue of the symmetric tridiagonal T_k and the last entry of its eigenvector.
+
+    Calls dstebz (by index, il = iu = k, block order) and dstein, the
+    LAPACK routines eigh_tridiagonal(select="i") runs, without its argument
+    checks; dstebz rejects an empty off-diagonal, so k = 1 is T itself.
+    """
+    k = alphas.size
+    if k == 1:
+        return float(alphas[0]), 1.0
+    m, theta, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info == 0:
+        vec, info = dstein(alphas, betas, theta[:m], iblock, isplit)
+    if info != 0:  # pragma: no cover - finite T keeps this clear
+        raise AccuracyError(f"tridiagonal Ritz solve failed: info={info}")
+    return float(theta[0]), float(vec[-1, 0])
+
+
+def _lanczos_sector_norm(op, w, w2, start):
     """Top singular value of W A^{-1} W by Lanczos on its Gram operator.
 
-    Runs the three-term recurrence on G = W A^{-1} W^2 A^{-H} W from a
-    seeded start vector, keeping no basis, and stops when the top Ritz pair
-    (theta, s) of the tridiagonal T_k has residual |beta_k s_k| / theta at
-    most RESIDUAL_TOL.  Without reorthogonalization the top Ritz value
-    converges before a spurious copy of it can form (Paige).  Returns
-    sqrt(theta), the number of Gram products and the residual.
+    Runs the three-term recurrence on G = W A^{-1} W^2 A^{-H} W from the
+    query's start vector ``start``, which it copies and never writes, with
+    the query's weight ``w`` = diag(W) and ``w2`` = w*w.  It keeps no basis
+    and stops when the top Ritz pair (theta, s) of the tridiagonal T_k,
+    from _top_ritz_pair, has residual |beta_k s_k| / theta at most
+    RESIDUAL_TOL.  Without reorthogonalization the top Ritz value converges
+    before a spurious copy of it can form (Paige).  Returns sqrt(theta),
+    the number of Gram products and the residual.
 
     The four working vectors (r, a scratch vector, q and q_prev) are
     allocated once; each step multiplies and solves in place in them.  The
@@ -233,41 +265,39 @@ def _lanczos_sector_norm(op, seed):
     depend on the BLAS thread count.
     """
     lu = op._lu()
-    w = _weight_vector(op.grid, op.query.s)
-    rng = np.random.default_rng((seed, op.sector.l))
-    q = np.empty(op.grid.size, dtype=complex)
-    q.real = rng.standard_normal(op.grid.size)
-    q.imag = rng.standard_normal(op.grid.size)
-    q /= math.sqrt(_real_dot(q, q))
+    q = start.copy()
     q_prev = np.zeros_like(q)
     r = np.empty_like(q)
     tmp = np.empty_like(q)
 
-    alphas, betas = [], []
+    alphas = np.empty(LANCZOS_STEP_CAP)
+    betas = np.empty(LANCZOS_STEP_CAP)
     beta = 0.0
     res = math.inf
     for k in range(1, LANCZOS_STEP_CAP + 1):
-        # r = w A^{-H} (w (w A^{-1} (w q))), the factors of w applied one at a time
+        # r = w A^{-H} (w2 (A^{-1} (w q))); r is contiguous, so zgttrs solves in it
         np.multiply(w, q, out=r)
-        zgttrs(*lu, r, trans="N", overwrite_b=True)  # contiguous: solves in r
-        r *= w
-        r *= w
+        zgttrs(*lu, r, trans="N", overwrite_b=True)
+        r *= w2
         zgttrs(*lu, r, trans="C", overwrite_b=True)
         r *= w
         alpha = _real_dot(q, r)
         r -= np.multiply(alpha, q, out=tmp)
         r -= np.multiply(beta, q_prev, out=tmp)
-        alphas.append(alpha)
+        alphas[k - 1] = alpha
         beta = math.sqrt(_real_dot(r, r))
-        theta, s = sla.eigh_tridiagonal(alphas, betas, select="i",
-                                        select_range=(k - 1, k - 1))
-        theta = float(theta[0])
-        res = abs(beta * s[-1, 0]) / theta
+        if not math.isfinite(beta):  # dstebz takes T unchecked
+            raise AccuracyError(
+                f"Lanczos produced a non-finite vector (sector l={op.sector.l})")
+        theta, last = _top_ritz_pair(alphas[:k], betas[:k - 1])
+        res = abs(beta * last) / theta
         if res <= RESIDUAL_TOL:
             return math.sqrt(theta), k, res
-        betas.append(beta)
+        betas[k - 1] = beta
         q_prev, q = q, q_prev
-        np.divide(r, beta, out=q)
+        # numpy's complex division by a real beta multiplies by 1/beta; this
+        # gives the same bits without the complex-division loop
+        np.multiply(r, 1.0 / beta, out=q)
     raise AccuracyError(
         f"Lanczos did not reach residual {RESIDUAL_TOL:g} within "
         f"{LANCZOS_STEP_CAP} steps (sector l={op.sector.l})", residual=res)
@@ -285,27 +315,40 @@ def dense_weighted_norm(query, sector, grid_spec):
     return float(sla.svdvals(w[:, None] * inv_w)[0])
 
 
+def _check_integer(name, value, least):
+    """Require a non-bool integer (numpy integers included) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidInputError(f"{name} must be at least {least}, got {value}")
+
+
 def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS):
     """Largest weighted sector resolvent norm over l = 0..l_max.
 
     Each sector gets one LAPACK tridiagonal factorization (zgttrf) and a
     Lanczos recurrence on W A^{-1} W^2 A^{-H} W until the top Ritz residual
-    reaches RESIDUAL_TOL.  ``iterations`` counts the Gram products over all
-    sectors.  Sectors run independently on a pool of ``threads`` workers,
-    one worker included; the reduction over sectors is an ordered max, so
-    results do not depend on the thread count.
+    reaches RESIDUAL_TOL.  The weight, its square and one Gaussian start
+    vector drawn from ``seed`` are built once per call and only read by the
+    sectors, so a sector's value depends on neither l_max nor the thread
+    count.  ``iterations`` counts the Gram products over all sectors.
+    Sectors run independently on a pool of ``threads`` workers, one worker
+    included; the reduction over sectors is an ordered max.
     """
-    if l_max < 0:
-        raise InvalidInputError(f"l_max must be nonnegative, got {l_max}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
-    if threads < 1:
-        raise InvalidInputError(f"threads must be at least 1, got {threads}")
+    _check_integer("l_max", l_max, 0)
+    _check_integer("seed", seed, 0)
+    _check_integer("threads", threads, 1)
     terms = _radial_terms(query, grid_spec)
-    ops = [_sector_operator(query, AngularSector(query.d, l, query.h), grid_spec, *terms)
-           for l in range(l_max + 1)]
+    w = _weight_vector(terms[0], query.s)
+    shared = (w, w * w, _start_vector(w.size, seed))
+
+    def sector_norm(l):  # assembled on the worker: one live diagonal per thread
+        sector = AngularSector(query.d, l, query.h)
+        return _lanczos_sector_norm(
+            _sector_operator(query, sector, grid_spec, *terms), *shared)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda op: _lanczos_sector_norm(op, seed), ops))
+        results = list(pool.map(sector_norm, range(l_max + 1)))
     return NormEstimate(iterations=sum(res[1] for res in results),
                         residual=max(res[2] for res in results),
                         sector_values=tuple(res[0] for res in results))

@@ -228,6 +228,14 @@ class GridPolicy:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (h, eps, sign) row of a sweep.
+
+    ``matvecs`` counts the Gram products the row ran and ``residual`` is
+    the largest top Ritz residual over its sectors.  A row copied from
+    another sign's estimate ran none and carries that estimate's residual;
+    a failed row has 0 and None.
+    """
+
     h: float
     eps: float
     sign: int
@@ -236,6 +244,8 @@ class SweepRow:
     l_max: int
     runtime_ms: float
     status: str
+    matvecs: int
+    residual: Optional[float]
 
     @property
     def sectors(self):
@@ -295,25 +305,28 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
         g_b = bound.g_values[i] if bound else None
         for eps in sorted(eps_list):
             # A_- is the entrywise conjugate of A_+ and W is real, so one
-            # norm serves every sign; later rows' runtime_ms is their copy time
+            # norm serves every sign; later rows' runtime_ms is their copy
+            # time, and they ran no Gram products
             measured = None
             for sign in sorted(signs, reverse=True):
                 start = time.perf_counter()
+                matvecs = 0
                 if measured is None:
                     query = replace(query_template, h=h, eps=eps, sign=sign)
                     try:
                         est = weighted_resolvent_norm(
                             query, grid_policy.grid_for(query),
                             grid_policy.l_max, seed=seed, threads=threads)
-                        measured = (est.g_value, "ok")
+                        measured = (est.g_value, "ok", est.residual)
+                        matvecs = est.iterations
                     except InvalidInputError:
                         raise
                     except ResolventLabError as exc:
-                        measured = (None, f"failed: {exc}")
-                g, status = measured
+                        measured = (None, f"failed: {exc}", None)
+                g, status, residual = measured
                 ms = 1000.0 * (time.perf_counter() - start)
                 rows.append(SweepRow(h, eps, sign, g, g_b, grid_policy.l_max,
-                                     ms, status))
+                                     ms, status, matvecs, residual))
     if not any(row.status == "ok" for row in rows):
         raise AccuracyError("every sweep row failed")
     return SweepResult(rows=tuple(rows), fit=None)
@@ -328,14 +341,16 @@ def _fmt(value):
 
 
 def write_sweep_csv(result, path):
-    lines = ["h,eps,sign,g_measured,g_bound,sectors,lmax,runtime_ms,status"]
+    lines = ["h,eps,sign,g_measured,g_bound,sectors,lmax,runtime_ms,status,"
+             "matvecs,residual"]
     for row in result.rows:
         sign = "+" if row.sign > 0 else "-"
         status = "ok" if row.status == "ok" else "failed"
         lines.append(",".join([
             repr(row.h), repr(row.eps), sign, _fmt(row.g_measured),
             _fmt(row.g_bound), str(row.sectors), str(row.l_max),
-            f"{row.runtime_ms:.3f}", status]))
+            f"{row.runtime_ms:.3f}", status, str(row.matvecs),
+            _fmt(row.residual)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -345,7 +360,8 @@ def write_summary_json(result, path):
         "rows": [
             {"h": row.h, "eps": row.eps, "sign": row.sign,
              "g_measured": row.g_measured, "g_bound": row.g_bound,
-             "sectors": row.sectors, "lmax": row.l_max, "status": row.status}
+             "sectors": row.sectors, "lmax": row.l_max, "status": row.status,
+             "matvecs": row.matvecs, "residual": row.residual}
             for row in result.rows
         ],
         "bound_respected": result.bound_respected,

@@ -8,7 +8,8 @@ from resolvent_lab.carleman import CarlemanConfig, GridSpec, min_ell, search_tau
 from resolvent_lab.errors import InvalidInputError
 from resolvent_lab.potentials import (_BLOCK_ROWS, PotentialModel,
                                       REFERENCE_GRID, holder_seminorm)
-from resolvent_lab.radial import ResolventQuery
+from resolvent_lab.radial import (ResolventQuery, _lanczos_sector_norm,
+                                  _start_vector, _weight_vector)
 from resolvent_lab.scaling import GridPolicy, SweepResult, SweepRow, sweep
 
 H_SWEEP = (0.2, 0.15, 0.1, 0.07, 0.05)
@@ -25,9 +26,20 @@ def growth_shape(kind, h, alpha=0.5):
 
 def measured(h, g, eps=1e-2, sign=1):
     """(h, g) pairs as the successful rows of one (eps, sign) sweep group."""
-    rows = tuple(SweepRow(float(hv), eps, sign, float(gv), None, 0, 0.0, "ok")
+    rows = tuple(SweepRow(float(hv), eps, sign, float(gv), None, 0, 0.0, "ok",
+                          0, 0.0)
                  for hv, gv in zip(h, g))
     return SweepResult(rows=rows, fit=None)
+
+
+def sector_norm(op, seed=0):
+    """(value, Gram products, residual) of one sector, started as the library does.
+
+    The weight, its square and the start vector are built as
+    ``weighted_resolvent_norm`` builds them once per query.
+    """
+    w = _weight_vector(op.grid, op.query.s)
+    return _lanczos_sector_norm(op, w, w * w, _start_vector(w.size, seed))
 
 
 def dense_matrix(op):

@@ -164,10 +164,17 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(out),
                      "--threads", "2"]) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
-        assert lines[0] == "h,eps,sign,g_measured,g_bound,sectors,lmax,runtime_ms,status"
+        assert lines[0] == ("h,eps,sign,g_measured,g_bound,sectors,lmax,runtime_ms,"
+                            "status,matvecs,residual")
         assert len(lines) == 1 + 5 * 2 * 1
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["rows"]) == 10
+        for line, row in zip(lines[1:], summary["rows"]):
+            cells = line.split(",")
+            float(cells[7])  # runtime_ms stays column 8
+            assert cells[8] == row["status"] == "ok"
+            assert int(cells[9]) == row["matvecs"] > 0
+            assert float(cells[10]) == row["residual"] <= 1e-6
         assert (out / "plotdata.tsv").read_text().startswith("# series:")
 
     def test_sweep_with_certificate_populates_bound(self, tmp_path):

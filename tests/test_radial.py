@@ -13,16 +13,18 @@ from numpy.testing import assert_allclose
 from scipy.linalg.lapack import zgttrs
 
 import resolvent_lab as rl
+from resolvent_lab import radial
 from resolvent_lab.carleman import (CarlemanConfig, GridSpec, build_phase,
                                     build_weight, min_ell, search_tau0)
-from resolvent_lab.errors import InvalidInputError
+from resolvent_lab.errors import AccuracyError, InvalidInputError
 from resolvent_lab.radial import (AngularSector, ResolventQuery,
                                   UniformGridSpec, assemble,
                                   assemble_conjugated, dense_weighted_norm,
                                   energy_audit, weighted_resolvent_norm,
-                                  _lanczos_sector_norm)
+                                  _lanczos_sector_norm, _start_vector,
+                                  _top_ritz_pair)
 
-from conftest import conjugate_check, dense_matrix, gaussian_bump
+from conftest import conjugate_check, dense_matrix, gaussian_bump, sector_norm
 
 
 def small_grid(d):
@@ -169,7 +171,7 @@ class TestNorms:
         gs = small_grid(d)
         dense = dense_weighted_norm(q, AngularSector(d, l, 0.5), gs)
         op = assemble(q, AngularSector(d, l, 0.5), gs)
-        value, _, res = _lanczos_sector_norm(op, 0)
+        value, _, res = sector_norm(op)
         assert res <= 1e-6
         assert value == pytest.approx(dense, rel=1e-6)
 
@@ -209,6 +211,75 @@ class TestNorms:
             # every field bit for bit: sector values, iterations and residual
             assert a == b
 
+    def test_sector_values_depend_on_neither_l_max_nor_threads(self,
+                                                               power_law_model):
+        # one start vector and one weight per query, read by every sector
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
+                           potential=power_law_model)
+        wide = weighted_resolvent_norm(q, small_grid(3), l_max=5, seed=3,
+                                       threads=1).sector_values
+        for threads in (1, 2, 3):
+            narrow = weighted_resolvent_norm(q, small_grid(3), l_max=2, seed=3,
+                                             threads=threads)
+            assert narrow.sector_values == wide[:3]
+
+    def test_start_vector_drawn_once_per_call(self, power_law_model,
+                                              monkeypatch):
+        draws = []
+
+        def counted(n, seed):
+            draws.append((n, seed))
+            return _start_vector(n, seed)
+
+        monkeypatch.setattr(radial, "_start_vector", counted)
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
+                           potential=power_law_model)
+        for threads in (1, 2):
+            weighted_resolvent_norm(q, small_grid(3), l_max=4, seed=5,
+                                    threads=threads)
+        assert draws == [(small_grid(3).points().size, 5)] * 2
+
+    def test_start_vector_is_read_only_to_the_sectors(self, power_law_model):
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
+                           potential=power_law_model)
+        op = assemble(q, AngularSector(3, 1, 0.5), small_grid(3))
+        w = (op.grid + 1.0) ** (-q.s)
+        start = _start_vector(op.grid.size, 0)
+        kept = start.copy()
+        _lanczos_sector_norm(op, w, w * w, start)
+        assert np.array_equal(start, kept)
+        assert np.vdot(start, start).real == pytest.approx(1.0, rel=1e-15)
+
+    def test_non_finite_vector_fails_the_sector(self, power_law_model):
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
+                           potential=power_law_model)
+        op = assemble(q, AngularSector(3, 0, 0.5), small_grid(3))
+        w = (op.grid + 1.0) ** (-q.s)
+        w[7] = np.nan
+        with pytest.raises(AccuracyError, match="non-finite"):
+            _lanczos_sector_norm(op, w, w * w, _start_vector(w.size, 0))
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 2.5), ("seed", "7"), ("seed", True), ("seed", np.float64(3.0)),
+        ("seed", -1), ("threads", 1.5), ("threads", True), ("threads", 0),
+        ("threads", "2"), ("l_max", 2.5), ("l_max", True), ("l_max", -1),
+    ])
+    def test_counts_must_be_integers(self, zero_model, key, value):
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
+                           potential=zero_model)
+        kwargs = {"l_max": 1, key: value}
+        with pytest.raises(InvalidInputError, match=key):
+            weighted_resolvent_norm(q, small_grid(3), **kwargs)
+
+    def test_numpy_integer_seed_and_threads_accepted(self, zero_model):
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
+                           potential=zero_model)
+        plain = weighted_resolvent_norm(q, small_grid(3), l_max=1, seed=4,
+                                        threads=2)
+        numpy = weighted_resolvent_norm(q, small_grid(3), l_max=1,
+                                        seed=np.int64(4), threads=np.int32(2))
+        assert numpy == plain
+
     def test_blas_threads_do_not_change_result(self):
         # the h=0.1 row of perfbench's readme_sweep config: 13,794 points,
         # long enough for OpenBLAS to split a vector reduction across threads
@@ -243,8 +314,8 @@ class TestNorms:
             d1 = dense_weighted_norm(q1, sec, gs)
             d2 = dense_weighted_norm(q2, sec, gs)
             assert d2 <= d1 * (1 + 1e-6)
-            v1 = _lanczos_sector_norm(assemble(q1, sec, gs), 0)[0]
-            v2 = _lanczos_sector_norm(assemble(q2, sec, gs), 0)[0]
+            v1 = sector_norm(assemble(q1, sec, gs))[0]
+            v2 = sector_norm(assemble(q2, sec, gs))[0]
             assert v2 <= v1 * (1 + 1e-6) + 2e-6 * v1
 
     def test_elliptic_sectors_monotone(self, power_law_model):
@@ -299,15 +370,30 @@ class TestFactor:
             # the dense LU reference carries a forward error proportional to
             # cond(A), which reaches about 1e6 at eps = 1e-4
             assert rel <= 1e-12 * max(1.0, np.linalg.cond(m) / 1e3)
-        value, _, residual = _lanczos_sector_norm(op, 0)
+        value, _, residual = sector_norm(op)
         dense = dense_weighted_norm(q, sec, gs)
         assert value == pytest.approx(dense, rel=1e-6)
         # a Ritz value lies below the top eigenvalue of the Gram operator, by
         # at most its relative residual; the slack covers rounding in both
         gap = (dense ** 2 - value ** 2) / value ** 2
         assert -1e-10 <= gap <= residual + 1e-10
-        mirrored = _lanczos_sector_norm(assemble(replace(q, sign=-sign), sec, gs), 0)[0]
+        mirrored = sector_norm(assemble(replace(q, sign=-sign), sec, gs))[0]
         assert mirrored == pytest.approx(value, rel=1e-10)
+
+
+class TestRitzPair:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(alphas=st.lists(st.floats(1e-6, 1e6), min_size=40, max_size=40),
+           betas=st.lists(st.floats(1e-6, 1e6), min_size=39, max_size=39))
+    def test_matches_eigh_tridiagonal_bit_for_bit(self, alphas, betas):
+        # every leading T_k, k = 1..40, as the recurrence grows it
+        alphas, betas = np.array(alphas), np.array(betas)
+        for k in range(1, 41):
+            theta, last = _top_ritz_pair(alphas[:k], betas[:k - 1])
+            ref_theta, ref_vec = sla.eigh_tridiagonal(
+                alphas[:k], betas[:k - 1], select="i", select_range=(k - 1, k - 1))
+            assert theta == float(ref_theta[0])
+            assert last == float(ref_vec[-1, 0])
 
 
 @pytest.fixture(scope="module")

@@ -247,6 +247,35 @@ class TestSweep:
         with pytest.raises(InvalidInputError, match="threads"):
             sweep(template, [0.2, 0.1], [1e-2], cheap_policy(), threads=0)
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 2.5), ("seed", "7"), ("seed", True), ("threads", 1.5),
+        ("threads", True),
+    ])
+    def test_seed_and_threads_must_be_integers(self, zero_model, key, value):
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=zero_model)
+        with pytest.raises(InvalidInputError, match=key):
+            sweep(template, [0.2, 0.1], [1e-2], cheap_policy(), **{key: value})
+
+    def test_rows_carry_solver_counters(self, zero_model, monkeypatch):
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=zero_model)
+        estimates = []
+        real = scaling.weighted_resolvent_norm
+
+        def kept(*args, **kwargs):
+            estimates.append(real(*args, **kwargs))
+            return estimates[-1]
+
+        monkeypatch.setattr(scaling, "weighted_resolvent_norm", kept)
+        res = sweep(template, [0.2, 0.1], [1e-2], cheap_policy(),
+                    signs=(1, -1), seed=7)
+        for est, plus, minus in zip(estimates, res.rows[::2], res.rows[1::2]):
+            assert plus.matvecs == est.iterations > 0
+            assert plus.residual == minus.residual == est.residual <= 1e-6
+            # the copied row ran no Gram products
+            assert minus.matvecs == 0
+
     def test_bound_column_and_verdict(self, zero_model):
         cfg = CarlemanConfig.lipschitz(3.0, 0.6, 4.0, min_ell(0.25, 3.0, 0.6),
                                        E=1.0, h=0.1, d=3)
@@ -260,7 +289,8 @@ class TestSweep:
 
 
 OK_ROW = SweepRow(h=0.5, eps=1e-2, sign=1, g_measured=1.0, g_bound=2.0,
-                  l_max=2, runtime_ms=0.0, status="ok")
+                  l_max=2, runtime_ms=0.0, status="ok", matvecs=20,
+                  residual=1e-7)
 FAILED_ROW = replace(OK_ROW, g_measured=None, status="failed: forced")
 
 
@@ -341,6 +371,7 @@ class TestSweepMirror:
         assert [(row.h, row.eps, row.sign) for row in failed] == [
             (0.1, 1e-4, 1), (0.1, 1e-4, -1)]
         assert all(row.g_measured is None and "forced failure" in row.status
+                   and row.matvecs == 0 and row.residual is None
                    for row in failed)
 
     def test_minus_sign_alone_matches_plus(self, zero_model):
