@@ -11,12 +11,13 @@ Dirichlet ends.  The weighted resolvent norm per sector is the largest
 singular value of W A^{-1} W with W = diag((r+1)**(-s)), estimated by a
 Lanczos recurrence on the Hermitian Gram product.  The weight, its square
 and one seeded start vector are built once per query and only read by the
-sectors; each sector allocates its four working vectors once, multiplies
-and solves in them in place, and takes its top Ritz pair from LAPACK
-dstebz/dstein on the Lanczos tridiagonal.  Each sector is factorized
-once by the LAPACK tridiagonal LU (zgttrf), whose factors solve with A and
-with A^H (zgttrs); the same factors serve the phase-conjugated solve of
-the energy audit and the dense singular-value oracle kept alongside for
+sectors; each pool worker allocates four working vectors once per query,
+every sector multiplies and solves in them in place and takes its top
+Ritz pair from LAPACK dstebz/dstein on the Lanczos tridiagonal.  Each
+sector is factorized once by the LAPACK tridiagonal LU (zgttrf), in place
+in freshly built diagonals, whose factors solve with A and with A^H
+(zgttrs); the same factors serve the phase-conjugated solve of the energy
+audit and the dense singular-value oracle kept alongside for
 verification.  The norm is the same for both signs of eps (A_- is the
 entrywise conjugate of A_+ and W is real), so sweeps measure one sign.
 
@@ -26,12 +27,16 @@ The energy audit evaluates, for a solution u of the phase-conjugated system,
 
 and checks the pointwise lower bound on (mu F)' implied by a passing
 certificate, plus the integrated identity that the derivative of mu F sums
-to zero when u decays at both ends.
+to zero when u decays at both ends.  The audit and the conjugated system's
+backward error run over fixed blocks of grid rows with the halo their
+stencils need, so beyond its inputs and outputs the audit holds only one
+block's temporaries and the potential in F.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -134,16 +139,17 @@ class DiscreteOperator:
 
     @property
     def offdiag(self):
-        return -self.query.h ** 2 / self.dr ** 2
-
-    def diagonals(self):
-        """Sub-, main and super-diagonal of the matrix."""
-        off = np.full(self.grid.size - 1, self.offdiag, dtype=complex)
-        return off, self.diag_real + 1j * (self.query.sign * self.query.eps), off
+        return _offdiag(self.query, self.dr)
 
     def _lu(self):
-        """The zgttrf factors (dl, d, du, du2, ipiv) that zgttrs takes."""
-        *lu, info = zgttrf(*self.diagonals())
+        """The zgttrf factors (dl, d, du, du2, ipiv) that zgttrs takes.
+
+        The three diagonals are built fresh and factored in place, so the
+        factorization holds no copy of them.
+        """
+        off = np.full(self.grid.size - 1, self.offdiag, dtype=complex)
+        *lu, info = zgttrf(off, self.diag_real + _shift(self.query), off.copy(),
+                           overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:  # pragma: no cover - eps > 0 keeps this clear
             raise SingularMatrixError(
                 f"sector factorization failed: zgttrf info={info} "
@@ -160,6 +166,12 @@ def assemble(query, sector, grid_spec):
 
 def _radial_terms(query, grid_spec):
     """Grid r, r**2 and V(r) shared by every sector of one query."""
+    r = _checked_points(query, grid_spec)
+    return r, r ** 2, np.asarray(query.potential(r), dtype=float)
+
+
+def _checked_points(query, grid_spec):
+    """The grid points, once the step, tail and dimension rules hold."""
     if grid_spec.dr > query.h / STEPS_PER_H * (1.0 + 1e-12):
         raise InvalidInputError(
             f"dr rule violated: dr={grid_spec.dr:g} must be at most "
@@ -171,16 +183,26 @@ def _radial_terms(query, grid_spec):
             f"tail_tol={grid_spec.tail_tol:g}")
     if query.d == 2 and grid_spec.r_min <= 0:
         raise InvalidInputError("dimension two requires r_min > 0")
-    r = grid_spec.points()
-    return r, r ** 2, np.asarray(query.potential(r), dtype=float)
+    return grid_spec.points()
+
+
+def _diagonal(query, sector, dr, r2, v):
+    """Real part of the main diagonal at the nodes with r**2 = ``r2`` and V = ``v``."""
+    return 2.0 * query.h ** 2 / dr ** 2 + sector.lambda_value / r2 - query.E + v
+
+
+def _offdiag(query, dr):
+    """The constant off-diagonal -h**2 / dr**2 of every sector operator."""
+    return -query.h ** 2 / dr ** 2
+
+
+def _shift(query):
+    """The imaginary part of the main diagonal, as the complex i * sign * eps."""
+    return 1j * (query.sign * query.eps)
 
 
 def _sector_operator(query, sector, grid_spec, r, r2, v):
-    h2 = query.h ** 2
-    diag = (2.0 * h2 / grid_spec.dr ** 2
-            + sector.lambda_value / r2
-            - query.E
-            + v)
+    diag = _diagonal(query, sector, grid_spec.dr, r2, v)
     return DiscreteOperator(grid=r, diag_real=diag, query=query, sector=sector,
                             dr=grid_spec.dr)
 
@@ -247,7 +269,7 @@ def _top_ritz_pair(alphas, betas):
     return float(theta[0]), float(vec[-1, 0])
 
 
-def _lanczos_sector_norm(op, w, w2, start):
+def _lanczos_sector_norm(op, w, w2, start, work):
     """Top singular value of W A^{-1} W by Lanczos on its Gram operator.
 
     Runs the three-term recurrence on G = W A^{-1} W^2 A^{-H} W from the
@@ -259,16 +281,16 @@ def _lanczos_sector_norm(op, w, w2, start):
     before a spurious copy of it can form (Paige).  Returns sqrt(theta),
     the number of Gram products and the residual.
 
-    The four working vectors (r, a scratch vector, q and q_prev) are
-    allocated once; each step multiplies and solves in place in them.  The
-    inner products and norms go through _real_dot, so the result does not
-    depend on the BLAS thread count.
+    ``work`` holds the four complex working vectors (q, q_prev, r and a
+    scratch vector) of the grid's length, whose contents on entry are not
+    read; each step multiplies and solves in place in them.  The inner
+    products and norms go through _real_dot, so the result does not depend
+    on the BLAS thread count.
     """
     lu = op._lu()
-    q = start.copy()
-    q_prev = np.zeros_like(q)
-    r = np.empty_like(q)
-    tmp = np.empty_like(q)
+    q, q_prev, r, tmp = work
+    np.copyto(q, start)
+    q_prev.fill(0.0)
 
     alphas = np.empty(LANCZOS_STEP_CAP)
     betas = np.empty(LANCZOS_STEP_CAP)
@@ -306,13 +328,18 @@ def _lanczos_sector_norm(op, w, w2, start):
 def dense_weighted_norm(query, sector, grid_spec):
     """Full singular-value oracle for one sector; dense, small grids only.
 
-    A^{-1} W comes from the sector's own zgttrf factors, solved against
-    the n columns of diag(w); only the singular values are dense.
+    A^{-1} W comes from the sector's own zgttrf factors, solved in place
+    against the n columns of diag(w) in one Fortran-ordered complex array,
+    which is then scaled by W in place and handed to the singular-value
+    solve to overwrite; only the singular values are dense.
     """
     op = assemble(query, sector, grid_spec)
     w = _weight_vector(op.grid, query.s)
-    inv_w = zgttrs(*op._lu(), np.diag(w))[0]
-    return float(sla.svdvals(w[:, None] * inv_w)[0])
+    inv_w = np.zeros((w.size, w.size), dtype=complex, order="F")
+    np.fill_diagonal(inv_w, w)
+    zgttrs(*op._lu(), inv_w, overwrite_b=True)
+    inv_w *= w[:, None]
+    return float(sla.svdvals(inv_w, overwrite_a=True)[0])
 
 
 def _check_integer(name, value, least):
@@ -333,7 +360,9 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
     sectors, so a sector's value depends on neither l_max nor the thread
     count.  ``iterations`` counts the Gram products over all sectors.
     Sectors run independently on a pool of ``threads`` workers, one worker
-    included; the reduction over sectors is an ordered max.
+    included; each worker allocates its four Lanczos working vectors on its
+    first sector and reuses them for the rest of the call.  The reduction
+    over sectors is an ordered max.
     """
     _check_integer("l_max", l_max, 0)
     _check_integer("seed", seed, 0)
@@ -341,11 +370,16 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
     terms = _radial_terms(query, grid_spec)
     w = _weight_vector(terms[0], query.s)
     shared = (w, w * w, _start_vector(w.size, seed))
+    # per-worker state of this call only: it goes with the pool's threads
+    local = threading.local()
 
     def sector_norm(l):  # assembled on the worker: one live diagonal per thread
+        if not hasattr(local, "work"):
+            local.work = tuple(np.empty_like(shared[2]) for _ in range(4))
         sector = AngularSector(query.d, l, query.h)
         return _lanczos_sector_norm(
-            _sector_operator(query, sector, grid_spec, *terms), *shared)
+            _sector_operator(query, sector, grid_spec, *terms), *shared,
+            local.work)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(sector_norm, range(l_max + 1)))
@@ -358,15 +392,68 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
 # Energy audit
 # ---------------------------------------------------------------------------
 
+# rows per block of the backward error and the energy audit: a block's
+# temporaries take a few MB at most, and the criterion-9 grid of 166,934
+# points makes 21 blocks
+_BLOCK_ROWS = 8192
+
+
+def _blocks(n):
+    """The row ranges (lo, hi) of the _BLOCK_ROWS-row blocks of rows 0..n-1."""
+    return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+
+
+def _grid_vector(name, x, n):
+    """``x`` as a complex array, required to hold one value per grid point."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (n,):
+        raise InvalidInputError(
+            f"{name} must be a 1-D array of {n} values, one per grid point; "
+            f"got shape {x.shape}")
+    return x
+
+
+def _stencil(diag, off, ratio, v):
+    """Tridiagonal product with the off-diagonals scaled by the gauge ratios."""
+    out = diag * v
+    out[:-1] += off / ratio * v[1:]
+    out[1:] += off * ratio * v[:-1]
+    return out
+
+
+def _backward_error(u, rhs, off, rows):
+    """Componentwise backward error max |A u - rhs| / (|A| |u| + |rhs|).
+
+    A is the conjugated tridiagonal matrix with off-diagonal ``off`` before
+    the gauge.  The error is taken over blocks of _BLOCK_ROWS rows, each
+    with a one-row halo on either side for the stencil, and is the max of
+    the block maxima; ``rows(a, b)`` gives the complex diagonal of rows
+    a..b-1 and the b-a-1 gauge ratios between them.
+    """
+    n = u.size
+    worst = []
+    for lo, hi in _blocks(n):
+        a, b = max(lo - 1, 0), min(hi + 1, n)
+        diag, ratio = rows(a, b)
+        own = slice(lo - a, hi - a)
+        res = np.abs(_stencil(diag, off, ratio, u[a:b])[own] - rhs[lo:hi])
+        scale = _stencil(np.abs(diag), abs(off), ratio, np.abs(u[a:b]))[own]
+        scale += np.abs(rhs[lo:hi]) + 1e-300
+        worst.append(np.max(res / scale))
+    return float(np.max(worst))
+
+
 @dataclass(frozen=True)
 class ConjugatedOperator:
     """Sector operator conjugated by the phase gauge exp(phi/h).
 
     Conjugation is an exact similarity of the discrete matrix: it multiplies
     the off-diagonals by the gauge ratio of the two nodes they couple and
-    leaves the diagonal unchanged.  Solving goes through the ungauged
-    variable, which keeps the factorization well conditioned even when the
-    gauge spans hundreds of orders of magnitude.
+    leaves the diagonal unchanged.  The conjugated matrix is never formed.
+    Solving goes through the ungauged variable on the base operator's
+    zgttrf factors, which keeps the factorization well conditioned even
+    when the gauge spans hundreds of orders of magnitude; the backward
+    error forms the diagonal and the gauge ratios one row block at a time.
     """
 
     base: DiscreteOperator
@@ -376,30 +463,28 @@ class ConjugatedOperator:
     def grid(self):
         return self.base.grid
 
-    def _ratios(self):
-        return np.exp(np.diff(self.phi_over_h))
-
-    @staticmethod
-    def _stencil(diag, off, ratio, v):
-        """Tridiagonal product with the off-diagonals scaled by the gauge ratios."""
-        out = diag * v
-        out[:-1] += off / ratio * v[1:]
-        out[1:] += off * ratio * v[:-1]
-        return out
-
     def backward_error(self, u, rhs):
-        """Componentwise backward error of the conjugated system."""
-        off, ratio = self.base.offdiag, self._ratios()
-        # rebuilt, not held: a live complex diagonal adds an n-array to peak memory
-        res = np.abs(self._stencil(self.base.diagonals()[1], off, ratio, u) - rhs)
-        scale = self._stencil(np.abs(self.base.diagonals()[1]), abs(off), ratio, np.abs(u))
-        scale += np.abs(rhs) + 1e-300
-        return float(np.max(res / scale))
+        """Componentwise backward error of the conjugated system.
+
+        ``u`` and ``rhs`` are 1-D arrays of one value per grid point.
+        """
+        n = self.grid.size
+        u, rhs = _grid_vector("u", u, n), _grid_vector("rhs", rhs, n)
+        base, shift = self.base, _shift(self.base.query)
+        return _backward_error(u, rhs, base.offdiag, lambda a, b: (
+            base.diag_real[a:b] + shift, np.exp(np.diff(self.phi_over_h[a:b]))))
 
     def solve(self, rhs):
-        """Solve by ungauging: u = exp(phi/h) * (plain solve of exp(-phi/h) rhs)."""
-        w = zgttrs(*self.base._lu(), np.exp(-self.phi_over_h) * rhs)[0]
-        return np.exp(self.phi_over_h) * w
+        """Solve by ungauging: u = exp(phi/h) * (plain solve of exp(-phi/h) rhs).
+
+        ``rhs`` is a 1-D array of one value per grid point.  The plain
+        solve runs in place in the gauged right-hand side, which is then
+        ungauged in place and returned.
+        """
+        w = np.exp(-self.phi_over_h) * _grid_vector("rhs", rhs, self.grid.size)
+        w = zgttrs(*self.base._lu(), w, overwrite_b=True)[0]
+        w *= np.exp(self.phi_over_h)
+        return w
 
 
 def assemble_conjugated(query, sector, grid_spec, phase):
@@ -428,54 +513,80 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
     """Audit the certified flux inequality on a solved conjugated system.
 
     ``u`` must solve the conjugated l = 0 sector system for ``rhs`` to
-    relative residual 1e-8; ``v_long`` is the potential in F and ``config``
-    is not read.  Returns the per-point residual of the flux inequality
-    (nonnegative up to discretization error), the per-point tolerance scale,
-    and the integral of the flux derivative, which vanishes when u decays at
-    both ends.
+    componentwise backward error 1e-8; both are 1-D arrays of one value per
+    point of ``grid_spec``.  ``v_long`` is the potential in F, called once
+    on the whole grid, and ``config`` is not read.  Returns the per-point
+    residual of the flux inequality (nonnegative up to discretization
+    error), the per-point tolerance scale, and the integral of the flux
+    derivative, which vanishes when u decays at both ends.
+
+    No operator is assembled: the grid is checked by the rules of the
+    sector assembly, and two passes run over blocks of _BLOCK_ROWS rows on
+    the calling thread.  The first takes the backward error, with the
+    diagonal and the gauge ratios formed per block.  The second forms F on
+    each block and a one-node halo, with u on a second halo node for D_r u,
+    and writes the block's flux derivative, residual and tolerance into
+    the preallocated outputs.  The integral and its scale are summed over
+    the whole flux-derivative array.
     """
     sector = AngularSector(query.d, 0, query.h)
-    op = assemble_conjugated(query, sector, grid_spec, phase)
-    u = np.asarray(u, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
+    r = _checked_points(query, grid_spec)
+    n = r.size
+    u, rhs = _grid_vector("u", u, n), _grid_vector("rhs", rhs, n)
+    dr, h, E = grid_spec.dr, query.h, query.E
     if np.linalg.norm(rhs) == 0:
         if np.linalg.norm(u) != 0:
             raise InvalidInputError("zero right-hand side requires u = 0")
     else:
+        shift = _shift(query)
+
+        def rows(a, b):
+            rb = r[a:b]
+            v = np.asarray(query.potential(rb), dtype=float)
+            return (_diagonal(query, sector, dr, rb ** 2, v) + shift,
+                    np.exp(np.diff(phase.value(rb) / h)))
+
         # componentwise backward error: the gauge spans too many orders of
         # magnitude for a norm-relative residual to be meaningful
-        resid = op.backward_error(u, rhs)
+        resid = _backward_error(u, rhs, _offdiag(query, dr), rows)
         if resid > 1e-8:
             raise InvalidInputError(
                 f"solution residual {resid:.3g} exceeds the 1e-8 precondition")
-    r, dr, h, E = op.grid, op.base.dr, query.h, query.E
     lam = sector.lambda_value
     v_l = np.asarray(v_long(r), dtype=float)
-    p1 = phase.derivative(r)
-    mu = weight(r)
-    mup = weight.derivative(r)
+    # the flux derivative at the interior nodes only; the ends lack a full stencil
+    dmuF, residuals, tol_scale = np.empty(n - 2), np.empty(n - 2), np.empty(n - 2)
+    for lo, hi in _blocks(n):
+        # F on nodes a..b-1 gives the flux derivative at a+1..b-2, which
+        # are the block's own interior nodes; u is taken on a-1..b, zero
+        # beyond the grid's ends
+        a, b = max(lo - 1, 0), min(hi + 1, n)
+        pa, pb = max(a - 1, 0), min(b + 1, n)
+        u_pad = np.zeros(b - a + 2, dtype=complex)
+        u_pad[pa - a + 1:pb - a + 1] = u[pa:pb]
+        rb, vb = r[a:b], v_l[a:b]
+        du = -1j * h * (u_pad[2:] - u_pad[:-2]) / (2.0 * dr)
+        p1 = phase.derivative(rb)
+        abs_u2 = np.abs(u[a:b]) ** 2
+        abs_du2 = np.abs(du) ** 2
+        F = -(lam / rb ** 2 - E - p1 ** 2 + vb) * abs_u2 + abs_du2
+        own = F[lo - a:hi - a]
+        if not np.all(np.isfinite(own)):
+            bad = r[lo:hi][~np.isfinite(own)][0]
+            raise EvaluationError(f"energy functional not finite at r={bad:.6g}")
 
-    u_pad = np.concatenate([[0.0], u, [0.0]])
-    du = -1j * h * (u_pad[2:] - u_pad[:-2]) / (2.0 * dr)
-    abs_u2 = np.abs(u) ** 2
-    abs_du2 = np.abs(du) ** 2
-    F = -(lam / r ** 2 - E - p1 ** 2 + v_l) * abs_u2 + abs_du2
-    if not np.all(np.isfinite(F)):
-        bad = r[~np.isfinite(F)][0]
-        raise EvaluationError(f"energy functional not finite at r={bad:.6g}")
-
-    # flux derivative at interior nodes only; the ends lack a full stencil
-    muF = mu * F
-    dmuF = (muF[2:] - muF[:-2]) / (2.0 * dr)
-    inner = slice(1, -1)
-
-    lower_bound = (0.5 * E * mup * abs_u2
-                   + mup / 3.0 * abs_du2
-                   - 3.0 / h ** 2 * mu ** 2 / mup * np.abs(rhs) ** 2
-                   - query.eps / h * mu * (abs_u2 + abs_du2))
-    residuals = dmuF - lower_bound[inner]
-    local = (1.0 + E + p1 ** 2 + lam / r ** 2 + np.abs(v_l)) ** 2.5
-    tol_scale = (mu * (abs_u2 + abs_du2) * local / h ** 2)[inner] + 1e-300
+        mu = weight(rb)
+        mup = weight.derivative(rb)
+        muF = mu * F
+        out = slice(a, b - 2)
+        dmuF[out] = (muF[2:] - muF[:-2]) / (2.0 * dr)
+        lower_bound = (0.5 * E * mup * abs_u2
+                       + mup / 3.0 * abs_du2
+                       - 3.0 / h ** 2 * mu ** 2 / mup * np.abs(rhs[a:b]) ** 2
+                       - query.eps / h * mu * (abs_u2 + abs_du2))
+        residuals[out] = dmuF[out] - lower_bound[1:-1]
+        local = (1.0 + E + p1 ** 2 + lam / rb ** 2 + np.abs(vb)) ** 2.5
+        tol_scale[out] = (mu * (abs_u2 + abs_du2) * local / h ** 2)[1:-1] + 1e-300
     # telescoping sum of the central differences: only boundary values survive
     integral = float(np.sum(dmuF) * dr)
     scale = float(np.sum(np.abs(dmuF)) * dr)

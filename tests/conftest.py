@@ -5,7 +5,7 @@ import pytest
 
 import resolvent_lab as rl
 from resolvent_lab.carleman import CarlemanConfig, GridSpec, min_ell, search_tau0
-from resolvent_lab.errors import InvalidInputError
+from resolvent_lab.errors import EvaluationError, InvalidInputError
 from resolvent_lab.potentials import (_BLOCK_ROWS, PotentialModel,
                                       REFERENCE_GRID, holder_seminorm)
 from resolvent_lab.radial import (ResolventQuery, _lanczos_sector_norm,
@@ -39,13 +39,82 @@ def sector_norm(op, seed=0):
     ``weighted_resolvent_norm`` builds them once per query.
     """
     w = _weight_vector(op.grid, op.query.s)
-    return _lanczos_sector_norm(op, w, w * w, _start_vector(w.size, seed))
+    work = tuple(np.empty(w.size, dtype=complex) for _ in range(4))
+    return _lanczos_sector_norm(op, w, w * w, _start_vector(w.size, seed), work)
+
+
+def fresh_diagonals(op):
+    """Sub-, main and super-diagonal of the sector operator, built from its terms."""
+    off = np.full(op.grid.size - 1, -op.query.h ** 2 / op.dr ** 2, dtype=complex)
+    return off, op.diag_real + 1j * (op.query.sign * op.query.eps), off
 
 
 def dense_matrix(op):
     """The sector operator's tridiagonal matrix as a dense array."""
-    dl, d, du = op.diagonals()
+    dl, d, du = fresh_diagonals(op)
     return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+
+
+def whole_array_backward_error(conj, u, rhs):
+    """The conjugated system's componentwise backward error over whole-grid arrays."""
+
+    def stencil(diag, off, ratio, v):
+        out = diag * v
+        out[:-1] += off / ratio * v[1:]
+        out[1:] += off * ratio * v[:-1]
+        return out
+
+    _, diag, _ = fresh_diagonals(conj.base)
+    off, ratio = conj.base.offdiag, np.exp(np.diff(conj.phi_over_h))
+    res = np.abs(stencil(diag, off, ratio, u) - rhs)
+    scale = stencil(np.abs(diag), abs(off), ratio, np.abs(u))
+    scale += np.abs(rhs) + 1e-300
+    return float(np.max(res / scale))
+
+
+def whole_array_audit(u, query, weight, phase, rhs, grid_spec, v_long):
+    """(residuals, tolerance, integral, scale) of the energy audit over whole-grid arrays.
+
+    Assembles the conjugated operator and forms every term on the whole
+    grid at once; raises as ``energy_audit`` does.
+    """
+    sector = rl.AngularSector(query.d, 0, query.h)
+    op = rl.assemble_conjugated(query, sector, grid_spec, phase)
+    u = np.asarray(u, dtype=complex)
+    rhs = np.asarray(rhs, dtype=complex)
+    if np.linalg.norm(rhs) == 0:
+        if np.linalg.norm(u) != 0:
+            raise InvalidInputError("zero right-hand side requires u = 0")
+    elif whole_array_backward_error(op, u, rhs) > 1e-8:
+        raise InvalidInputError("solution residual exceeds the 1e-8 precondition")
+    r, dr, h, E = op.grid, op.base.dr, query.h, query.E
+    lam = sector.lambda_value
+    v_l = np.asarray(v_long(r), dtype=float)
+    p1 = phase.derivative(r)
+    mu = weight(r)
+    mup = weight.derivative(r)
+
+    u_pad = np.concatenate([[0.0], u, [0.0]])
+    du = -1j * h * (u_pad[2:] - u_pad[:-2]) / (2.0 * dr)
+    abs_u2 = np.abs(u) ** 2
+    abs_du2 = np.abs(du) ** 2
+    F = -(lam / r ** 2 - E - p1 ** 2 + v_l) * abs_u2 + abs_du2
+    if not np.all(np.isfinite(F)):
+        bad = r[~np.isfinite(F)][0]
+        raise EvaluationError(f"energy functional not finite at r={bad:.6g}")
+
+    muF = mu * F
+    dmuF = (muF[2:] - muF[:-2]) / (2.0 * dr)
+    inner = slice(1, -1)
+    lower_bound = (0.5 * E * mup * abs_u2
+                   + mup / 3.0 * abs_du2
+                   - 3.0 / h ** 2 * mu ** 2 / mup * np.abs(rhs) ** 2
+                   - query.eps / h * mu * (abs_u2 + abs_du2))
+    residuals = dmuF - lower_bound[inner]
+    local = (1.0 + E + p1 ** 2 + lam / r ** 2 + np.abs(v_l)) ** 2.5
+    tol_scale = (mu * (abs_u2 + abs_du2) * local / h ** 2)[inner] + 1e-300
+    return (residuals, tol_scale, float(np.sum(dmuF) * dr),
+            float(np.sum(np.abs(dmuF)) * dr))
 
 
 def by_the_rule(smoothed, r, deriv, rows=None):

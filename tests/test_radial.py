@@ -3,6 +3,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,21 +13,23 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg.lapack import zgttrs
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 import resolvent_lab as rl
 from resolvent_lab import radial
 from resolvent_lab.carleman import (CarlemanConfig, GridSpec, build_phase,
                                     build_weight, min_ell, search_tau0)
-from resolvent_lab.errors import AccuracyError, InvalidInputError
-from resolvent_lab.radial import (AngularSector, ResolventQuery,
+from resolvent_lab.errors import AccuracyError, EvaluationError, InvalidInputError
+from resolvent_lab.radial import (_BLOCK_ROWS, AngularSector, ResolventQuery,
                                   UniformGridSpec, assemble,
                                   assemble_conjugated, dense_weighted_norm,
                                   energy_audit, weighted_resolvent_norm,
                                   _lanczos_sector_norm, _start_vector,
                                   _top_ritz_pair)
 
-from conftest import conjugate_check, dense_matrix, gaussian_bump, sector_norm
+from conftest import (conjugate_check, dense_matrix, fresh_diagonals,
+                      gaussian_bump, sector_norm, whole_array_audit,
+                      whole_array_backward_error)
 
 
 def small_grid(d):
@@ -201,7 +206,7 @@ class TestNorms:
         assert len(est.sector_values) == 3
 
     def test_threads_do_not_change_result(self, power_law_model):
-        # each sector owns its Lanczos vectors, so threads share none
+        # each worker owns its Lanczos vectors, so threads share none
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
                            potential=power_law_model)
         a = weighted_resolvent_norm(q, small_grid(3), l_max=3, seed=0, threads=1)
@@ -246,9 +251,32 @@ class TestNorms:
         w = (op.grid + 1.0) ** (-q.s)
         start = _start_vector(op.grid.size, 0)
         kept = start.copy()
-        _lanczos_sector_norm(op, w, w * w, start)
+        # working vectors left over from another sector: their contents are not read
+        stale = tuple(np.full(start.size, complex(np.nan, np.nan)) for _ in range(4))
+        assert _lanczos_sector_norm(op, w, w * w, start, stale) == sector_norm(op)
         assert np.array_equal(start, kept)
         assert np.vdot(start, start).real == pytest.approx(1.0, rel=1e-15)
+
+    def test_working_vectors_are_allocated_once_per_worker(self, power_law_model,
+                                                           monkeypatch):
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
+                           potential=power_law_model)
+        inner = radial._lanczos_sector_norm
+
+        def recording(op, w, w2, start, work):
+            vectors.setdefault(threading.get_ident(), set()).add(id(work))
+            alive.extend(weakref.ref(v) for v in work)
+            return inner(op, w, w2, start, work)
+
+        monkeypatch.setattr(radial, "_lanczos_sector_norm", recording)
+        for threads in (1, 2):
+            vectors, alive = {}, []
+            weighted_resolvent_norm(q, small_grid(3), l_max=5, seed=0,
+                                    threads=threads)
+            assert 1 <= len(vectors) <= threads
+            assert all(len(ids) == 1 for ids in vectors.values())
+            # nothing outlives the call
+            assert len(alive) == 24 and all(ref() is None for ref in alive)
 
     def test_non_finite_vector_fails_the_sector(self, power_law_model):
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
@@ -257,7 +285,8 @@ class TestNorms:
         w = (op.grid + 1.0) ** (-q.s)
         w[7] = np.nan
         with pytest.raises(AccuracyError, match="non-finite"):
-            _lanczos_sector_norm(op, w, w * w, _start_vector(w.size, 0))
+            _lanczos_sector_norm(op, w, w * w, _start_vector(w.size, 0),
+                                 tuple(np.empty(w.size, dtype=complex) for _ in range(4)))
 
     @pytest.mark.parametrize("key,value", [
         ("seed", 2.5), ("seed", "7"), ("seed", True), ("seed", np.float64(3.0)),
@@ -380,6 +409,21 @@ class TestFactor:
         mirrored = sector_norm(assemble(replace(q, sign=-sign), sec, gs))[0]
         assert mirrored == pytest.approx(value, rel=1e-10)
 
+    @pytest.mark.parametrize("d,l,sign", [(3, 0, 1), (3, 2, -1), (2, 1, 1)])
+    def test_in_place_factors_equal_zgttrf_on_fresh_diagonals(self, power_law_model,
+                                                              d, l, sign):
+        q = ResolventQuery(d=d, E=1.0, h=0.5, eps=1e-3, sign=sign, s=0.6,
+                           potential=power_law_model)
+        op = assemble(q, AngularSector(d, l, 0.5), small_grid(d))
+        kept = op.diag_real.copy()
+        *ref, info = zgttrf(*fresh_diagonals(op))
+        assert info == 0
+        factors = op._lu()
+        assert len(factors) == len(ref)
+        for got, want in zip(factors, ref):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert op.diag_real.tobytes() == kept.tobytes()
+
 
 class TestRitzPair:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -454,3 +498,120 @@ class TestEnergyAudit:
         with pytest.raises(InvalidInputError, match="residual"):
             energy_audit(u, q, cfg, weight, phase, rhs, gs,
                          v_long=smoothed.evaluate)
+
+    def test_rejects_mis_shaped_vectors(self, audit_setup):
+        # a column u once broadcast the stencil to n x n (415 GiB on this grid)
+        model, cfg, q, gs, weight, phase, smoothed, op = audit_setup
+        n = op.grid.size
+        rhs = np.exp(-((op.grid - 6.0)) ** 2).astype(complex)
+        u = op.solve(rhs)
+        for bad_u, bad_rhs, name, rows in ((u[:, None], rhs, "u", n),
+                                           (u[:-1], rhs, "u", n - 1),
+                                           (u, rhs[:-1], "rhs", n - 1)):
+            # the message names the grid's size and the size given
+            message = rf"^{name} must be a 1-D array of {n} values.*got shape \({rows},"
+            with pytest.raises(InvalidInputError, match=message):
+                energy_audit(bad_u, q, cfg, weight, phase, bad_rhs, gs,
+                             v_long=smoothed.evaluate)
+            with pytest.raises(InvalidInputError, match=message):
+                op.backward_error(bad_u, bad_rhs)
+        for bad_rhs in (rhs[:-1], rhs[:, None]):
+            with pytest.raises(InvalidInputError,
+                               match=rf"^rhs must be a 1-D array of {n} values"):
+                op.solve(bad_rhs)
+
+    @pytest.mark.parametrize("kind", ["gauss", "random", "zero"])
+    def test_equals_the_whole_array_audit_on_the_criterion_9_grid(self, audit_setup,
+                                                                  kind):
+        model, cfg, q, gs, weight, phase, smoothed, op = audit_setup
+        check_against_whole_array(q, gs, weight, phase, smoothed, op, cfg,
+                                  audit_rhs(op.grid, kind))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, _BLOCK_ROWS + 1])
+    def test_equals_the_whole_array_audit_at_block_edges(self, audit_setup, offset):
+        model, cfg, q, gs, weight, phase, smoothed, _ = audit_setup
+        grid = grid_of(_BLOCK_ROWS + offset)
+        op = assemble_conjugated(q, AngularSector(3, 0, 0.5), grid, phase)
+        for kind in ("random", "zero"):
+            check_against_whole_array(q, grid, weight, phase, smoothed, op, cfg,
+                                      audit_rhs(op.grid, kind))
+
+    @pytest.mark.parametrize("bad", [[_BLOCK_ROWS - 1], [_BLOCK_ROWS],
+                                     [_BLOCK_ROWS + 1], [2 * _BLOCK_ROWS],
+                                     [3, 2 * _BLOCK_ROWS]])
+    def test_non_finite_F_fails_at_the_same_first_r(self, audit_setup, bad):
+        model, cfg, q, gs, weight, phase, smoothed, _ = audit_setup
+        grid = grid_of(2 * _BLOCK_ROWS + 1)
+        op = assemble_conjugated(q, AngularSector(3, 0, 0.5), grid, phase)
+        rhs = audit_rhs(op.grid, "random")
+        u = op.solve(rhs)
+
+        def v_long(r):
+            v = smoothed.evaluate(r)
+            v[bad] = np.nan
+            return v
+
+        with pytest.raises(EvaluationError) as ref:
+            whole_array_audit(u, q, weight, phase, rhs, grid, v_long)
+        with pytest.raises(EvaluationError) as got:
+            energy_audit(u, q, cfg, weight, phase, rhs, grid, v_long=v_long)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).endswith(f"r={op.grid[min(bad)]:.6g}")
+
+    def test_memory_stays_flat_on_the_audit_grid(self, audit_setup):
+        model, cfg, q, gs, weight, phase, smoothed, op = audit_setup
+        assert op.grid.size == 166_934
+        rhs = audit_rhs(op.grid, "gauss")
+        u = op.solve(rhs)
+        tracemalloc.start()
+        try:
+            energy_audit(u, q, cfg, weight, phase, rhs, gs, v_long=smoothed.evaluate)
+            audit_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            op.backward_error(u, rhs)
+            error_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # over whole-grid arrays these peaked at 26.8 MB and 10.3 MB
+        assert audit_peak <= 10e6, audit_peak
+        assert error_peak <= 2e6, error_peak
+
+
+def grid_of(n):
+    """The criterion-9 step on a grid of exactly n interior points."""
+    grid = UniformGridSpec(dr=0.05, r_max=0.05 * (n + 1), tail_tol=0.05)
+    assert grid.points().size == n
+    return grid
+
+
+def audit_rhs(r, kind):
+    if kind == "zero":
+        return np.zeros(r.size, dtype=complex)
+    if kind == "gauss":
+        return np.exp(-((r - 6.0)) ** 2).astype(complex)
+    rng = np.random.default_rng(42)
+    return rng.standard_normal(r.size) + 1j * rng.standard_normal(r.size)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def check_against_whole_array(q, grid, weight, phase, smoothed, op, cfg, rhs):
+    """The solve, backward error and audit equal the whole-array formulas bit for bit."""
+    u = op.solve(rhs)
+    ungauged = zgttrs(*op.base._lu(), np.exp(-op.phi_over_h) * rhs)[0]
+    assert same_bits(u, np.exp(op.phi_over_h) * ungauged)
+    if np.any(rhs):
+        assert same_bits(op.backward_error(u, rhs),
+                         whole_array_backward_error(op, u, rhs))
+    trace = energy_audit(u, q, cfg, weight, phase, rhs, grid,
+                         v_long=smoothed.evaluate)
+    residuals, tolerance, integral, scale = whole_array_audit(
+        u, q, weight, phase, rhs, grid, smoothed.evaluate)
+    assert same_bits(trace.flux_residuals, residuals)
+    assert same_bits(trace.residual_tolerance, tolerance)
+    assert same_bits(trace.integral_value, integral)
+    assert same_bits(trace.integral_scale, scale)
