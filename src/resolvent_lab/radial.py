@@ -8,18 +8,22 @@ system per angular sector:
 
 discretized with second-order central differences on a uniform grid with
 Dirichlet ends.  The weighted resolvent norm per sector is the largest
-singular value of W A^{-1} W with W = diag((r+1)**(-s)), estimated by a
-Lanczos recurrence on the Hermitian Gram product.  The weight, its square
-and one seeded start vector are built once per query and only read by the
-sectors; each pool worker allocates four working vectors once per query,
-every sector multiplies and solves in them in place and takes its top
-Ritz pair from LAPACK dstebz/dstein on the Lanczos tridiagonal.  Each
-sector is factorized once by the LAPACK tridiagonal LU (zgttrf), in place
-in freshly built diagonals, whose factors solve with A and with A^H
-(zgttrs); the same factors serve the phase-conjugated solve of the energy
-audit and the dense singular-value oracle kept alongside for
-verification.  The norm is the same for both signs of eps (A_- is the
-entrywise conjugate of A_+ and W is real), so sweeps measure one sign.
+singular value of W A^{-1} W with W = diag((r+1)**(-s)), which is B^{-1}
+for the weighted operator B = W^{-1} A W^{-1}.  B is tridiagonal and
+complex symmetric like A, with diagonal (r+1)**(2s) times A's and
+off-diagonal (r_j+1)**s (r_{j+1}+1)**s times A's.  Each sector factorizes
+B once by the LAPACK tridiagonal LU (zgttrf), in place in freshly built
+diagonals, and solves with B and B^H on those factors (zgttrs).  The
+norm is estimated by a Lanczos recurrence on the Gram product
+B^{-H} B^{-1}, two solves and no weight multiply.  (r+1)**(2s), B's
+off-diagonal and one seeded start vector are built once per query and
+only read by the sectors; each pool worker allocates three working
+vectors once per query, every sector solves and updates in them in place
+and takes its top Ritz pair from LAPACK dstebz/dstein on the Lanczos
+tridiagonal.  The same factors serve the phase-conjugated solve of the
+energy audit and the dense singular-value oracle kept alongside for
+verification.  The norm is the same for both signs of eps (B_- is the
+entrywise conjugate of B_+, since W is real), so sweeps measure one sign.
 
 The energy audit evaluates, for a solution u of the phase-conjugated system,
 
@@ -42,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dstebz, dstein, zgttrf, zgttrs
 
 from .errors import (AccuracyError, EvaluationError, InvalidInputError,
@@ -125,10 +130,13 @@ class UniformGridSpec:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Complex tridiagonal sector operator with Dirichlet ends.
+    """Complex tridiagonal sector operator A with Dirichlet ends.
 
     The real part (diag_real plus the constant off-diagonal) is symmetric;
-    the imaginary part is exactly sign*eps times the identity.
+    the imaginary part is exactly sign*eps times the identity.  A itself
+    is never factored: _lu factors its weighted form B = W^{-1} A W^{-1},
+    W = diag((r+1)**(-s)), for the norm, the dense oracle and the
+    conjugated solve alike.
     """
 
     grid: np.ndarray
@@ -141,15 +149,22 @@ class DiscreteOperator:
     def offdiag(self):
         return _offdiag(self.query, self.dr)
 
-    def _lu(self):
-        """The zgttrf factors (dl, d, du, du2, ipiv) that zgttrs takes.
+    def _lu(self, weighted=None):
+        """The zgttrf factors (dl, d, du, du2, ipiv) of B = W^{-1} A W^{-1}, which zgttrs takes.
 
-        The three diagonals are built fresh and factored in place, so the
-        factorization holds no copy of them.
+        ``weighted`` is the pair ((r+1)**(2s), B's off-diagonal) that
+        _weighted_terms gives for this operator's grid: a norm call builds
+        it once per query and passes it, other callers leave it to be built
+        here.  B's three diagonals are built fresh, the main one by scaling
+        A's in place, and factored in place, so the factorization holds no
+        copy of them; a pair built here is let go before zgttrf runs.
         """
-        off = np.full(self.grid.size - 1, self.offdiag, dtype=complex)
-        *lu, info = zgttrf(off, self.diag_real + _shift(self.query), off.copy(),
-                           overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        lift2, off = weighted or _weighted_terms(self.query, self.dr, self.grid)
+        d = self.diag_real + _shift(self.query)
+        d *= lift2
+        dl, du = off.astype(complex), off.astype(complex)
+        del weighted, lift2, off
+        *lu, info = zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:  # pragma: no cover - eps > 0 keeps this clear
             raise SingularMatrixError(
                 f"sector factorization failed: zgttrf info={info} "
@@ -196,6 +211,23 @@ def _offdiag(query, dr):
     return -query.h ** 2 / dr ** 2
 
 
+def _lift(r, s):
+    """(r+1)**s at the nodes ``r``: the inverse of the resolvent weight."""
+    return np.power(r + 1.0, s)
+
+
+def _weighted_terms(query, dr, r):
+    """(r+1)**(2s) and the off-diagonal of B = W^{-1} A W^{-1} at the nodes ``r``.
+
+    The off-diagonal is -h**2 / dr**2 times (r_j+1)**s (r_{j+1}+1)**s;
+    neither term depends on the sector.
+    """
+    lift = _lift(r, query.s)
+    off = lift[:-1] * lift[1:]
+    off *= _offdiag(query, dr)
+    return np.multiply(lift, lift, out=lift), off
+
+
 def _shift(query):
     """The imaginary part of the main diagonal, as the complex i * sign * eps."""
     return 1j * (query.sign * query.eps)
@@ -226,10 +258,6 @@ class NormEstimate:
     @property
     def g_value(self):
         return math.log(max(self.sector_values))
-
-
-def _weight_vector(grid, s):
-    return (grid + 1.0) ** (-s)
 
 
 def _real_dot(x, y):
@@ -269,43 +297,50 @@ def _top_ritz_pair(alphas, betas):
     return float(theta[0]), float(vec[-1, 0])
 
 
-def _lanczos_sector_norm(op, w, w2, start, work):
-    """Top singular value of W A^{-1} W by Lanczos on its Gram operator.
+def _lanczos_sector_norm(op, weighted, start, work):
+    """Top singular value of B^{-1} = W A^{-1} W by Lanczos on its Gram operator.
 
-    Runs the three-term recurrence on G = W A^{-1} W^2 A^{-H} W from the
-    query's start vector ``start``, which it copies and never writes, with
-    the query's weight ``w`` = diag(W) and ``w2`` = w*w.  It keeps no basis
-    and stops when the top Ritz pair (theta, s) of the tridiagonal T_k,
-    from _top_ritz_pair, has residual |beta_k s_k| / theta at most
-    RESIDUAL_TOL.  Without reorthogonalization the top Ritz value converges
-    before a spurious copy of it can form (Paige).  Returns sqrt(theta),
-    the number of Gram products and the residual.
+    Factors B = W^{-1} A W^{-1} once, with ``weighted`` the query's pair
+    from _weighted_terms, and runs the three-term recurrence on
+    G = B^{-H} B^{-1} from the query's start vector ``start``, which it
+    copies and never writes.  It keeps no basis and stops when the top
+    Ritz pair (theta, s) of the tridiagonal T_k, from _top_ritz_pair, has
+    residual |beta_k s_k| / theta at most RESIDUAL_TOL.  Without
+    reorthogonalization the top Ritz value converges before a spurious
+    copy of it can form (Paige).  Returns sqrt(theta), the number of Gram
+    products and the residual.
 
-    ``work`` holds the four complex working vectors (q, q_prev, r and a
-    scratch vector) of the grid's length, whose contents on entry are not
-    read; each step multiplies and solves in place in them.  The inner
-    products and norms go through _real_dot, so the result does not depend
-    on the BLAS thread count.
+    ``work`` holds the three complex working vectors of the grid's length,
+    whose contents on entry are not read.  Each Lanczos vector is kept
+    unnormalized, as the residual of the step before it, beside the scale
+    1/beta that normalizes it.  The scale is applied as the vector is
+    copied into the working vector the two solves run in, and folded into
+    the coefficients of the two BLAS daxpy updates on the interleaved real
+    views, so a Gram product costs the two solves and five vector passes:
+    the scaled copy, one inner product, two updates and one norm.  The
+    inner products and norms go through _real_dot, so the result does not
+    depend on the BLAS thread count.
     """
-    lu = op._lu()
-    q, q_prev, r, tmp = work
-    np.copyto(q, start)
-    q_prev.fill(0.0)
+    lu = op._lu(weighted)
+    v, v_prev, r = work
+    np.copyto(v, start)
+    # q_k = scale * v and q_{k-1} = scale_prev * v_prev; the start vector is normalized
+    scale = 1.0
 
     alphas = np.empty(LANCZOS_STEP_CAP)
     betas = np.empty(LANCZOS_STEP_CAP)
     beta = 0.0
     res = math.inf
     for k in range(1, LANCZOS_STEP_CAP + 1):
-        # r = w A^{-H} (w2 (A^{-1} (w q))); r is contiguous, so zgttrs solves in it
-        np.multiply(w, q, out=r)
+        # r = B^{-H} B^{-1} q_k; r is contiguous, so zgttrs solves in it
+        np.multiply(v, scale, out=r)
         zgttrs(*lu, r, trans="N", overwrite_b=True)
-        r *= w2
         zgttrs(*lu, r, trans="C", overwrite_b=True)
-        r *= w
-        alpha = _real_dot(q, r)
-        r -= np.multiply(alpha, q, out=tmp)
-        r -= np.multiply(beta, q_prev, out=tmp)
+        alpha = scale * _real_dot(v, r)
+        # r -= alpha q_k + beta_{k-1} q_{k-1}, in place on the real views
+        daxpy(v.view(float), r.view(float), a=-alpha * scale)
+        if k > 1:
+            daxpy(v_prev.view(float), r.view(float), a=-beta * scale_prev)
         alphas[k - 1] = alpha
         beta = math.sqrt(_real_dot(r, r))
         if not math.isfinite(beta):  # dstebz takes T unchecked
@@ -316,10 +351,8 @@ def _lanczos_sector_norm(op, w, w2, start, work):
         if res <= RESIDUAL_TOL:
             return math.sqrt(theta), k, res
         betas[k - 1] = beta
-        q_prev, q = q, q_prev
-        # numpy's complex division by a real beta multiplies by 1/beta; this
-        # gives the same bits without the complex-division loop
-        np.multiply(r, 1.0 / beta, out=q)
+        v_prev, v, r = v, r, v_prev
+        scale_prev, scale = scale, 1.0 / beta
     raise AccuracyError(
         f"Lanczos did not reach residual {RESIDUAL_TOL:g} within "
         f"{LANCZOS_STEP_CAP} steps (sector l={op.sector.l})", residual=res)
@@ -328,18 +361,16 @@ def _lanczos_sector_norm(op, w, w2, start, work):
 def dense_weighted_norm(query, sector, grid_spec):
     """Full singular-value oracle for one sector; dense, small grids only.
 
-    A^{-1} W comes from the sector's own zgttrf factors, solved in place
-    against the n columns of diag(w) in one Fortran-ordered complex array,
-    which is then scaled by W in place and handed to the singular-value
-    solve to overwrite; only the singular values are dense.
+    W A^{-1} W = B^{-1} comes from the sector's own zgttrf factors of
+    B = W^{-1} A W^{-1}, solved in place against the n columns of the
+    identity in one Fortran-ordered complex array, which the
+    singular-value solve then overwrites; only the singular values are
+    dense.
     """
     op = assemble(query, sector, grid_spec)
-    w = _weight_vector(op.grid, query.s)
-    inv_w = np.zeros((w.size, w.size), dtype=complex, order="F")
-    np.fill_diagonal(inv_w, w)
-    zgttrs(*op._lu(), inv_w, overwrite_b=True)
-    inv_w *= w[:, None]
-    return float(sla.svdvals(inv_w, overwrite_a=True)[0])
+    inv = np.eye(op.grid.size, dtype=complex, order="F")
+    zgttrs(*op._lu(), inv, overwrite_b=True)
+    return float(sla.svdvals(inv, overwrite_a=True)[0])
 
 
 def _check_integer(name, value, least):
@@ -353,32 +384,33 @@ def _check_integer(name, value, least):
 def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS):
     """Largest weighted sector resolvent norm over l = 0..l_max.
 
-    Each sector gets one LAPACK tridiagonal factorization (zgttrf) and a
-    Lanczos recurrence on W A^{-1} W^2 A^{-H} W until the top Ritz residual
-    reaches RESIDUAL_TOL.  The weight, its square and one Gaussian start
-    vector drawn from ``seed`` are built once per call and only read by the
-    sectors, so a sector's value depends on neither l_max nor the thread
-    count.  ``iterations`` counts the Gram products over all sectors.
-    Sectors run independently on a pool of ``threads`` workers, one worker
-    included; each worker allocates its four Lanczos working vectors on its
-    first sector and reuses them for the rest of the call.  The reduction
-    over sectors is an ordered max.
+    Each sector gets one LAPACK tridiagonal factorization (zgttrf) of the
+    weighted operator B = W^{-1} A W^{-1} and a Lanczos recurrence on
+    B^{-H} B^{-1} until the top Ritz residual reaches RESIDUAL_TOL.
+    (r+1)**(2s), B's off-diagonal and one Gaussian start vector drawn from
+    ``seed`` are built once per call and only read by the sectors, so a
+    sector's value depends on neither l_max nor the thread count.
+    ``iterations`` counts the Gram products over all sectors.  Sectors run
+    independently on a pool of ``threads`` workers, one worker included;
+    each worker allocates its three Lanczos working vectors on its first
+    sector and reuses them for the rest of the call.  The reduction over
+    sectors is an ordered max.
     """
     _check_integer("l_max", l_max, 0)
     _check_integer("seed", seed, 0)
     _check_integer("threads", threads, 1)
     terms = _radial_terms(query, grid_spec)
-    w = _weight_vector(terms[0], query.s)
-    shared = (w, w * w, _start_vector(w.size, seed))
+    weighted = _weighted_terms(query, grid_spec.dr, terms[0])
+    start = _start_vector(terms[0].size, seed)
     # per-worker state of this call only: it goes with the pool's threads
     local = threading.local()
 
     def sector_norm(l):  # assembled on the worker: one live diagonal per thread
         if not hasattr(local, "work"):
-            local.work = tuple(np.empty_like(shared[2]) for _ in range(4))
+            local.work = tuple(np.empty_like(start) for _ in range(3))
         sector = AngularSector(query.d, l, query.h)
         return _lanczos_sector_norm(
-            _sector_operator(query, sector, grid_spec, *terms), *shared,
+            _sector_operator(query, sector, grid_spec, *terms), weighted, start,
             local.work)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -450,10 +482,12 @@ class ConjugatedOperator:
     Conjugation is an exact similarity of the discrete matrix: it multiplies
     the off-diagonals by the gauge ratio of the two nodes they couple and
     leaves the diagonal unchanged.  The conjugated matrix is never formed.
-    Solving goes through the ungauged variable on the base operator's
-    zgttrf factors, which keeps the factorization well conditioned even
-    when the gauge spans hundreds of orders of magnitude; the backward
-    error forms the diagonal and the gauge ratios one row block at a time.
+    Solving goes through the ungauged, unweighted variable on the zgttrf
+    factors of the base operator's weighted form B = W^{-1} A W^{-1}, which
+    keeps the factorization well conditioned even when the gauge spans
+    hundreds of orders of magnitude.  The backward error is taken against
+    the conjugated matrix itself, with the diagonal and the gauge ratios
+    formed one row block at a time.
     """
 
     base: DiscreteOperator
@@ -475,16 +509,28 @@ class ConjugatedOperator:
             base.diag_real[a:b] + shift, np.exp(np.diff(self.phi_over_h[a:b]))))
 
     def solve(self, rhs):
-        """Solve by ungauging: u = exp(phi/h) * (plain solve of exp(-phi/h) rhs).
+        """Solve by ungauging and unweighting on the factors of B = W^{-1} A W^{-1}.
 
-        ``rhs`` is a 1-D array of one value per grid point.  The plain
-        solve runs in place in the gauged right-hand side, which is then
-        ungauged in place and returned.
+        u = (r+1)**s exp(phi/h) B^{-1} ((r+1)**s exp(-phi/h) rhs).  ``rhs``
+        is a 1-D array of one value per grid point.  The solve runs in place
+        in the scaled right-hand side, which is then scaled back in place
+        and returned; each scaling is formed while no factor is held.
         """
-        w = np.exp(-self.phi_over_h) * _grid_vector("rhs", rhs, self.grid.size)
-        w = zgttrs(*self.base._lu(), w, overwrite_b=True)[0]
-        w *= np.exp(self.phi_over_h)
-        return w
+        u = self._scaling(-1.0) * _grid_vector("rhs", rhs, self.grid.size)
+        u = zgttrs(*self.base._lu(), u, overwrite_b=True)[0]
+        u *= self._scaling(1.0)
+        return u
+
+    def _scaling(self, sign):
+        """(r+1)**s exp(sign phi/h), as the product of the two factors.
+
+        exp(s log1p(r) + sign phi/h) would round the sum, whose size reaches
+        |phi/h|, and so perturb the two scalings independently by |phi/h|
+        units in the last place; the product is good to a few units.
+        """
+        out = np.exp(sign * self.phi_over_h)
+        out *= _lift(self.grid, self.base.query.s)
+        return out
 
 
 def assemble_conjugated(query, sector, grid_spec, phase):
@@ -527,15 +573,19 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
     each block and a one-node halo, with u on a second halo node for D_r u,
     and writes the block's flux derivative, residual and tolerance into
     the preallocated outputs.  The integral and its scale are summed over
-    the whole flux-derivative array.
+    the whole flux-derivative array; a scale that underflows to 0 for a
+    nonzero u raises EvaluationError rather than leave the integral
+    identity 0/0.
     """
     sector = AngularSector(query.d, 0, query.h)
     r = _checked_points(query, grid_spec)
     n = r.size
     u, rhs = _grid_vector("u", u, n), _grid_vector("rhs", rhs, n)
     dr, h, E = grid_spec.dr, query.h, query.E
-    if np.linalg.norm(rhs) == 0:
-        if np.linalg.norm(u) != 0:
+    # a zero test, not a norm: the norm squares the entries, so a nonzero
+    # vector of scale 1e-170 would read as zero
+    if not np.any(rhs):
+        if np.any(u):
             raise InvalidInputError("zero right-hand side requires u = 0")
     else:
         shift = _shift(query)
@@ -590,6 +640,10 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
     # telescoping sum of the central differences: only boundary values survive
     integral = float(np.sum(dmuF) * dr)
     scale = float(np.sum(np.abs(dmuF)) * dr)
+    if scale == 0 and np.any(u):
+        raise EvaluationError(
+            "flux-derivative scale underflows to 0 for a nonzero u "
+            f"(largest |u| = {np.max(np.abs(u)):.3g}); rescale the right-hand side")
     return EnergyTrace(flux_residuals=residuals,
                        residual_tolerance=tol_scale, integral_value=integral,
                        integral_scale=scale)

@@ -9,7 +9,7 @@ from resolvent_lab.errors import EvaluationError, InvalidInputError
 from resolvent_lab.potentials import (_BLOCK_ROWS, PotentialModel,
                                       REFERENCE_GRID, holder_seminorm)
 from resolvent_lab.radial import (ResolventQuery, _lanczos_sector_norm,
-                                  _start_vector, _weight_vector)
+                                  _start_vector, _weighted_terms)
 from resolvent_lab.scaling import GridPolicy, SweepResult, SweepRow, sweep
 
 H_SWEEP = (0.2, 0.15, 0.1, 0.07, 0.05)
@@ -35,12 +35,13 @@ def measured(h, g, eps=1e-2, sign=1):
 def sector_norm(op, seed=0):
     """(value, Gram products, residual) of one sector, started as the library does.
 
-    The weight, its square and the start vector are built as
+    (r+1)**(2s), B's off-diagonal and the start vector are built as
     ``weighted_resolvent_norm`` builds them once per query.
     """
-    w = _weight_vector(op.grid, op.query.s)
-    work = tuple(np.empty(w.size, dtype=complex) for _ in range(4))
-    return _lanczos_sector_norm(op, w, w * w, _start_vector(w.size, seed), work)
+    n = op.grid.size
+    work = tuple(np.empty(n, dtype=complex) for _ in range(3))
+    return _lanczos_sector_norm(op, _weighted_terms(op.query, op.dr, op.grid),
+                                _start_vector(n, seed), work)
 
 
 def fresh_diagonals(op):
@@ -52,6 +53,30 @@ def fresh_diagonals(op):
 def dense_matrix(op):
     """The sector operator's tridiagonal matrix as a dense array."""
     dl, d, du = fresh_diagonals(op)
+    return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+
+
+def lift(op):
+    """(r+1)**s on the sector grid: W = diag(1 / lift) is the resolvent weight."""
+    return (op.grid + 1.0) ** op.query.s
+
+
+def weighted_diagonals(op):
+    """Sub-, main and super-diagonal of B = W^{-1} A W^{-1}, built from the sector's terms.
+
+    The main diagonal is A's times (r+1)**(2s) and the off-diagonal A's
+    times (r_j+1)**s (r_{j+1}+1)**s, each product taken in the order the
+    factorization takes it.
+    """
+    up = lift(op)
+    off = (up[:-1] * up[1:]) * (-op.query.h ** 2 / op.dr ** 2)
+    d = (op.diag_real + 1j * (op.query.sign * op.query.eps)) * (up * up)
+    return off.astype(complex), d, off.astype(complex)
+
+
+def weighted_matrix(op):
+    """B = W^{-1} A W^{-1} of the sector operator as a dense array."""
+    dl, d, du = weighted_diagonals(op)
     return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
 
 
@@ -82,8 +107,8 @@ def whole_array_audit(u, query, weight, phase, rhs, grid_spec, v_long):
     op = rl.assemble_conjugated(query, sector, grid_spec, phase)
     u = np.asarray(u, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    if np.linalg.norm(rhs) == 0:
-        if np.linalg.norm(u) != 0:
+    if not np.any(rhs):
+        if np.any(u):
             raise InvalidInputError("zero right-hand side requires u = 0")
     elif whole_array_backward_error(op, u, rhs) > 1e-8:
         raise InvalidInputError("solution residual exceeds the 1e-8 precondition")

@@ -25,16 +25,28 @@ from resolvent_lab.radial import (_BLOCK_ROWS, AngularSector, ResolventQuery,
                                   assemble_conjugated, dense_weighted_norm,
                                   energy_audit, weighted_resolvent_norm,
                                   _lanczos_sector_norm, _start_vector,
-                                  _top_ritz_pair)
+                                  _top_ritz_pair, _weighted_terms)
+from resolvent_lab.scaling import GridPolicy
 
-from conftest import (conjugate_check, dense_matrix, fresh_diagonals,
-                      gaussian_bump, sector_norm, whole_array_audit,
-                      whole_array_backward_error)
+from conftest import (conjugate_check, dense_matrix, gaussian_bump, lift,
+                      sector_norm, weighted_diagonals, weighted_matrix,
+                      whole_array_audit, whole_array_backward_error)
 
 
 def small_grid(d):
     return UniformGridSpec(dr=0.05, r_max=18.0, r_min=(1.0 if d == 2 else 0.0),
                            tail_tol=0.05)
+
+
+def criterion_5_sectors(model, d):
+    """(query, sector, operator) of the 12 criterion-5 sectors in dimension d, both signs."""
+    for l in (0, 1, 2):
+        for eps in (1e-2, 1e-4):
+            for sign in (1, -1):
+                q = ResolventQuery(d=d, E=1.0, h=0.5, eps=eps, sign=sign, s=0.6,
+                                   potential=model)
+                sec = AngularSector(d, l, 0.5)
+                yield q, sec, assemble(q, sec, small_grid(d))
 
 
 class TestSector:
@@ -183,20 +195,23 @@ class TestNorms:
     @pytest.mark.parametrize("d", [2, 3])
     def test_dense_oracle_matches_a_dense_solve(self, power_law_model, d):
         # criterion 5's grid; the oracle solves on the sector's zgttrf
-        # factors, the reference by LU of the dense matrix
+        # factors of B = W^-1 A W^-1, the reference by LU of the dense B
         gs = small_grid(d)
-        for l in (0, 1, 2):
-            for eps in (1e-2, 1e-4):
-                for sign in (1, -1):
-                    q = ResolventQuery(d=d, E=1.0, h=0.5, eps=eps, sign=sign,
-                                       s=0.6, potential=power_law_model)
-                    sec = AngularSector(d, l, 0.5)
-                    op = assemble(q, sec, gs)
-                    w = (op.grid + 1.0) ** (-q.s)
-                    inv_w = sla.solve(dense_matrix(op), np.diag(w))
-                    ref = sla.svdvals(w[:, None] * inv_w)[0]
-                    assert dense_weighted_norm(q, sec, gs) == pytest.approx(
-                        ref, rel=1e-15, abs=0)
+        for q, sec, op in criterion_5_sectors(power_law_model, d):
+            ref = sla.svdvals(sla.solve(weighted_matrix(op), np.eye(op.grid.size)))[0]
+            assert dense_weighted_norm(q, sec, gs) == pytest.approx(
+                ref, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dense_oracle_matches_the_unweighted_formula(self, power_law_model, d):
+        # the same 12 sectors per d against W A^-1 W from LU of the dense A,
+        # which rounds differently: B^-1 equals it only in exact arithmetic
+        gs = small_grid(d)
+        for q, sec, op in criterion_5_sectors(power_law_model, d):
+            w = (op.grid + 1.0) ** (-q.s)
+            ref = sla.svdvals(w[:, None] * sla.solve(dense_matrix(op), np.diag(w)))[0]
+            assert dense_weighted_norm(q, sec, gs) == pytest.approx(
+                ref, rel=1e-12, abs=0)
 
     def test_norm_estimate_fields(self, power_law_model):
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
@@ -248,13 +263,14 @@ class TestNorms:
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
                            potential=power_law_model)
         op = assemble(q, AngularSector(3, 1, 0.5), small_grid(3))
-        w = (op.grid + 1.0) ** (-q.s)
+        weighted = _weighted_terms(q, op.dr, op.grid)
         start = _start_vector(op.grid.size, 0)
-        kept = start.copy()
+        kept = [a.copy() for a in (start, *weighted)]
         # working vectors left over from another sector: their contents are not read
-        stale = tuple(np.full(start.size, complex(np.nan, np.nan)) for _ in range(4))
-        assert _lanczos_sector_norm(op, w, w * w, start, stale) == sector_norm(op)
-        assert np.array_equal(start, kept)
+        stale = tuple(np.full(start.size, complex(np.nan, np.nan)) for _ in range(3))
+        assert _lanczos_sector_norm(op, weighted, start, stale) == sector_norm(op)
+        # the start vector and the weighted terms are shared by the sectors
+        assert all(np.array_equal(a, b) for a, b in zip((start, *weighted), kept))
         assert np.vdot(start, start).real == pytest.approx(1.0, rel=1e-15)
 
     def test_working_vectors_are_allocated_once_per_worker(self, power_law_model,
@@ -263,10 +279,10 @@ class TestNorms:
                            potential=power_law_model)
         inner = radial._lanczos_sector_norm
 
-        def recording(op, w, w2, start, work):
+        def recording(op, weighted, start, work):
             vectors.setdefault(threading.get_ident(), set()).add(id(work))
             alive.extend(weakref.ref(v) for v in work)
-            return inner(op, w, w2, start, work)
+            return inner(op, weighted, start, work)
 
         monkeypatch.setattr(radial, "_lanczos_sector_norm", recording)
         for threads in (1, 2):
@@ -275,18 +291,19 @@ class TestNorms:
                                     threads=threads)
             assert 1 <= len(vectors) <= threads
             assert all(len(ids) == 1 for ids in vectors.values())
-            # nothing outlives the call
-            assert len(alive) == 24 and all(ref() is None for ref in alive)
+            # three vectors for each of the six sectors; nothing outlives the call
+            assert len(alive) == 18 and all(ref() is None for ref in alive)
 
     def test_non_finite_vector_fails_the_sector(self, power_law_model):
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
                            potential=power_law_model)
         op = assemble(q, AngularSector(3, 0, 0.5), small_grid(3))
-        w = (op.grid + 1.0) ** (-q.s)
-        w[7] = np.nan
+        lift2, off = _weighted_terms(q, op.dr, op.grid)
+        lift2[7] = np.nan
+        n = op.grid.size
         with pytest.raises(AccuracyError, match="non-finite"):
-            _lanczos_sector_norm(op, w, w * w, _start_vector(w.size, 0),
-                                 tuple(np.empty(w.size, dtype=complex) for _ in range(4)))
+            _lanczos_sector_norm(op, (lift2, off), _start_vector(n, 0),
+                                 tuple(np.empty(n, dtype=complex) for _ in range(3)))
 
     @pytest.mark.parametrize("key,value", [
         ("seed", 2.5), ("seed", "7"), ("seed", True), ("seed", np.float64(3.0)),
@@ -375,6 +392,37 @@ class TestNorms:
         fine = weighted_resolvent_norm(q, fine_spec, l_max=2, seed=0)
         assert abs(fine.g_value - coarse.g_value) < 1e-2
 
+    def test_lanczos_steps_allocate_no_vector(self, holder_model, monkeypatch):
+        # holder_fast_sweep's h = 0.05 row: 55,179 points, about 9 Gram products
+        q = ResolventQuery(d=3, E=1.0, h=0.05, eps=1e-2, sign=1, s=0.7,
+                           potential=holder_model)
+        policy = GridPolicy(tail_tol=1e-3, dr_factor=0.05, l_max=8)
+        op = assemble(q, AngularSector(3, 2, 0.05), policy.grid_for(q))
+        n = op.grid.size
+        assert n == 55_179
+        weighted = _weighted_terms(q, op.dr, op.grid)
+        start = _start_vector(n, 2024)
+        work = tuple(np.empty(n, dtype=complex) for _ in range(3))
+        factored = []
+        lu = radial.DiscreteOperator._lu
+
+        def measured_from_here(self, *args):
+            factors = lu(self, *args)
+            tracemalloc.reset_peak()
+            factored.append(tracemalloc.get_traced_memory()[0])
+            return factors
+
+        monkeypatch.setattr(radial.DiscreteOperator, "_lu", measured_from_here)
+        tracemalloc.start()
+        try:
+            _, steps, _ = _lanczos_sector_norm(op, weighted, start, work)
+            growth = tracemalloc.get_traced_memory()[1] - factored[0]
+        finally:
+            tracemalloc.stop()
+        assert steps >= 5
+        # one full-length complex vector is 0.88 MB
+        assert growth < n * 16, growth
+
 
 class TestFactor:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -391,11 +439,14 @@ class TestFactor:
         assert op.grid.size <= 400
         mat = dense_matrix(op)
         lu = op._lu()
+        up = lift(op)
         rng = np.random.default_rng(0)
         b = rng.standard_normal(op.grid.size) + 1j * rng.standard_normal(op.grid.size)
         for trans, m in (("N", mat), ("C", mat.conj().T)):
             ref = np.linalg.solve(m, b)
-            rel = np.linalg.norm(zgttrs(*lu, b, trans=trans)[0] - ref) / np.linalg.norm(ref)
+            # A = W B W with W = diag(1 / up), so A^-1 = W^-1 B^-1 W^-1, and likewise for A^H
+            got = up * zgttrs(*lu, up * b, trans=trans)[0]
+            rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
             # the dense LU reference carries a forward error proportional to
             # cond(A), which reaches about 1e6 at eps = 1e-4
             assert rel <= 1e-12 * max(1.0, np.linalg.cond(m) / 1e3)
@@ -415,14 +466,17 @@ class TestFactor:
         q = ResolventQuery(d=d, E=1.0, h=0.5, eps=1e-3, sign=sign, s=0.6,
                            potential=power_law_model)
         op = assemble(q, AngularSector(d, l, 0.5), small_grid(d))
-        kept = op.diag_real.copy()
-        *ref, info = zgttrf(*fresh_diagonals(op))
+        weighted = _weighted_terms(q, op.dr, op.grid)
+        kept = [a.copy() for a in (op.diag_real, *weighted)]
+        *ref, info = zgttrf(*weighted_diagonals(op))
         assert info == 0
-        factors = op._lu()
-        assert len(factors) == len(ref)
-        for got, want in zip(factors, ref):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert op.diag_real.tobytes() == kept.tobytes()
+        # the factor of B, built here or from the query's shared weighted terms
+        for factors in (op._lu(), op._lu(weighted)):
+            assert len(factors) == len(ref)
+            for got, want in zip(factors, ref):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip((op.diag_real, *weighted), kept))
 
 
 class TestRitzPair:
@@ -520,6 +574,54 @@ class TestEnergyAudit:
                                match=rf"^rhs must be a 1-D array of {n} values"):
                 op.solve(bad_rhs)
 
+    @pytest.mark.parametrize("kind", ["gauss", "random"])
+    def test_solve_through_the_weighted_factor_is_backward_stable(self, audit_setup,
+                                                                  kind):
+        # the componentwise backward error is taken against the conjugated A,
+        # not the weighted B the solve factors
+        model, cfg, q, gs, weight, phase, smoothed, op = audit_setup
+        assert op.grid.size == 166_934
+        rhs = audit_rhs(op.grid, kind)
+        assert op.backward_error(op.solve(rhs), rhs) <= 1e-14
+
+    def test_tiny_nonzero_rhs_is_audited(self, audit_setup):
+        # |rhs|**2 underflows at 1e-170, so a norm would read the rhs as zero
+        model, cfg, q, gs, weight, phase, smoothed, _ = audit_setup
+        grid = UniformGridSpec(dr=0.05, r_max=50.0, tail_tol=1.0)
+        op = assemble_conjugated(q, AngularSector(3, 0, 0.5), grid, phase)
+        rhs = np.exp(-((op.grid - 6.0)) ** 2).astype(complex)
+        traces = [energy_audit(op.solve(c * rhs), q, cfg, weight, phase, c * rhs,
+                               grid, v_long=smoothed.evaluate)
+                  for c in (1.0, 1e-170)]
+        assert traces[1].integral_scale > 0
+        # every term is quadratic in u and rhs: undo the factor 1e-340 in two
+        # steps, since 1e-340 itself underflows
+        for name in ("integral_value", "integral_scale"):
+            assert getattr(traces[1], name) * 1e170 * 1e170 == pytest.approx(
+                getattr(traces[0], name), rel=1e-12)
+        residuals = traces[0].flux_residuals
+        assert_allclose(traces[1].flux_residuals * 1e170 * 1e170, residuals,
+                        rtol=1e-12, atol=1e-12 * np.max(np.abs(residuals)))
+        with pytest.raises(InvalidInputError, match="residual"):
+            energy_audit(1.01 * op.solve(1e-170 * rhs), q, cfg, weight, phase,
+                         1e-170 * rhs, grid, v_long=smoothed.evaluate)
+
+    def test_underflowing_flux_scale_fails(self, audit_setup):
+        # at 1e-250 the norms of rhs and u both underflow, and so does |u|**2
+        model, cfg, q, gs, weight, phase, smoothed, _ = audit_setup
+        grid = UniformGridSpec(dr=0.05, r_max=50.0, tail_tol=1.0)
+        op = assemble_conjugated(q, AngularSector(3, 0, 0.5), grid, phase)
+        rhs = 1e-250 * np.exp(-((op.grid - 6.0)) ** 2).astype(complex)
+        u = op.solve(rhs)
+        assert np.linalg.norm(u) == 0 and np.any(u)
+        with pytest.raises(EvaluationError, match="underflows"):
+            energy_audit(u, q, cfg, weight, phase, rhs, grid,
+                         v_long=smoothed.evaluate)
+        # the precondition is no longer skipped
+        with pytest.raises(InvalidInputError, match="residual"):
+            energy_audit(1.01 * u, q, cfg, weight, phase, rhs, grid,
+                         v_long=smoothed.evaluate)
+
     @pytest.mark.parametrize("kind", ["gauss", "random", "zero"])
     def test_equals_the_whole_array_audit_on_the_criterion_9_grid(self, audit_setup,
                                                                   kind):
@@ -602,8 +704,11 @@ def same_bits(got, want):
 def check_against_whole_array(q, grid, weight, phase, smoothed, op, cfg, rhs):
     """The solve, backward error and audit equal the whole-array formulas bit for bit."""
     u = op.solve(rhs)
-    ungauged = zgttrs(*op.base._lu(), np.exp(-op.phi_over_h) * rhs)[0]
-    assert same_bits(u, np.exp(op.phi_over_h) * ungauged)
+    *lu, info = zgttrf(*weighted_diagonals(op.base))
+    assert info == 0
+    up = lift(op.base)
+    unscaled = zgttrs(*lu, np.exp(-op.phi_over_h) * up * rhs)[0]
+    assert same_bits(u, unscaled * (np.exp(op.phi_over_h) * up))
     if np.any(rhs):
         assert same_bits(op.backward_error(u, rhs),
                          whole_array_backward_error(op, u, rhs))
