@@ -429,8 +429,8 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None):
         raise InvalidInputError(f"r_min must be nonnegative, got {r_min}")
     if config.d == 2 and r_min <= 0:
         raise InvalidInputError("dimension two requires a positive left endpoint")
-    if C <= 0:
-        raise InvalidInputError("audit constant C must be positive")
+    if not 0 < C < math.inf:
+        raise InvalidInputError(f"audit constant C must be positive and finite, got {C}")
     grid = certification_grid(grid_spec, config.a, r_min)
     weight = build_weight(config)
     audit = audit_at(grid, config, envelope_p, C)
@@ -475,9 +475,9 @@ def search_tau0(config_template, envelope_p, C=C_FLOOR, grid_spec=None,
     no tau0 <= tau0_max is admissible; the search also ends there when a
     larger tau0 would overflow the cutoff radius a.
     """
-    if tau0_max < TAU0_START:
+    if not TAU0_START <= tau0_max < math.inf:
         raise InvalidInputError(
-            f"tau0_max must be at least {TAU0_START:g}, got {tau0_max}")
+            f"tau0_max must be finite and at least {TAU0_START:g}, got {tau0_max}")
     history = []
     tau0 = TAU0_START
     last = None

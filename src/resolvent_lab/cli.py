@@ -8,20 +8,12 @@ Subcommands (each takes --config <path> and --out <dir>):
     mollify   tabulate smoothing-error ratios against theta
     convert   tabulate the frequency map psi(lambda) or decay map omega(t)
 
-The config file is a single JSON document with one block per subcommand and
-an optional integer "seed".  Only the keys a block gives are passed to the
-library, so every default is the library's.  Every block the config
-contains is checked before the command runs, not only the command's own: a
-value of the wrong JSON type, or a key that does not apply to the block's
-variant (certify.k under "lipschitz", convert.radial under "psi"), is
-rejected with a message that names the key.  Every run first removes the
-files its own command writes and manifest.json, except the file --config
-names, so a failed run leaves none of an earlier run's behind (sweep
-keeps certificate.json).  A run whose config loads and has the command's
-block writes manifest.json last (resolved config, artifact version, seed,
-the exit code and the environment: Python, numpy and scipy versions, CPU
-count and BLAS thread settings); pointing --config at a manifest, also
-the one in --out, reproduces the run.
+The config is one JSON document with one block per subcommand and an
+optional integer "seed".  Every block it contains is checked before the
+command runs, and a key the block leaves out takes the library's default.
+A run first removes its command's artifacts and manifest.json, except the
+file --config names, and once the config loads writes manifest.json last,
+which reproduces the run when given as --config.
 
 Exit codes: 0 success, 1 invalid input (also a command-line usage error),
 2 mathematical failure (search exhausted or bound violated), 3 internal
@@ -32,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -59,7 +52,10 @@ EXIT_INTERNAL = 3
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number; json.load reads NaN and Infinity as floats."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_candidate(value):
@@ -79,8 +75,8 @@ _JSON_TYPES = {
     "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
     "a list of '+' and '-'": lambda v: (isinstance(v, list)
                                         and all(x in ("+", "-") for x in v)),
-    "a list of [class] or [class, alpha] lists": lambda v: (
-        isinstance(v, list) and all(map(_is_candidate, v))),
+    "a nonempty list of [class] or [class, alpha] lists": lambda v: (
+        isinstance(v, list) and v != [] and all(map(_is_candidate, v))),
     'a number or "auto"': lambda v: v == "auto" or _is_number(v),
 }
 
@@ -98,7 +94,7 @@ _CERTIFY_KEYS = {
 }
 _POLICY_KEYS = {"tail_tol": "a number", "dr_factor": "a number",
                 "l_max": "an integer", "r_min": "a number", "r_max_floor": "a number"}
-_FIT_KEYS = {"candidates": "a list of [class] or [class, alpha] lists",
+_FIT_KEYS = {"candidates": "a nonempty list of [class] or [class, alpha] lists",
              "eps": "a number"}
 _SWEEP_KEYS = {
     "d": "an integer", "E": "a number", "s": "a number",

@@ -19,25 +19,14 @@ model in the class above this keeps
     |V_theta'|    <= holder_const * m_alpha' * theta**(alpha-1) * (r+1)**(-beta),
 
 where m_alpha = int sigma**alpha rho and m_alpha' = int sigma**alpha |rho'|.
-The kernel's mass, gradient mass and moments are 128-node Gauss-Legendre
-sums on [0, 1] (split at 1/2 for the integrals of rho', where the bump's
-|rho'| has its kink), each checked against the 64-node rule; a kernel too
-rough for the rule raises AccuracyError instead of returning wrong moments.
-V_theta is evaluated in fixed blocks of rows of the quadrature window, so
-its memory peak does not grow with the grid.  A call that spans more than
-one block maps its blocks over THREADS worker threads, so a model's
-``evaluate`` may run on several threads at once; the traced peak of
-V_theta, and of the ratio pass below, on 166,360 points is 3.0 MB with one
-worker, 4.0 MB with two and about 10 MB with eight.  The two measured
-ratios, the weighted sups of |V - V_theta| and |V_theta'| above divided by
-theta**alpha and theta**(alpha-1), come from one pass over the same
-blocks, which forms V_theta' only there and reduces each block to its two
-maxima, and the pair of the last grid is kept.  The module needs numpy
-only (no scipy.integrate or scipy.special).
+The kernel's integrals are 128-node Gauss-Legendre sums, split at 1/2 for
+rho' where the bump's |rho'| has its kink, and checked against the 64-node
+rule; a kernel too rough for the rule raises AccuracyError.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import os
@@ -210,31 +199,27 @@ class MollifierKernel:
             raise InvalidInputError(
                 f"kernel derivative mass {self.gradient_mass!r} exceeds 1e-10")
         self.sup_value = float(np.max(vals))
-        self._moments = {}
 
     def moment_alpha(self, alpha):
         """int_0^1 sigma**alpha rho(sigma) dsigma."""
-        key = ("m", float(alpha))
-        if key not in self._moments:
-            self._moments[key] = _integrate_01(lambda s: s ** alpha * self.rho(s))
-        return self._moments[key]
+        return _integrate_01(lambda s: s ** alpha * self.rho(s))
 
     def moment_alpha_deriv(self, alpha):
         """int_0^1 sigma**alpha |rho'(sigma)| dsigma."""
-        key = ("md", float(alpha))
-        if key not in self._moments:
-            self._moments[key] = _integrate_01(
-                lambda s: s ** alpha * np.abs(self.drho(s)), split=True)
-        return self._moments[key]
+        return _integrate_01(lambda s: s ** alpha * np.abs(self.drho(s)), split=True)
 
 
-def _bump_unnormalized(s):
+def _on_bump_support(s, f):
+    """f(s, s (1 - s)) on 1e-3 < s < 1 - 1e-3, where the bump is not negligible, else 0."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     inside = (s > 1e-3) & (s < 1.0 - 1e-3)
-    u = s[inside] * (1.0 - s[inside])
-    out[inside] = np.exp(-1.0 / u)
+    out[inside] = f(s[inside], s[inside] * (1.0 - s[inside]))
     return out if out.ndim else float(out)
+
+
+def _bump_unnormalized(s):
+    return _on_bump_support(s, lambda si, u: np.exp(-1.0 / u))
 
 
 _BUMP_NORM = _integrate_01(_bump_unnormalized)
@@ -245,24 +230,14 @@ def _bump_rho(s):
 
 
 def _bump_drho(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = (s > 1e-3) & (s < 1.0 - 1e-3)
-    si = s[inside]
-    u = si * (1.0 - si)
-    out[inside] = np.exp(-1.0 / u) * (1.0 - 2.0 * si) / u ** 2 / _BUMP_NORM
-    return out if out.ndim else float(out)
+    return _on_bump_support(
+        s, lambda si, u: np.exp(-1.0 / u) * (1.0 - 2.0 * si) / u ** 2 / _BUMP_NORM)
 
 
-_DEFAULT_KERNEL = None
-
-
+@functools.cache
 def bump_kernel():
     """The default kernel: the normalized bump exp(-1/(s(1-s))) on (0, 1)."""
-    global _DEFAULT_KERNEL
-    if _DEFAULT_KERNEL is None:
-        _DEFAULT_KERNEL = MollifierKernel(_bump_rho, _bump_drho)
-    return _DEFAULT_KERNEL
+    return MollifierKernel(_bump_rho, _bump_drho)
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +266,11 @@ def _map_blocks(fill, n):
 class MollifiedPotential:
     """Smoothed potential V_theta, and the sups of |V - V_theta| and |V_theta'|.
 
-    ``evaluate`` applies the 64-node rule to _BLOCK_ROWS points at a time;
-    a call that spans more than one block maps its blocks over THREADS
-    worker threads, which call the base model's ``evaluate``.  Memory
-    beyond the input and output stays at a few MB for any grid (a traced
-    peak of 4.0 MB on 166,360 points with two workers).  Each block writes
-    its own rows by the same expression as on the whole window, so neither
-    blocking nor the thread count changes a value when BLAS runs on one
-    thread.
-
-    ``error_ratio`` and ``deriv_ratio`` come from one pass over the same
-    blocks, which forms V_theta and V_theta' (by the exact first derivative
-    rule) a block at a time and reduces each block to its two maxima.  The
-    pair of the last grid is kept with a copy of that grid, so the second
-    ratio on an equal grid evaluates nothing.
+    Values are formed _BLOCK_ROWS rows at a time, on THREADS workers that
+    call the base model's ``evaluate``; each block writes its own rows by
+    the whole window's expression, so neither blocking nor the thread count
+    changes a value when BLAS runs on one thread.  Both ratios come from one
+    pass, and the pair of the last grid is kept.
     """
 
     def __init__(self, base, kernel, theta):

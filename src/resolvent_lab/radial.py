@@ -1,40 +1,18 @@
-"""Discretized radial operators, resolvent norms and the energy audit.
+"""Discretized radial operators, weighted resolvent norms and the energy audit.
 
 Separation of variables reduces the operator to one complex tridiagonal
-system per angular sector:
+system per angular sector,
 
-    -h**2 u'' + (lambda_l / r**2 - E + V(r)) u ± i eps u,
-    lambda_l = h**2 * (l (l + d - 2) + (d - 1)(d - 3) / 4),
+    A = -h**2 d**2/dr**2 + lambda_l / r**2 - E + V(r) + i sign eps,
+    lambda_l = h**2 (l (l + d - 2) + (d - 1)(d - 3) / 4),
 
-discretized with second-order central differences on a uniform grid with
-Dirichlet ends.  The weighted resolvent norm per sector is the largest
-singular value of W A^{-1} W with W = diag((r+1)**(-s)), which is B^{-1}
-for the weighted operator B = W^{-1} A W^{-1}.  B is tridiagonal and
-complex symmetric like A, with diagonal (r+1)**(2s) times A's and
-off-diagonal (r_j+1)**s (r_{j+1}+1)**s times A's.  Each sector factorizes
-B once by the LAPACK tridiagonal LU (zgttrf), in place in freshly built
-diagonals, and solves with B and B^H on those factors (zgttrs).  The
-norm is estimated by a Lanczos recurrence on the Gram product
-B^{-H} B^{-1}, two solves and no weight multiply.  (r+1)**(2s), B's
-off-diagonal and one seeded start vector are built once per query and
-only read by the sectors; each pool worker allocates three working
-vectors once per query, every sector solves and updates in them in place
-and takes its top Ritz pair from LAPACK dstebz/dstein on the Lanczos
-tridiagonal.  The same factors serve the phase-conjugated solve of the
-energy audit and the dense singular-value oracle kept alongside for
-verification.  The norm is the same for both signs of eps (B_- is the
-entrywise conjugate of B_+, since W is real), so sweeps measure one sign.
-
-The energy audit evaluates, for a solution u of the phase-conjugated system,
-
-    F(r) = -(lambda_l / r**2 - E - phi'(r)**2 + V(r)) |u|**2 + |D_r u|**2,
-
-and checks the pointwise lower bound on (mu F)' implied by a passing
-certificate, plus the integrated identity that the derivative of mu F sums
-to zero when u decays at both ends.  The audit and the conjugated system's
-backward error run over fixed blocks of grid rows with the halo their
-stencils need, so beyond its inputs and outputs the audit holds only one
-block's temporaries and the potential in F.
+by central differences on a uniform grid with Dirichlet ends.  The weighted
+norm of a sector is the largest singular value of W A^{-1} W with
+W = diag((r+1)**(-s)), that is of B^{-1} for the complex symmetric
+tridiagonal B = W^{-1} A W^{-1}.  One LAPACK factor of B (zgttrf) serves
+the Lanczos norm, the dense oracle and the phase-conjugated solve of the
+energy audit.  B_- is the entrywise conjugate of B_+, since W is real, so
+both signs of eps have the same norm.
 """
 
 from __future__ import annotations
@@ -63,6 +41,8 @@ ENERGY = 1.0
 SEED = 2024
 # the assembly rule: the radial step dr is at most h / STEPS_PER_H
 STEPS_PER_H = 10.0
+# the truncation rule: the weight's tail (r_max + 1)**(-2s) is at most this
+TAIL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -116,7 +96,7 @@ class UniformGridSpec:
     dr: float
     r_max: float
     r_min: float = 0.0
-    tail_tol: float = 1e-4
+    tail_tol: float = TAIL_TOL
 
     def _interior_count(self):
         return int(math.ceil((self.r_max - self.r_min) / self.dr - 1e-9)) - 1
@@ -132,11 +112,8 @@ class UniformGridSpec:
 class DiscreteOperator:
     """Complex tridiagonal sector operator A with Dirichlet ends.
 
-    The real part (diag_real plus the constant off-diagonal) is symmetric;
-    the imaginary part is exactly sign*eps times the identity.  A itself
-    is never factored: _lu factors its weighted form B = W^{-1} A W^{-1},
-    W = diag((r+1)**(-s)), for the norm, the dense oracle and the
-    conjugated solve alike.
+    ``diag_real`` is the real part of the main diagonal; the off-diagonal
+    is the constant -h**2 / dr**2 and the imaginary part sign * eps.
     """
 
     grid: np.ndarray
@@ -145,25 +122,17 @@ class DiscreteOperator:
     sector: AngularSector
     dr: float
 
-    @property
-    def offdiag(self):
-        return _offdiag(self.query, self.dr)
-
     def _lu(self, weighted=None):
         """The zgttrf factors (dl, d, du, du2, ipiv) of B = W^{-1} A W^{-1}, which zgttrs takes.
 
-        ``weighted`` is the pair ((r+1)**(2s), B's off-diagonal) that
-        _weighted_terms gives for this operator's grid: a norm call builds
-        it once per query and passes it, other callers leave it to be built
-        here.  B's three diagonals are built fresh, the main one by scaling
-        A's in place, and factored in place, so the factorization holds no
-        copy of them; a pair built here is let go before zgttrf runs.
+        ``weighted`` is this grid's pair from _weighted_terms, built here
+        when not given.
         """
         lift2, off = weighted or _weighted_terms(self.query, self.dr, self.grid)
         d = self.diag_real + _shift(self.query)
         d *= lift2
         dl, du = off.astype(complex), off.astype(complex)
-        del weighted, lift2, off
+        del weighted, lift2, off  # a pair built here is freed before the factor
         *lu, info = zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:  # pragma: no cover - eps > 0 keeps this clear
             raise SingularMatrixError(
@@ -298,33 +267,22 @@ def _top_ritz_pair(alphas, betas):
 
 
 def _lanczos_sector_norm(op, weighted, start, work):
-    """Top singular value of B^{-1} = W A^{-1} W by Lanczos on its Gram operator.
+    """(sqrt(theta), Gram products, residual) of B^{-1} = W A^{-1} W by Lanczos.
 
-    Factors B = W^{-1} A W^{-1} once, with ``weighted`` the query's pair
-    from _weighted_terms, and runs the three-term recurrence on
-    G = B^{-H} B^{-1} from the query's start vector ``start``, which it
-    copies and never writes.  It keeps no basis and stops when the top
-    Ritz pair (theta, s) of the tridiagonal T_k, from _top_ritz_pair, has
-    residual |beta_k s_k| / theta at most RESIDUAL_TOL.  Without
-    reorthogonalization the top Ritz value converges before a spurious
-    copy of it can form (Paige).  Returns sqrt(theta), the number of Gram
-    products and the residual.
-
-    ``work`` holds the three complex working vectors of the grid's length,
-    whose contents on entry are not read.  Each Lanczos vector is kept
-    unnormalized, as the residual of the step before it, beside the scale
-    1/beta that normalizes it.  The scale is applied as the vector is
-    copied into the working vector the two solves run in, and folded into
-    the coefficients of the two BLAS daxpy updates on the interleaved real
-    views, so a Gram product costs the two solves and five vector passes:
-    the scaled copy, one inner product, two updates and one norm.  The
-    inner products and norms go through _real_dot, so the result does not
-    depend on the BLAS thread count.
+    Runs the three-term recurrence on G = B^{-H} B^{-1} from ``start``,
+    which it does not write, with ``weighted`` the query's pair from
+    _weighted_terms and ``work`` three complex vectors of the grid's length
+    whose contents are not read.  It stops when the top Ritz pair
+    (theta, s) of T_k has residual |beta_k s_k| / theta <= RESIDUAL_TOL.
+    No basis is kept: without reorthogonalization the top Ritz value
+    converges before a spurious copy of it can form (Paige).
     """
     lu = op._lu(weighted)
     v, v_prev, r = work
     np.copyto(v, start)
-    # q_k = scale * v and q_{k-1} = scale_prev * v_prev; the start vector is normalized
+    # q_k = scale * v and q_{k-1} = scale_prev * v_prev: each Lanczos vector is
+    # kept as the step's residual, and 1/beta is folded into the copy and daxpy;
+    # the start vector is normalized
     scale = 1.0
 
     alphas = np.empty(LANCZOS_STEP_CAP)
@@ -359,14 +317,7 @@ def _lanczos_sector_norm(op, weighted, start, work):
 
 
 def dense_weighted_norm(query, sector, grid_spec):
-    """Full singular-value oracle for one sector; dense, small grids only.
-
-    W A^{-1} W = B^{-1} comes from the sector's own zgttrf factors of
-    B = W^{-1} A W^{-1}, solved in place against the n columns of the
-    identity in one Fortran-ordered complex array, which the
-    singular-value solve then overwrites; only the singular values are
-    dense.
-    """
+    """Top singular value of W A^{-1} W from its dense columns; small grids only."""
     op = assemble(query, sector, grid_spec)
     inv = np.eye(op.grid.size, dtype=complex, order="F")
     zgttrs(*op._lu(), inv, overwrite_b=True)
@@ -382,19 +333,10 @@ def _check_integer(name, value, least):
 
 
 def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS):
-    """Largest weighted sector resolvent norm over l = 0..l_max.
+    """Weighted sector resolvent norms over l = 0..l_max, on ``threads`` workers.
 
-    Each sector gets one LAPACK tridiagonal factorization (zgttrf) of the
-    weighted operator B = W^{-1} A W^{-1} and a Lanczos recurrence on
-    B^{-H} B^{-1} until the top Ritz residual reaches RESIDUAL_TOL.
-    (r+1)**(2s), B's off-diagonal and one Gaussian start vector drawn from
-    ``seed`` are built once per call and only read by the sectors, so a
+    Every sector starts from one Gaussian vector drawn from ``seed``, so a
     sector's value depends on neither l_max nor the thread count.
-    ``iterations`` counts the Gram products over all sectors.  Sectors run
-    independently on a pool of ``threads`` workers, one worker included;
-    each worker allocates its three Lanczos working vectors on its first
-    sector and reuses them for the rest of the call.  The reduction over
-    sectors is an ordered max.
     """
     _check_integer("l_max", l_max, 0)
     _check_integer("seed", seed, 0)
@@ -425,8 +367,7 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
 # ---------------------------------------------------------------------------
 
 # rows per block of the backward error and the energy audit: a block's
-# temporaries take a few MB at most, and the criterion-9 grid of 166,934
-# points makes 21 blocks
+# temporaries take a few MB at most, whatever the grid
 _BLOCK_ROWS = 8192
 
 
@@ -453,20 +394,22 @@ def _stencil(diag, off, ratio, v):
     return out
 
 
-def _backward_error(u, rhs, off, rows):
+def _backward_error(u, rhs, query, r, dr, phase):
     """Componentwise backward error max |A u - rhs| / (|A| |u| + |rhs|).
 
-    A is the conjugated tridiagonal matrix with off-diagonal ``off`` before
-    the gauge.  The error is taken over blocks of _BLOCK_ROWS rows, each
-    with a one-row halo on either side for the stencil, and is the max of
-    the block maxima; ``rows(a, b)`` gives the complex diagonal of rows
-    a..b-1 and the b-a-1 gauge ratios between them.
+    A is the l = 0 sector operator of ``query`` on the nodes ``r`` with step
+    ``dr``, conjugated by exp(phi/h) for ``phase``; it is formed one block
+    of _BLOCK_ROWS rows at a time, with a one-row halo for the stencil.
     """
-    n = u.size
+    sector, n = AngularSector(query.d, 0, query.h), u.size
+    off, shift = _offdiag(query, dr), _shift(query)
     worst = []
     for lo, hi in _blocks(n):
         a, b = max(lo - 1, 0), min(hi + 1, n)
-        diag, ratio = rows(a, b)
+        rb = r[a:b]
+        v = np.asarray(query.potential(rb), dtype=float)
+        diag = _diagonal(query, sector, dr, rb ** 2, v) + shift
+        ratio = np.exp(np.diff(phase.value(rb) / query.h))
         own = slice(lo - a, hi - a)
         res = np.abs(_stencil(diag, off, ratio, u[a:b])[own] - rhs[lo:hi])
         scale = _stencil(np.abs(diag), abs(off), ratio, np.abs(u[a:b]))[own]
@@ -477,17 +420,12 @@ def _backward_error(u, rhs, off, rows):
 
 @dataclass(frozen=True)
 class ConjugatedOperator:
-    """Sector operator conjugated by the phase gauge exp(phi/h).
+    """Sector operator conjugated by the phase gauge exp(phi/h), never formed.
 
-    Conjugation is an exact similarity of the discrete matrix: it multiplies
-    the off-diagonals by the gauge ratio of the two nodes they couple and
-    leaves the diagonal unchanged.  The conjugated matrix is never formed.
-    Solving goes through the ungauged, unweighted variable on the zgttrf
-    factors of the base operator's weighted form B = W^{-1} A W^{-1}, which
-    keeps the factorization well conditioned even when the gauge spans
-    hundreds of orders of magnitude.  The backward error is taken against
-    the conjugated matrix itself, with the diagonal and the gauge ratios
-    formed one row block at a time.
+    Conjugation multiplies each off-diagonal entry by the gauge ratio of
+    the two nodes it couples.  The solve runs on the factor of the base
+    operator's B instead, which stays well conditioned when the gauge spans
+    hundreds of orders of magnitude.
     """
 
     base: DiscreteOperator
@@ -497,25 +435,8 @@ class ConjugatedOperator:
     def grid(self):
         return self.base.grid
 
-    def backward_error(self, u, rhs):
-        """Componentwise backward error of the conjugated system.
-
-        ``u`` and ``rhs`` are 1-D arrays of one value per grid point.
-        """
-        n = self.grid.size
-        u, rhs = _grid_vector("u", u, n), _grid_vector("rhs", rhs, n)
-        base, shift = self.base, _shift(self.base.query)
-        return _backward_error(u, rhs, base.offdiag, lambda a, b: (
-            base.diag_real[a:b] + shift, np.exp(np.diff(self.phi_over_h[a:b]))))
-
     def solve(self, rhs):
-        """Solve by ungauging and unweighting on the factors of B = W^{-1} A W^{-1}.
-
-        u = (r+1)**s exp(phi/h) B^{-1} ((r+1)**s exp(-phi/h) rhs).  ``rhs``
-        is a 1-D array of one value per grid point.  The solve runs in place
-        in the scaled right-hand side, which is then scaled back in place
-        and returned; each scaling is formed while no factor is held.
-        """
+        """u = (r+1)**s exp(phi/h) B^{-1} ((r+1)**s exp(-phi/h) rhs), one value per grid point."""
         u = self._scaling(-1.0) * _grid_vector("rhs", rhs, self.grid.size)
         u = zgttrs(*self.base._lu(), u, overwrite_b=True)[0]
         u *= self._scaling(1.0)
@@ -559,23 +480,17 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
     """Audit the certified flux inequality on a solved conjugated system.
 
     ``u`` must solve the conjugated l = 0 sector system for ``rhs`` to
-    componentwise backward error 1e-8; both are 1-D arrays of one value per
-    point of ``grid_spec``.  ``v_long`` is the potential in F, called once
-    on the whole grid, and ``config`` is not read.  Returns the per-point
-    residual of the flux inequality (nonnegative up to discretization
-    error), the per-point tolerance scale, and the integral of the flux
-    derivative, which vanishes when u decays at both ends.
+    componentwise backward error 1e-8; both hold one value per point of
+    ``grid_spec``, and ``config`` is not read.  With ``v_long`` the
+    potential in it, the audit forms
 
-    No operator is assembled: the grid is checked by the rules of the
-    sector assembly, and two passes run over blocks of _BLOCK_ROWS rows on
-    the calling thread.  The first takes the backward error, with the
-    diagonal and the gauge ratios formed per block.  The second forms F on
-    each block and a one-node halo, with u on a second halo node for D_r u,
-    and writes the block's flux derivative, residual and tolerance into
-    the preallocated outputs.  The integral and its scale are summed over
-    the whole flux-derivative array; a scale that underflows to 0 for a
-    nonzero u raises EvaluationError rather than leave the integral
-    identity 0/0.
+        F(r) = -(lambda_l / r**2 - E - phi'(r)**2 + V(r)) |u|**2 + |D_r u|**2
+
+    and returns the residual of the lower bound on (mu F)' that a passing
+    certificate implies (nonnegative up to discretization error), its
+    tolerance scale, and the integral of (mu F)', which vanishes when u
+    decays at both ends.  A scale that underflows to 0 for a nonzero u
+    raises EvaluationError rather than leave that identity 0/0.
     """
     sector = AngularSector(query.d, 0, query.h)
     r = _checked_points(query, grid_spec)
@@ -588,17 +503,9 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
         if np.any(u):
             raise InvalidInputError("zero right-hand side requires u = 0")
     else:
-        shift = _shift(query)
-
-        def rows(a, b):
-            rb = r[a:b]
-            v = np.asarray(query.potential(rb), dtype=float)
-            return (_diagonal(query, sector, dr, rb ** 2, v) + shift,
-                    np.exp(np.diff(phase.value(rb) / h)))
-
         # componentwise backward error: the gauge spans too many orders of
         # magnitude for a norm-relative residual to be meaningful
-        resid = _backward_error(u, rhs, _offdiag(query, dr), rows)
+        resid = _backward_error(u, rhs, query, r, dr, phase)
         if resid > 1e-8:
             raise InvalidInputError(
                 f"solution residual {resid:.3g} exceeds the 1e-8 precondition")

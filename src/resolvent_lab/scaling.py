@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .carleman import R_MIN_D2, Certificate, build_phase
 from .errors import AccuracyError, InvalidInputError, ResolventLabError
-from .radial import (SEED, STEPS_PER_H, THREADS, AngularSector,
+from .radial import (SEED, STEPS_PER_H, TAIL_TOL, THREADS, AngularSector,
                      UniformGridSpec, weighted_resolvent_norm)
 
 LIP = "lipschitz"
@@ -113,6 +113,8 @@ def fit_models(result, candidates, eps=None):
     threshold (so C > 0), with ties going to the slowest-growing shape;
     when every fit is degenerate it is None: no growth.
     """
+    if not candidates:
+        raise InvalidInputError("fit needs at least one candidate")
     groups = {}  # in row order: a dict keeps its keys in insertion order
     for row in result.rows:
         if row.status == "ok":
@@ -188,7 +190,7 @@ class GridPolicy:
     under 1e-2.
     """
 
-    tail_tol: float = 1e-4
+    tail_tol: float = TAIL_TOL
     dr_factor: float = 0.05
     l_max: int = 8
     r_min: float = 0.0
@@ -205,18 +207,15 @@ class GridPolicy:
         if not self.r_min >= 0:
             raise InvalidInputError(f"r_min must be nonnegative, got {self.r_min}")
 
-    def r_max_for(self, query):
+    def grid_for(self, query):
         r_tail = self.tail_tol ** (-1.0 / (2.0 * query.s)) - 1.0
         lam = AngularSector(query.d, self.l_max, query.h).lambda_value
         r_turn = math.sqrt(max(lam, 0.0) / query.E)
-        return max(r_tail, 4.0 * r_turn, self.r_max_floor)
-
-    def grid_for(self, query):
         r_min = self.r_min
         if query.d == 2 and r_min <= 0.0:
             r_min = R_MIN_D2
         spec = UniformGridSpec(dr=self.dr_factor * query.h,
-                               r_max=self.r_max_for(query),
+                               r_max=max(r_tail, 4.0 * r_turn, self.r_max_floor),
                                r_min=r_min, tail_tol=self.tail_tol)
         if spec._interior_count() < 3:
             raise InvalidInputError(
@@ -233,7 +232,8 @@ class SweepRow:
     ``matvecs`` counts the Gram products the row ran and ``residual`` is
     the largest top Ritz residual over its sectors.  A row copied from
     another sign's estimate ran none and carries that estimate's residual;
-    a failed row has 0 and None.
+    a failed row has 0 and None.  ``runtime_ms`` is the row's own time, so
+    a copied row's is the copy's.
     """
 
     h: float
@@ -269,17 +269,15 @@ class SweepResult:
 
 def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
           certificate=None, signs=(1,), seed=SEED, threads=THREADS):
-    """Measure g over the (h, eps, sign) product, with optional bound columns.
+    """Measure g over descending h, ascending eps and + before -, with optional bound columns.
 
     h values must be strictly descending in (0, 1]; eps values and signs
-    must not repeat.  Each (h, eps) is measured once, at the first sign in
-    descending order, and that result, success or failure, fills the row
-    of every requested sign; the norm does not depend on the sign, so the
-    default asks for the + rows only.  Rows
-    whose norm estimate fails numerically are marked and the sweep
-    continues; a sweep with no successful row raises AccuracyError, and
-    invalid input (InvalidInputError) ends the sweep at once.  Output rows
-    are ordered by (descending h, eps, sign) so runs are reproducible.
+    must not repeat.  A certificate must share the template's d and E, and
+    its s may not exceed the template's: a bound proved at s holds at every
+    larger s.  Each (h, eps) is measured once, at its first sign, and the
+    result, success or failure, fills every sign's row.  A row whose
+    estimate fails numerically is marked; a sweep with no successful row
+    raises AccuracyError.
     """
     hs = [float(h) for h in h_values]
     if not hs:
@@ -297,36 +295,38 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     for key, values in (("eps_values", eps_list), ("signs", signs)):
         if len(set(values)) < len(values):  # a repeat would only repeat rows
             raise InvalidInputError(f"{key} must not repeat a value, got {values!r}")
+    if certificate:
+        cfg, q = certificate.config, query_template
+        if cfg.d != q.d or cfg.E != q.E or cfg.s > q.s:
+            raise InvalidInputError(
+                f"certificate (d={cfg.d}, E={cfg.E:g}, s={cfg.s:g}) does not bound "
+                f"a sweep at d={q.d}, E={q.E:g}, s={q.s:g}: it needs the same d "
+                "and E and an s no larger than the sweep's")
     if grid_policy is None:
         grid_policy = GridPolicy()
     bound = bound_from_certificate(certificate, hs) if certificate else None
+    signs = sorted(signs, reverse=True)
     rows = []
     for i, h in enumerate(hs):
         g_b = bound.g_values[i] if bound else None
         for eps in sorted(eps_list):
-            # A_- is the entrywise conjugate of A_+ and W is real, so one
-            # norm serves every sign; later rows' runtime_ms is their copy
-            # time, and they ran no Gram products
-            measured = None
-            for sign in sorted(signs, reverse=True):
-                start = time.perf_counter()
-                matvecs = 0
-                if measured is None:
-                    query = replace(query_template, h=h, eps=eps, sign=sign)
-                    try:
-                        est = weighted_resolvent_norm(
-                            query, grid_policy.grid_for(query),
-                            grid_policy.l_max, seed=seed, threads=threads)
-                        measured = (est.g_value, "ok", est.residual)
-                        matvecs = est.iterations
-                    except InvalidInputError:
-                        raise
-                    except ResolventLabError as exc:
-                        measured = (None, f"failed: {exc}", None)
-                g, status, residual = measured
-                ms = 1000.0 * (time.perf_counter() - start)
+            start = time.perf_counter()
+            query = replace(query_template, h=h, eps=eps, sign=signs[0])
+            try:
+                est = weighted_resolvent_norm(
+                    query, grid_policy.grid_for(query), grid_policy.l_max,
+                    seed=seed, threads=threads)
+                g, status, matvecs, residual = (est.g_value, "ok", est.iterations,
+                                                est.residual)
+            except InvalidInputError:
+                raise
+            except ResolventLabError as exc:
+                g, status, matvecs, residual = None, f"failed: {exc}", 0, None
+            for sign in signs:  # later signs copy the estimate and ran nothing
                 rows.append(SweepRow(h, eps, sign, g, g_b, grid_policy.l_max,
-                                     ms, status, matvecs, residual))
+                                     1000.0 * (time.perf_counter() - start),
+                                     status, matvecs, residual))
+                start, matvecs = time.perf_counter(), 0
     if not any(row.status == "ok" for row in rows):
         raise AccuracyError("every sweep row failed")
     return SweepResult(rows=tuple(rows), fit=None)
@@ -371,14 +371,8 @@ def write_summary_json(result, path):
         best = result.fit.best
         doc["fit"] = {
             "best": None if best is None else {
-                "kind": best.kind, "alpha": best.alpha, "C": best.C,
-                "intercept": best.intercept, "residual": best.residual},
-            "candidates": [
-                {"kind": f.kind, "alpha": f.alpha, "C": f.C,
-                 "intercept": f.intercept, "residual": f.residual,
-                 "degenerate": f.degenerate}
-                for f in result.fit.fits
-            ],
+                key: value for key, value in asdict(best).items() if key != "degenerate"},
+            "candidates": [asdict(f) for f in result.fit.fits],
             "degenerate": result.fit.degenerate,
             "eps": result.fit.eps,
         }

@@ -90,7 +90,8 @@ def whole_array_backward_error(conj, u, rhs):
         return out
 
     _, diag, _ = fresh_diagonals(conj.base)
-    off, ratio = conj.base.offdiag, np.exp(np.diff(conj.phi_over_h))
+    off = -conj.base.query.h ** 2 / conj.base.dr ** 2
+    ratio = np.exp(np.diff(conj.phi_over_h))
     res = np.abs(stencil(diag, off, ratio, u) - rhs)
     scale = stencil(np.abs(diag), abs(off), ratio, np.abs(u))
     scale += np.abs(rhs) + 1e-300

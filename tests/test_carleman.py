@@ -224,6 +224,15 @@ class TestCertify:
         assert cert.passed and cert.tau0_found <= 1024.0
         assert cert.search_history[-1][0] == cert.tau0_found
 
+    def test_non_finite_tau0_max_and_C_rejected(self, zero_model):
+        # NaN fails every comparison, so "x < bound" checks let it through
+        cfg = CarlemanConfig.lipschitz(3.0, 0.6, 4.0, E=1.0, h=0.5, d=3)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="tau0_max must be finite"):
+                search_tau0(cfg, zero_model.envelope, 6.0, GridSpec(), bad)
+            with pytest.raises(InvalidInputError, match="C must be positive and finite"):
+                certify(cfg, zero_model.envelope, bad)
+
     def test_doubling_tau0_preserves_pass(self, zero_model):
         cfg = CarlemanConfig.lipschitz(3.0, 0.6, 4.0, min_ell(0.25, 3.0, 0.6),
                                        E=1.0, h=0.5, d=3)

@@ -564,6 +564,8 @@ def _without(block, key):
     # the fit takes one g per h, whichever sign the row has
     ("sweep", {"sweep": sweep_block(fit={"candidates": [["lipschitz"]], "sign": 1})},
      "unknown keys in sweep.fit: sign"),
+    # an empty candidate list would report a fit that tried nothing
+    ("sweep", {"sweep": sweep_block(fit={"candidates": []})}, "sweep.fit.candidates"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):
@@ -571,6 +573,26 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
     assert main([*command.split(), "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid input:") and named in err
+
+
+@pytest.mark.parametrize("command,doc,named", [
+    ("certify", {"certify": certify_block(tau0_max=math.nan)}, "certify.tau0_max"),
+    ("certify", {"certify": certify_block(C=math.nan)}, "certify.C"),
+    ("sweep", {"sweep": sweep_block(r_max_floor=math.inf)}, "sweep.r_max_floor"),
+    ("sweep", {"sweep": sweep_block(E=math.inf)}, "sweep.E"),
+    ("mollify", {"mollify": {"thetas": [0.1], "r_max": math.inf}}, "mollify.r_max"),
+    ("convert", {"convert": dict(CONVERT_BLOCK, values=[math.nan])}, "convert.values"),
+])
+def test_non_finite_number_exits_one_naming_the_key(tmp_path, capsys, command,
+                                                    doc, named):
+    # json.load reads the NaN and Infinity that json.dumps writes for these
+    cfg = write_config(tmp_path, doc)
+    text = Path(cfg).read_text()
+    assert "NaN" in text or "Infinity" in text
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid input: {named} must be")
+    assert not out.exists()
 
 
 # cheap valid blocks: every fuzz case replaces one of their keys

@@ -157,6 +157,11 @@ class TestFit:
         assert fit_models(data, ["lipschitz"]).eps == 1e-4
         assert fit_models(data, ["lipschitz"], eps=1e-2).eps == 1e-2
 
+    def test_needs_a_candidate(self):
+        data = measured([0.2, 0.15, 0.1, 0.05], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(InvalidInputError, match="at least one candidate"):
+            fit_models(data, [])
+
     def test_holder_alpha_outside_class_rejected_like_the_maps(self):
         data = measured([0.2, 0.15, 0.1, 0.05], [1.0, 2.0, 3.0, 4.0])
         for call in (lambda: fit_models(data, [("holder", 1.5)]),
@@ -286,6 +291,20 @@ class TestSweep:
                     certificate=cert, signs=(1, -1), seed=7)
         assert all(row.g_bound is not None for row in res.rows)
         assert res.bound_respected is True
+
+    def test_certificate_must_match_the_sweep(self, zero_model):
+        cert = synthetic_certificate(
+            CarlemanConfig.lipschitz(3.0, 0.6, 4.0, E=1.0, h=0.2, d=3))
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=zero_model)
+        for change in (dict(d=2), dict(E=4.0), dict(s=0.55)):
+            with pytest.raises(InvalidInputError, match="does not bound a sweep"):
+                sweep(replace(template, **change), [0.2], [1e-2], cheap_policy(),
+                      certificate=cert)
+        # a bound proved at s holds at every larger s
+        res = sweep(replace(template, s=0.7), [0.2], [1e-2], cheap_policy(),
+                    certificate=cert)
+        assert res.rows[0].g_bound is not None
 
 
 OK_ROW = SweepRow(h=0.5, eps=1e-2, sign=1, g_measured=1.0, g_bound=2.0,
