@@ -49,7 +49,8 @@ import numpy as np
 from .errors import (EvaluationError, InvalidConfigError, InvalidInputError,
                      SearchExhaustedError, SingularPointError)
 from .potentials import bump_kernel, theta_for
-from .radial import DIMENSION, ENERGY
+from .radial import (DIMENSION, ENERGY, _check_domain, _check_integer,
+                     _inner_radius)
 
 LIPSCHITZ = "lipschitz"
 HOLDER = "holder"
@@ -61,8 +62,6 @@ F_2D = "carleman_2d"
 
 TAU0_START = 4.0
 TAU0_MAX = 4096.0
-# left end of the radial range in dimension two when none is given
-R_MIN_D2 = 1.0
 # the audit constant C when none is given, and the least one recommended
 C_FLOOR = 6.0
 
@@ -102,16 +101,9 @@ class CarlemanConfig:
         if self.regularity not in (LIPSCHITZ, HOLDER):
             raise InvalidConfigError(
                 f"regularity must be '{LIPSCHITZ}' or '{HOLDER}', got {self.regularity!r}")
-        if not self.E > 0:
-            raise InvalidConfigError(f"E must be positive, got {self.E}")
-        if not 0.0 < self.h <= 1.0:
-            raise InvalidConfigError(f"h must lie in (0, 1], got {self.h}")
-        if self.d < 2:
-            raise InvalidConfigError(f"d must be at least 2, got {self.d}")
+        _check_domain(InvalidConfigError, self.d, self.E, self.h, self.s)
         if not self.tau0 > 0:
             raise InvalidConfigError(f"tau0 must be positive, got {self.tau0}")
-        if not self.s > 0.5:
-            raise InvalidConfigError(f"s below lower bound 1/2 (got {self.s})")
         if self.regularity == LIPSCHITZ and not self.beta > 1.0:
             raise InvalidConfigError(f"Lipschitz regime needs beta > 1, got {self.beta}")
         if self.regularity == HOLDER and (self.alpha is None
@@ -324,15 +316,19 @@ class GridSpec:
     points_per_decade: int = 200
     span_factor: float = 10.0
 
+    def __post_init__(self):
+        _check_integer("points_per_decade", self.points_per_decade, 1)
+        if self.points_per_decade < 200:
+            raise InvalidInputError(
+                f"grid too sparse: need >= 200 points per decade, got {self.points_per_decade}")
+        if not 10.0 <= self.span_factor < math.inf:
+            raise InvalidInputError(
+                f"span_factor must be finite and at least 10, for the grid span to "
+                f"reach 10a; got {self.span_factor}")
+
 
 def certification_grid(spec, a, r_min=0.0):
     """Sample points on (r_min, span_factor*a], excluding r = a."""
-    if spec.points_per_decade < 200:
-        raise InvalidInputError(
-            f"grid too sparse: need >= 200 points per decade, got {spec.points_per_decade}")
-    if spec.span_factor < 10.0:
-        raise InvalidInputError(
-            f"grid span must reach 10a, got span_factor {spec.span_factor}")
     lo = r_min if r_min > 0 else 1e-6
     hi = spec.span_factor * a
     if hi <= lo:
@@ -417,18 +413,14 @@ class Certificate:
 def certify(config, envelope_p, C, grid_spec=None, r_min=None):
     """Verify every margin family on a dense grid and return the record.
 
-    ``r_min`` defaults to 0 for d >= 3 and to R_MIN_D2 in dimension two,
-    where the two-dimensional family is certified on r >= r_min > 0 only.
-    ``constants["mollifier"]`` is None, for a caller to fill in.
+    ``r_min`` is checked and defaulted by radial._inner_radius: 0, or 1 in
+    dimension two, where the two-dimensional family is certified on
+    r >= r_min > 0 only.  ``constants["mollifier"]`` is None, for a caller
+    to fill in.
     """
     if grid_spec is None:
         grid_spec = GridSpec()
-    if r_min is None:
-        r_min = R_MIN_D2 if config.d == 2 else 0.0
-    if r_min < 0:
-        raise InvalidInputError(f"r_min must be nonnegative, got {r_min}")
-    if config.d == 2 and r_min <= 0:
-        raise InvalidInputError("dimension two requires a positive left endpoint")
+    r_min = _inner_radius(config.d, r_min)
     if not 0 < C < math.inf:
         raise InvalidInputError(f"audit constant C must be positive and finite, got {C}")
     grid = certification_grid(grid_spec, config.a, r_min)

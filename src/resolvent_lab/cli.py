@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +41,7 @@ from .errors import (AccuracyError, EvaluationError, InvalidInputError,
                      ResolventLabError, SearchExhaustedError)
 from .potentials import bump_kernel, build_potential, mollify
 from .radial import SEED, ResolventQuery
-from .scaling import (HOL, LINF, LIP, GridPolicy, fit_models, omega_map,
-                      psi_map, sweep, write_plotdata_tsv, write_summary_json,
-                      write_sweep_csv)
+from .scaling import LINF, GridPolicy, fit_models, omega_map, psi_map, sweep
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -120,7 +118,7 @@ _VARIANTS = {
     "certify": (("regularity", {LIPSCHITZ: (("beta",), ("alpha", "k")),
                                 HOLDER: ((), ("beta",))}),),
     "convert": (("map", {"psi": ((), ("radial",)), "omega": ((), ("lambda0",))}),
-                ("class", {LIP: ((), ("alpha",)), HOL: (("alpha",), ()),
+                ("class", {LIPSCHITZ: ((), ("alpha",)), HOLDER: (("alpha",), ()),
                            LINF: ((), ("alpha",))})),
 }
 # The files each command writes besides manifest.json; a run first removes
@@ -280,6 +278,73 @@ def _cmd_certify(block, out_dir):
     return EXIT_OK
 
 
+def _fmt(value):
+    return "" if value is None else repr(float(value))
+
+
+def write_sweep_csv(result, path):
+    lines = ["h,eps,sign,g_measured,g_bound,sectors,lmax,runtime_ms,status,"
+             "matvecs,residual"]
+    for row in result.rows:
+        sign = "+" if row.sign > 0 else "-"
+        status = "ok" if row.status == "ok" else "failed"
+        lines.append(",".join([
+            repr(row.h), repr(row.eps), sign, _fmt(row.g_measured),
+            _fmt(row.g_bound), str(row.sectors), str(row.l_max),
+            f"{row.runtime_ms:.3f}", status, str(row.matvecs),
+            _fmt(row.residual)]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_summary_json(result, fit, path):
+    """The rows, the bound verdict and ``fit``, a FitOutcome or None for no fit block."""
+    doc = {
+        "rows": [
+            {"h": row.h, "eps": row.eps, "sign": row.sign,
+             "g_measured": row.g_measured, "g_bound": row.g_bound,
+             "sectors": row.sectors, "lmax": row.l_max, "status": row.status,
+             "matvecs": row.matvecs, "residual": row.residual}
+            for row in result.rows
+        ],
+        "bound_respected": result.bound_respected,
+        "fit": None,
+    }
+    if fit is not None:
+        doc["fit"] = {
+            "best": None if fit.best is None else {
+                key: value for key, value in asdict(fit.best).items()
+                if key != "degenerate"},
+            "candidates": [asdict(f) for f in fit.fits],
+            "degenerate": fit.degenerate,
+            "eps": fit.eps,
+        }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_plotdata_tsv(result, path):
+    blocks = []
+    series = {}
+    for row in result.rows:
+        if row.status != "ok":
+            continue
+        key = (row.eps, row.sign)
+        series.setdefault(key, []).append((row.h, row.g_measured))
+    for (eps, sign), pairs in sorted(series.items()):
+        label = f"# series: g_measured eps={eps!r} sign={'+' if sign > 0 else '-'}"
+        body = "\n".join(f"{h!r}\t{g!r}" for h, g in pairs)
+        blocks.append(label + "\n" + body)
+    bound_pairs = sorted({(row.h, row.g_bound) for row in result.rows
+                          if row.g_bound is not None}, reverse=True)
+    if bound_pairs:
+        body = "\n".join(f"{h!r}\t{g!r}" for h, g in bound_pairs)
+        blocks.append("# series: g_bound\n" + body)
+    with open(path, "w") as fh:
+        fh.write("\n\n".join(blocks) + "\n")
+
+
 def _cmd_sweep(block, out_dir, **run_kw):
     """Sweep the block; ``run_kw`` holds the seed and threads when given."""
     model = _build_model(block)
@@ -298,6 +363,7 @@ def _cmd_sweep(block, out_dir, **run_kw):
     policy = GridPolicy(**_given(block, _POLICY_KEYS))
     result = sweep(template, block["h_values"], grid_policy=policy,
                    **sweep_kw, **run_kw)
+    outcome = None
     if "fit" in block:
         fit_block = block["fit"]
         candidates = [tuple(c) if len(c) > 1 else c[0]
@@ -305,7 +371,6 @@ def _cmd_sweep(block, out_dir, **run_kw):
         try:
             outcome = fit_models(result, candidates,
                                  **_given(fit_block, ("eps",)))
-            result = replace(result, fit=outcome)
         except InvalidInputError as exc:
             print(f"fit skipped: {exc}", file=sys.stderr)
         else:
@@ -316,7 +381,7 @@ def _cmd_sweep(block, out_dir, **run_kw):
                 alpha = "" if best.alpha is None else f" {best.alpha:g}"
                 print(f"fit: {best.kind}{alpha} C={best.C:.6g}")
     write_sweep_csv(result, Path(out_dir) / "sweep.csv")
-    write_summary_json(result, Path(out_dir) / "summary.json")
+    write_summary_json(result, outcome, Path(out_dir) / "summary.json")
     write_plotdata_tsv(result, Path(out_dir) / "plotdata.tsv")
     ok = sum(1 for r in result.rows if r.status == "ok")
     print(f"sweep complete: {ok}/{len(result.rows)} rows ok"

@@ -20,10 +20,6 @@ class EvaluationError(ResolventLabError):
 class AccuracyError(ResolventLabError):
     """An iterative or quadrature computation missed its tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class SingularPointError(ResolventLabError):
     """Evaluation was requested at the singular radius r = a."""

@@ -172,8 +172,7 @@ def _integrate_01(f, split=False):
     if not gap <= KERNEL_QUAD_TOL * (1.0 + abs(fine)):  # also catches NaN
         raise AccuracyError(
             f"kernel integral changed by {gap:.3g} between 64 and 128 "
-            "Gauss-Legendre nodes; the kernel is too rough for the rule",
-            residual=gap)
+            "Gauss-Legendre nodes; the kernel is too rough for the rule")
     return fine
 
 
@@ -365,8 +364,7 @@ def mollify(base, kernel, theta):
         worst = probe[np.argmax(gap - 1e-8 * scale - modulus)]
         raise AccuracyError(
             f"quadrature refinement check failed near r={worst:.4g}; "
-            "the potential is rougher than its declared class",
-            residual=float(np.max(gap)))
+            "the potential is rougher than its declared class")
     return mp
 
 

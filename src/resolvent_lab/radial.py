@@ -37,6 +37,9 @@ RESIDUAL_TOL = 1e-6
 # Carleman certificate a sweep is checked against
 DIMENSION = 3
 ENERGY = 1.0
+# the left end of the radial range in dimension two when none is given: the
+# exterior domain r >= 1 on which the two-dimensional estimates hold
+R_MIN_D2 = 1.0
 # the Lanczos start-vector seed when none is given
 SEED = 2024
 # the assembly rule: the radial step dr is at most h / STEPS_PER_H
@@ -58,18 +61,55 @@ class ResolventQuery:
     E: float = ENERGY
 
     def __post_init__(self):
-        if self.d < 2:
-            raise InvalidInputError(f"d must be at least 2, got {self.d}")
-        if not self.E > 0:
-            raise InvalidInputError(f"E must be positive, got {self.E}")
-        if not 0.0 < self.h <= 1.0:
-            raise InvalidInputError(f"h must lie in (0, 1], got {self.h}")
+        _check_domain(InvalidInputError, self.d, self.E, self.h, self.s)
         if not 0.0 < self.eps <= 1.0:
             raise InvalidInputError(f"eps must lie in (0, 1], got {self.eps}")
         if self.sign not in (1, -1):
             raise InvalidInputError(f"sign must be +1 or -1, got {self.sign}")
-        if not self.s > 0.5:
-            raise InvalidInputError(f"s must exceed 1/2, got {self.s}")
+
+
+def _check_domain(error, d, E, h, s):
+    """Raise ``error`` unless (d, E, h, s) lies in the paper's parameter domain.
+
+    d is an integer >= 2, E > 0 and s > 1/2 are finite, and h lies in (0, 1].
+    """
+    _check_integer("d", d, 2, error)
+    if not 0.0 < E < math.inf:
+        raise error(f"E must be positive and finite, got {E}")
+    if not 0.0 < h <= 1.0:
+        raise error(f"h must lie in (0, 1], got {h}")
+    if not s > 0.5:
+        raise error(f"s below lower bound 1/2 (got {s})")
+    if s == math.inf:
+        raise error("s must be finite, got inf")
+
+
+def _check_integer(name, value, least, error=InvalidInputError):
+    """Require a non-bool integer (numpy integers included) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be at least {least}, got {value}")
+
+
+def _check_positive(name, value):
+    """Require a positive finite number."""
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(f"{name} must be positive and finite, got {value}")
+
+
+def _inner_radius(d, r_min):
+    """The left end of the radial range: ``r_min``, finite and >= 0, > 0 when d = 2.
+
+    None gives 0, or R_MIN_D2 in dimension two.
+    """
+    if r_min is None:
+        return R_MIN_D2 if d == 2 else 0.0
+    if not 0.0 <= r_min < math.inf:
+        raise InvalidInputError(f"r_min must be finite and nonnegative, got {r_min}")
+    if d == 2 and r_min == 0:
+        raise InvalidInputError("dimension two requires r_min > 0")
+    return r_min
 
 
 @dataclass(frozen=True)
@@ -97,6 +137,12 @@ class UniformGridSpec:
     r_max: float
     r_min: float = 0.0
     tail_tol: float = TAIL_TOL
+
+    def __post_init__(self):
+        _check_positive("dr", self.dr)
+        _check_positive("tail_tol", self.tail_tol)
+        if not math.isfinite(self.r_max):
+            raise InvalidInputError(f"r_max must be finite, got {self.r_max}")
 
     def _interior_count(self):
         return int(math.ceil((self.r_max - self.r_min) / self.dr - 1e-9)) - 1
@@ -165,8 +211,7 @@ def _checked_points(query, grid_spec):
         raise InvalidInputError(
             f"r_max rule violated: (r_max+1)^(-2s)={tail:.3g} exceeds "
             f"tail_tol={grid_spec.tail_tol:g}")
-    if query.d == 2 and grid_spec.r_min <= 0:
-        raise InvalidInputError("dimension two requires r_min > 0")
+    _inner_radius(query.d, grid_spec.r_min)
     return grid_spec.points()
 
 
@@ -288,7 +333,6 @@ def _lanczos_sector_norm(op, weighted, start, work):
     alphas = np.empty(LANCZOS_STEP_CAP)
     betas = np.empty(LANCZOS_STEP_CAP)
     beta = 0.0
-    res = math.inf
     for k in range(1, LANCZOS_STEP_CAP + 1):
         # r = B^{-H} B^{-1} q_k; r is contiguous, so zgttrs solves in it
         np.multiply(v, scale, out=r)
@@ -313,7 +357,7 @@ def _lanczos_sector_norm(op, weighted, start, work):
         scale_prev, scale = scale, 1.0 / beta
     raise AccuracyError(
         f"Lanczos did not reach residual {RESIDUAL_TOL:g} within "
-        f"{LANCZOS_STEP_CAP} steps (sector l={op.sector.l})", residual=res)
+        f"{LANCZOS_STEP_CAP} steps (sector l={op.sector.l})")
 
 
 def dense_weighted_norm(query, sector, grid_spec):
@@ -322,14 +366,6 @@ def dense_weighted_norm(query, sector, grid_spec):
     inv = np.eye(op.grid.size, dtype=complex, order="F")
     zgttrs(*op._lu(), inv, overwrite_b=True)
     return float(sla.svdvals(inv, overwrite_a=True)[0])
-
-
-def _check_integer(name, value, least):
-    """Require a non-bool integer (numpy integers included) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise InvalidInputError(f"{name} must be at least {least}, got {value}")
 
 
 def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS):

@@ -20,22 +20,21 @@ the local energy decay rate omega(t) = (loglog t/log t)**(1/p), which is
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .carleman import R_MIN_D2, Certificate, build_phase
+from .carleman import HOLDER, LIPSCHITZ, Certificate, build_phase
 from .errors import AccuracyError, InvalidInputError, ResolventLabError
 from .radial import (SEED, STEPS_PER_H, TAIL_TOL, THREADS, AngularSector,
-                     UniformGridSpec, weighted_resolvent_norm)
+                     UniformGridSpec, _check_integer, _check_positive,
+                     _inner_radius, weighted_resolvent_norm)
 
-LIP = "lipschitz"
-HOL = "holder"
+# the class the fits and maps know besides the two weight regimes
 LINF = "linfty"
 
 
@@ -43,7 +42,7 @@ LINF = "linfty"
 # Bound shapes and fitting
 # ---------------------------------------------------------------------------
 
-_CLASSES = (LIP, HOL, LINF)
+_CLASSES = (LIPSCHITZ, HOLDER, LINF)
 
 
 def _growth_law(kind, alpha):
@@ -52,9 +51,9 @@ def _growth_law(kind, alpha):
     The exponent stays a fraction because omega needs den/num, which
     differs from 1/(num/den) in the last bit for about a third of alpha.
     """
-    if kind == LIP:
+    if kind == LIPSCHITZ:
         return 1.0, 1.0, False
-    if kind == HOL:
+    if kind == HOLDER:
         if alpha is None or not 0.0 < alpha < 1.0:
             raise InvalidInputError("holder class needs alpha in (0, 1)")
         return 4.0, alpha + 3.0, True
@@ -193,27 +192,25 @@ class GridPolicy:
     tail_tol: float = TAIL_TOL
     dr_factor: float = 0.05
     l_max: int = 8
-    r_min: float = 0.0
+    r_min: Optional[float] = None
     r_max_floor: float = 0.0
 
     def __post_init__(self):
-        if not self.tail_tol > 0:
-            raise InvalidInputError(f"tail_tol must be positive, got {self.tail_tol}")
+        _check_positive("tail_tol", self.tail_tol)
         if not 0.0 < self.dr_factor <= 1.0 / STEPS_PER_H:
             raise InvalidInputError(
                 f"dr_factor must lie in (0, 1/{STEPS_PER_H:g}], got {self.dr_factor}")
-        if self.l_max < 0:
-            raise InvalidInputError(f"l_max must be nonnegative, got {self.l_max}")
-        if not self.r_min >= 0:
-            raise InvalidInputError(f"r_min must be nonnegative, got {self.r_min}")
+        _check_integer("l_max", self.l_max, 0)
+        if not 0.0 <= self.r_max_floor < math.inf:
+            raise InvalidInputError(
+                f"r_max_floor must be finite and nonnegative, got {self.r_max_floor}")
 
     def grid_for(self, query):
+        """The query's grid; ``r_min`` is checked and defaulted by radial._inner_radius."""
         r_tail = self.tail_tol ** (-1.0 / (2.0 * query.s)) - 1.0
         lam = AngularSector(query.d, self.l_max, query.h).lambda_value
         r_turn = math.sqrt(max(lam, 0.0) / query.E)
-        r_min = self.r_min
-        if query.d == 2 and r_min <= 0.0:
-            r_min = R_MIN_D2
+        r_min = _inner_radius(query.d, self.r_min)
         spec = UniformGridSpec(dr=self.dr_factor * query.h,
                                r_max=max(r_tail, 4.0 * r_turn, self.r_max_floor),
                                r_min=r_min, tail_tol=self.tail_tol)
@@ -256,7 +253,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
-    fit: Optional[FitOutcome]
 
     @property
     def bound_respected(self):
@@ -329,77 +325,7 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
                 start, matvecs = time.perf_counter(), 0
     if not any(row.status == "ok" for row in rows):
         raise AccuracyError("every sweep row failed")
-    return SweepResult(rows=tuple(rows), fit=None)
-
-
-# ---------------------------------------------------------------------------
-# Serialization of sweep artifacts
-# ---------------------------------------------------------------------------
-
-def _fmt(value):
-    return "" if value is None else repr(float(value))
-
-
-def write_sweep_csv(result, path):
-    lines = ["h,eps,sign,g_measured,g_bound,sectors,lmax,runtime_ms,status,"
-             "matvecs,residual"]
-    for row in result.rows:
-        sign = "+" if row.sign > 0 else "-"
-        status = "ok" if row.status == "ok" else "failed"
-        lines.append(",".join([
-            repr(row.h), repr(row.eps), sign, _fmt(row.g_measured),
-            _fmt(row.g_bound), str(row.sectors), str(row.l_max),
-            f"{row.runtime_ms:.3f}", status, str(row.matvecs),
-            _fmt(row.residual)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_summary_json(result, path):
-    doc = {
-        "rows": [
-            {"h": row.h, "eps": row.eps, "sign": row.sign,
-             "g_measured": row.g_measured, "g_bound": row.g_bound,
-             "sectors": row.sectors, "lmax": row.l_max, "status": row.status,
-             "matvecs": row.matvecs, "residual": row.residual}
-            for row in result.rows
-        ],
-        "bound_respected": result.bound_respected,
-        "fit": None,
-    }
-    if result.fit is not None:
-        best = result.fit.best
-        doc["fit"] = {
-            "best": None if best is None else {
-                key: value for key, value in asdict(best).items() if key != "degenerate"},
-            "candidates": [asdict(f) for f in result.fit.fits],
-            "degenerate": result.fit.degenerate,
-            "eps": result.fit.eps,
-        }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_plotdata_tsv(result, path):
-    blocks = []
-    series = {}
-    for row in result.rows:
-        if row.status != "ok":
-            continue
-        key = (row.eps, row.sign)
-        series.setdefault(key, []).append((row.h, row.g_measured))
-    for (eps, sign), pairs in sorted(series.items()):
-        label = f"# series: g_measured eps={eps!r} sign={'+' if sign > 0 else '-'}"
-        body = "\n".join(f"{h!r}\t{g!r}" for h, g in pairs)
-        blocks.append(label + "\n" + body)
-    bound_pairs = sorted({(row.h, row.g_bound) for row in result.rows
-                          if row.g_bound is not None}, reverse=True)
-    if bound_pairs:
-        body = "\n".join(f"{h!r}\t{g!r}" for h, g in bound_pairs)
-        blocks.append("# series: g_bound\n" + body)
-    with open(path, "w") as fh:
-        fh.write("\n\n".join(blocks) + "\n")
+    return SweepResult(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def measured(h, g, eps=1e-2, sign=1):
     rows = tuple(SweepRow(float(hv), eps, sign, float(gv), None, 0, 0.0, "ok",
                           0, 0.0)
                  for hv, gv in zip(h, g))
-    return SweepResult(rows=rows, fit=None)
+    return SweepResult(rows=rows)
 
 
 def sector_norm(op, seed=0):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import resolvent_lab as rl
 from resolvent_lab import potentials, scaling
-from resolvent_lab.carleman import Certificate
+from resolvent_lab.carleman import CarlemanConfig, Certificate, FamilySummary
 from resolvent_lab.cli import _BLOCK_KEYS, main
 from resolvent_lab.errors import AccuracyError
 from resolvent_lab.radial import ResolventQuery
@@ -34,8 +34,9 @@ def readme_config():
 
 
 def write_config(tmp_path, doc, name="config.json"):
+    """Write ``doc`` as JSON; a string is written as it is, JSON or not."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc, indent=2))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc, indent=2))
     return str(path)
 
 
@@ -215,6 +216,22 @@ class TestSweepCommand:
         assert doc["degenerate"] is (doc["best"] is None) is (not growing)
         if doc["best"] is not None:
             assert doc["best"]["kind"] == line.split()[1]
+
+    def test_violated_bound_exits_two(self, tmp_path, capsys):
+        # a ~ 6e-26 puts the composed bound far below any measured g
+        config = CarlemanConfig.lipschitz(3.0, 0.6, 1e-3, h=0.2)
+        path = tmp_path / "certificate.json"
+        Certificate(config=config, C_used=1.0, r_min=0.0,
+                    families=(FamilySummary("carleman_main", 0.0, 1.0),),
+                    constants={"c26": [], "mollifier": None}).save(path)
+        block = {"s": 0.7, "h_values": [0.5], "l_max": 0, "tail_tol": 0.05,
+                 "certificate": str(path)}
+        cfg = write_config(tmp_path, {"sweep": block})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "measured norm exceeded the certified bound" in capsys.readouterr().err
+        assert json.loads((out / "summary.json").read_text())["bound_respected"] is False
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
 
     def test_missing_certificate_exits_one(self, tmp_path):
         block = sweep_block(certificate=str(tmp_path / "nope.json"))
@@ -566,6 +583,14 @@ def _without(block, key):
      "unknown keys in sweep.fit: sign"),
     # an empty candidate list would report a fit that tried nothing
     ("sweep", {"sweep": sweep_block(fit={"candidates": []})}, "sweep.fit.candidates"),
+    ("certify", {"certify": certify_block(grid={"points_per_decade": 100})},
+     "grid too sparse"),
+    ("certify", "{not json", "config is not valid JSON"),
+    ("certify", [certify_block()], "config must be a JSON object"),
+    ("mollify", {"mollify": {"thetas": []}}, "nonempty theta list"),
+    ("convert", {"convert": dict(CONVERT_BLOCK, values=[])}, "nonempty value list"),
+    # dimension two has no r_min = 0 (radial._inner_radius)
+    ("sweep", {"sweep": sweep_block(d=2, r_min=0)}, "r_min"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):

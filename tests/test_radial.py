@@ -18,8 +18,9 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 import resolvent_lab as rl
 from resolvent_lab import radial
 from resolvent_lab.carleman import (CarlemanConfig, GridSpec, build_phase,
-                                    build_weight, min_ell, search_tau0)
-from resolvent_lab.errors import AccuracyError, EvaluationError, InvalidInputError
+                                    build_weight, certify, min_ell, search_tau0)
+from resolvent_lab.errors import (AccuracyError, EvaluationError,
+                                  InvalidConfigError, InvalidInputError)
 from resolvent_lab.radial import (_BLOCK_ROWS, AngularSector, ResolventQuery,
                                   UniformGridSpec, assemble,
                                   assemble_conjugated, dense_weighted_norm,
@@ -138,6 +139,66 @@ class TestAssemble:
                 lhs = 0.5 * np.vdot(f, f).real
                 rhs = sign * np.imag(np.vdot(f, mat @ f))
                 assert abs(lhs - rhs) <= 1e-12 * lhs
+
+
+class TestDomain:
+    @pytest.mark.parametrize("change,message", [
+        (dict(d=2.5), "d must be an integer"),
+        (dict(d=3.5), "d must be an integer"),
+        (dict(E=math.inf), "E must be positive and finite"),
+        (dict(s=math.inf), "s must be finite"),
+    ])
+    def test_query_and_config_share_one_parameter_domain(self, zero_model, change,
+                                                         message):
+        point = {**dict(d=3, E=1.0, h=0.5, s=0.6), **change}
+        with pytest.raises(InvalidInputError, match=message):
+            ResolventQuery(eps=0.1, sign=1, potential=zero_model, **point)
+        with pytest.raises(InvalidConfigError, match=message):
+            CarlemanConfig.lipschitz(3.0, point.pop("s"), 4.0, **point)
+
+    @pytest.mark.parametrize("d,r_min", [(3, -1.0), (3, math.nan), (3, math.inf),
+                                         (2, 0.0)])
+    def test_every_radial_range_takes_one_inner_radius_rule(self, zero_model, d,
+                                                           r_min):
+        query = ResolventQuery(d=d, E=1.0, h=0.5, eps=0.1, sign=1, s=0.6,
+                               potential=zero_model)
+        config = CarlemanConfig.lipschitz(3.0, 0.6, 4.0, h=0.5, d=d)
+        grid = UniformGridSpec(dr=0.05, r_max=18.0, r_min=r_min, tail_tol=0.05)
+        for call in (lambda: assemble(query, AngularSector(d, 0, 0.5), grid),
+                     lambda: certify(config, zero_model.envelope, 6.0, r_min=r_min),
+                     lambda: GridPolicy(tail_tol=0.05, r_min=r_min).grid_for(query)):
+            with pytest.raises(InvalidInputError, match="r_min"):
+                call()
+
+    @pytest.mark.parametrize("d,r_min", [(2, 1.0), (3, 0.0)])
+    def test_inner_radius_defaults_to_one_in_dimension_two(self, zero_model, d,
+                                                           r_min):
+        query = ResolventQuery(d=d, E=1.0, h=0.5, eps=0.1, sign=1, s=0.6,
+                               potential=zero_model)
+        config = CarlemanConfig.lipschitz(3.0, 0.6, 4.0, h=0.5, d=d)
+        assert GridPolicy(tail_tol=0.05).grid_for(query).r_min == r_min
+        assert certify(config, zero_model.envelope, 6.0).r_min == r_min
+
+    @pytest.mark.parametrize("cls,kwargs,field", [
+        (UniformGridSpec, dict(dr=0.0, r_max=18.0), "dr"),
+        (UniformGridSpec, dict(dr=math.nan, r_max=18.0), "dr"),
+        (UniformGridSpec, dict(dr=0.05, r_max=math.nan), "r_max"),
+        (UniformGridSpec, dict(dr=0.05, r_max=math.inf), "r_max"),
+        (UniformGridSpec, dict(dr=0.05, r_max=18.0, tail_tol=math.nan), "tail_tol"),
+        (GridPolicy, dict(r_max_floor=math.nan), "r_max_floor"),
+        (GridPolicy, dict(r_max_floor=-5.0), "r_max_floor"),
+        (GridPolicy, dict(r_max_floor=math.inf), "r_max_floor"),
+        (GridPolicy, dict(tail_tol=math.inf), "tail_tol"),
+        (GridPolicy, dict(l_max=2.5), "l_max"),
+        (GridPolicy, dict(l_max=True), "l_max"),
+        (GridSpec, dict(points_per_decade=math.inf), "points_per_decade"),
+        (GridSpec, dict(points_per_decade=200.5), "points_per_decade"),
+        (GridSpec, dict(span_factor=math.nan), "span_factor"),
+    ])
+    def test_grid_values_reject_non_finite_and_ill_typed_fields(self, cls, kwargs,
+                                                                field):
+        with pytest.raises(InvalidInputError, match=f"^{field} must"):
+            cls(**kwargs)
 
 
 class TestConjugateCheck:

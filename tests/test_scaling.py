@@ -138,22 +138,21 @@ class TestFit:
         plus = measured(h, 3.0 / h)
         # the rows of a two-sign sweep: each - row follows its + row
         both = SweepResult(rows=tuple(row for plus_row in plus.rows for row in
-                                      (plus_row, replace(plus_row, sign=-1))),
-                           fit=None)
+                                      (plus_row, replace(plus_row, sign=-1))))
         cands = ["lipschitz", ("holder", 0.5), "linfty"]
         assert fit_models(both, cands) == fit_models(plus, cands)
-        minus = SweepResult(rows=both.rows[1::2], fit=None)
+        minus = SweepResult(rows=both.rows[1::2])
         assert fit_models(minus, cands) == fit_models(plus, cands)
         # four rows at two h, whatever their signs, are two points: too few
         for rows in (both.rows[:4], measured([0.5, 0.5, 0.4, 0.4], [1.0] * 4).rows):
             with pytest.raises(InvalidInputError, match="at least 4"):
-                fit_models(SweepResult(rows=rows, fit=None), cands)
+                fit_models(SweepResult(rows=rows), cands)
 
     def test_fits_the_first_eps_with_four_h_or_the_one_given(self):
         h = [0.2, 0.15, 0.1, 0.05]
         rows = (measured(h, [1.0, 2.0, 3.0, 4.0], eps=1e-4).rows
                 + measured(h, [1.0, 2.0, 4.0, 8.0], eps=1e-2).rows)
-        data = SweepResult(rows=rows, fit=None)
+        data = SweepResult(rows=rows)
         assert fit_models(data, ["lipschitz"]).eps == 1e-4
         assert fit_models(data, ["lipschitz"], eps=1e-2).eps == 1e-2
 
@@ -322,7 +321,7 @@ FAILED_ROW = replace(OK_ROW, g_measured=None, status="failed: forced")
     ((OK_ROW, FAILED_ROW), False),
 ])
 def test_bound_respected_follows_the_rows(rows, respected):
-    assert SweepResult(rows=rows, fit=None).bound_respected is respected
+    assert SweepResult(rows=rows).bound_respected is respected
 
 
 def test_sweep_verdict_none_true_false(zero_model, monkeypatch):
