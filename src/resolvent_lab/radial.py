@@ -10,14 +10,16 @@ by central differences on a uniform grid with Dirichlet ends.  The weighted
 norm of a sector is the largest singular value of W A^{-1} W with
 W = diag((r+1)**(-s)), that is of B^{-1} for the complex symmetric
 tridiagonal B = W^{-1} A W^{-1}.  One LAPACK factor of B (zgttrf) serves
-the Lanczos norm, the dense oracle and the phase-conjugated solve of the
-energy audit.  B_- is the entrywise conjugate of B_+, since W is real, so
-both signs of eps have the same norm.
+the Lanczos norm and the phase-conjugated solve of the energy audit; the
+dense oracle takes sigma_min(B) from B's real symmetric embedding and
+never touches that factor.  B_- is the entrywise conjugate of B_+, since W
+is real, so both signs of eps have the same norm.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -141,6 +143,10 @@ class UniformGridSpec:
     def __post_init__(self):
         _check_positive("dr", self.dr)
         _check_positive("tail_tol", self.tail_tol)
+        # _inner_radius checks the value when the grid is used; None, the
+        # default GridPolicy and certify take, has no meaning here
+        if not isinstance(self.r_min, numbers.Real):
+            raise InvalidInputError(f"r_min must be a number, got {self.r_min!r}")
         if not math.isfinite(self.r_max):
             raise InvalidInputError(f"r_max must be finite, got {self.r_max}")
 
@@ -361,11 +367,30 @@ def _lanczos_sector_norm(op, weighted, start, work):
 
 
 def dense_weighted_norm(query, sector, grid_spec):
-    """Top singular value of W A^{-1} W from its dense columns; small grids only."""
+    """Top singular value of W A^{-1} W, as 1 / sigma_min(B), without B's factor; small grids only.
+
+    B = X + iY is complex symmetric with X, Y real, so the real symmetric
+    K = [[X, Y], [Y, -X]] of size 2n has eigenvalues +-sigma_i(B).  Ordered
+    (x_1, y_1, x_2, y_2, ...), K is pentadiagonal: diagonal +-x, first
+    subdiagonal Y's diagonal on even rows, second subdiagonal +-off.  Its
+    eigenvalue of index n (from 0, ascending) is sigma_min(B), to within
+    a few eps ||B||_2 (Weyl).  Time grows as about n**2.
+    """
     op = assemble(query, sector, grid_spec)
-    inv = np.eye(op.grid.size, dtype=complex, order="F")
-    zgttrs(*op._lu(), inv, overwrite_b=True)
-    return float(sla.svdvals(inv, overwrite_a=True)[0])
+    lift2, off = _weighted_terms(query, op.dr, op.grid)
+    n = op.grid.size
+    x = op.diag_real * lift2
+    ab = np.zeros((3, 2 * n))
+    ab[0, 0::2], ab[0, 1::2] = x, -x
+    ab[1, 0::2] = lift2 * _shift(query).imag
+    ab[2, :-2:2], ab[2, 1:-2:2] = off, -off
+    sigma = sla.eigvals_banded(ab, lower=True, overwrite_a_band=True, select="i",
+                               select_range=(n, n))[0]
+    if not sigma > 0.0:
+        raise AccuracyError(
+            f"dense oracle found no positive sigma_min(B): {sigma!r} "
+            f"(sector l={sector.l})")
+    return float(1.0 / sigma)
 
 
 def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS):

@@ -270,8 +270,10 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     h values must be strictly descending in (0, 1]; eps values and signs
     must not repeat.  A certificate must share the template's d and E, and
     its s may not exceed the template's: a bound proved at s holds at every
-    larger s.  Each (h, eps) is measured once, at its first sign, and the
-    result, success or failure, fills every sign's row.  A row whose
+    larger s.  Its r_min may not exceed the grid's, since its margins are
+    verified on r > r_min only.  Each (h, eps) is measured once, at its
+    first sign, and the result, success or failure, fills every sign's
+    row.  A row whose
     estimate fails numerically is marked; a sweep with no successful row
     raises AccuracyError.
     """
@@ -291,6 +293,8 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     for key, values in (("eps_values", eps_list), ("signs", signs)):
         if len(set(values)) < len(values):  # a repeat would only repeat rows
             raise InvalidInputError(f"{key} must not repeat a value, got {values!r}")
+    if grid_policy is None:
+        grid_policy = GridPolicy()
     if certificate:
         cfg, q = certificate.config, query_template
         if cfg.d != q.d or cfg.E != q.E or cfg.s > q.s:
@@ -298,8 +302,11 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
                 f"certificate (d={cfg.d}, E={cfg.E:g}, s={cfg.s:g}) does not bound "
                 f"a sweep at d={q.d}, E={q.E:g}, s={q.s:g}: it needs the same d "
                 "and E and an s no larger than the sweep's")
-    if grid_policy is None:
-        grid_policy = GridPolicy()
+        r_min = _inner_radius(q.d, grid_policy.r_min)
+        if certificate.r_min > r_min:
+            raise InvalidInputError(
+                f"certificate holds on r >= r_min={certificate.r_min:g} only and "
+                f"does not bound a sweep whose grid starts at r_min={r_min:g}")
     bound = bound_from_certificate(certificate, hs) if certificate else None
     signs = sorted(signs, reverse=True)
     rows = []

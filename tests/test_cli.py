@@ -191,6 +191,22 @@ class TestSweepCommand:
         assert summary["bound_respected"] is True
         assert all(row["g_bound"] is not None for row in summary["rows"])
 
+    def test_certificate_from_a_larger_r_min_exits_one(self, tmp_path, capsys):
+        # the certificate's margins hold on r > 3 only; the d = 2 sweep grid
+        # starts at r = 1
+        cert_cfg = write_config(tmp_path, {"certify": certify_block(d=2, r_min=3)},
+                                "cert.json")
+        cert_out = tmp_path / "cert_out"
+        assert main(["certify", "--config", cert_cfg, "--out", str(cert_out)]) == 0
+        block = sweep_block(d=2, certificate=str(cert_out / "certificate.json"),
+                            h_values=[0.5, 0.4], eps_values=[1e-2], l_max=1)
+        cfg = write_config(tmp_path, {"sweep": block})
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "r_min=3" in err and "starts at r_min=1" in err
+        assert not (out / "summary.json").exists()
+
     def test_fit_candidate_outside_its_class_is_skipped(self, tmp_path, capsys):
         block = sweep_block(eps_values=[1e-2], fit={"candidates": [["holder", 1.5]]})
         cfg = write_config(tmp_path, {"sweep": block})
