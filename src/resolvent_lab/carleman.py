@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (EvaluationError, InvalidConfigError, InvalidInputError,
-                     SearchExhaustedError, SingularPointError)
+                     SearchExhaustedError, SingularPointError, require_finite)
 from .potentials import bump_kernel, theta_for
 from .radial import (DIMENSION, ENERGY, _check_domain, _check_integer,
                      _inner_radius)
@@ -253,9 +253,11 @@ def build_phase(config):
 
 @dataclass(frozen=True)
 class AuditValues:
-    """Pointwise audit quantities at radii away from r = a."""
+    """Pointwise audit quantities at radii away from r = a, with the weight mu and mu' there."""
 
     r: np.ndarray
+    mu: np.ndarray
+    mup: np.ndarray
     A: np.ndarray
     B1: np.ndarray
     B2: np.ndarray
@@ -299,10 +301,9 @@ def audit_at(r, config, envelope_p, C):
     lhs_2d = A - h ** 2 * r ** (-3.0) * mu - C * B + (2.0 * E / 3.0) * mup
     for name, arr in (("A", A), ("B1", B1), ("B2", B2),
                       ("lhs_main", lhs_main), ("lhs_2d", lhs_2d)):
-        if not np.all(np.isfinite(arr)):
-            bad = r[~np.isfinite(arr)][0]
-            raise EvaluationError(f"audit value {name} is not finite at r={bad:.6g}")
-    return AuditValues(r=r, A=A, B1=B1, B2=B2, lhs_main=lhs_main, lhs_2d=lhs_2d)
+        require_finite(f"audit value {name} is", arr, r)
+    return AuditValues(r=r, mu=mu, mup=mup, A=A, B1=B1, B2=B2, lhs_main=lhs_main,
+                       lhs_2d=lhs_2d)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +425,8 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None):
     if not 0 < C < math.inf:
         raise InvalidInputError(f"audit constant C must be positive and finite, got {C}")
     grid = certification_grid(grid_spec, config.a, r_min)
-    weight = build_weight(config)
     audit = audit_at(grid, config, envelope_p, C)
-    mu = weight(grid)
-    mup = weight.derivative(grid)
+    mu, mup = audit.mu, audit.mup
     k, k0, s, a = config.k, config.k0, config.s, config.a
     # headroom keeps the margin strictly positive where the recorded constant
     # is the exact asymptotic ratio (the quotient margin is identically zero
@@ -446,9 +445,7 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None):
     families = []
     for name in sorted(margins):
         arr = margins[name]
-        if not np.all(np.isfinite(arr)):
-            bad = grid[~np.isfinite(arr)][0]
-            raise EvaluationError(f"margin {name} is not finite at r={bad:.6g}")
+        require_finite(f"margin {name} is", arr, grid)
         idx = int(np.argmin(arr))
         families.append(FamilySummary(name, float(arr[idx]), float(grid[idx])))
     constants = {"c26": c26, "mollifier": None}

@@ -71,6 +71,8 @@ _JSON_TYPES = {
     "an object of numbers": lambda v: (isinstance(v, dict)
                                        and all(map(_is_number, v.values()))),
     "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a nonempty list of numbers": lambda v: (isinstance(v, list) and v != []
+                                             and all(map(_is_number, v))),
     "a list of '+' and '-'": lambda v: (isinstance(v, list)
                                         and all(x in ("+", "-") for x in v)),
     "a nonempty list of [class] or [class, alpha] lists": lambda v: (
@@ -101,11 +103,11 @@ _SWEEP_KEYS = {
     "certificate": "a string", "fit": _FIT_KEYS, **_POLICY_KEYS,
 }
 _MOLLIFY_KEYS = {"potential": _POTENTIAL_KEYS, "alpha": "a number",
-                 "thetas": "a list of numbers", "r_max": "a number",
+                 "thetas": "a nonempty list of numbers", "r_max": "a number",
                  "points": "an integer"}
 _CONVERT_KEYS = {"map": "a string", "class": "a string", "alpha": "a number",
                  "radial": "a boolean", "lambda0": "a number",
-                 "values": "a list of numbers"}
+                 "values": "a nonempty list of numbers"}
 _BLOCK_KEYS = {"certify": _CERTIFY_KEYS, "sweep": _SWEEP_KEYS,
                "mollify": _MOLLIFY_KEYS, "convert": _CONVERT_KEYS}
 # Required keys, by the dotted path of their block.
@@ -396,8 +398,6 @@ def _cmd_sweep(block, out_dir, **run_kw):
 def _cmd_mollify(block, out_dir):
     model = _build_model(block, **_given(block, ("alpha",)))
     thetas = block["thetas"]
-    if not thetas:
-        raise InvalidInputError("mollify needs a nonempty theta list")
     points, r_max = block.get("points", 4001), block.get("r_max", 10.0)
     if points < 1:
         raise InvalidInputError(f"mollify.points must be positive, got {points}")
@@ -418,8 +418,6 @@ def _cmd_mollify(block, out_dir):
 
 def _cmd_convert(block, out_dir):
     kind, cls, values = block["map"], block["class"], block["values"]
-    if not values:
-        raise InvalidInputError("convert needs a nonempty value list")
     lines = []
     if kind == "psi":
         table = psi_map(cls, values, **_given(block, ("lambda0", "alpha")))

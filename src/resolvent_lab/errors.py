@@ -1,4 +1,6 @@
-"""Exception types shared across the laboratory."""
+"""Exception types shared across the laboratory, and the one finiteness check."""
+
+import numpy as np
 
 
 class ResolventLabError(Exception):
@@ -35,3 +37,14 @@ class SearchExhaustedError(ResolventLabError):
     def __init__(self, message, history=()):
         super().__init__(message)
         self.history = tuple(history)
+
+
+def require_finite(what, values, r):
+    """Raise EvaluationError "<what> not finite at r=<node>" for the first bad node.
+
+    ``values`` holds one number per node of ``r``; the estimates hold for
+    real-valued potentials only, so a NaN or inf must stop the computation.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise EvaluationError(f"{what} not finite at r={r[~finite][0]:.6g}")

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, EvaluationError, InvalidInputError
+from .errors import AccuracyError, InvalidInputError, require_finite
 
 Array = np.ndarray
 
@@ -71,9 +71,7 @@ def holder_seminorm(f, alpha, beta, grid):
         raise InvalidInputError(f"beta must be nonnegative, got {beta}")
     r = np.sort(r)
     v = np.asarray(f(r), dtype=float)
-    if not np.all(np.isfinite(v)):
-        bad = r[~np.isfinite(v)][0]
-        raise EvaluationError(f"potential evaluation is not finite at r={bad:.6g}")
+    require_finite("potential evaluation is", v, r)
     w = (r + 1.0) ** beta
     best = 0.0
     for off in range(1, r.size):
@@ -113,9 +111,10 @@ class PotentialModel:
     def validate(self):
         """Check the defining invariants on REFERENCE_GRID.
 
-        Raises InvalidInputError if the envelope fails to decrease to a
-        smaller value, if V exceeds p anywhere, or if the weighted Hölder
-        quotient exceeds holder_const.
+        Raises EvaluationError if p or V is not finite, and
+        InvalidInputError if the envelope fails to decrease to a smaller
+        value, if V exceeds p anywhere, or if the weighted Hölder quotient
+        exceeds holder_const.
         """
         self._check_envelope(REFERENCE_GRID)
         sem = holder_seminorm(self.evaluate, self.alpha, self.beta, REFERENCE_GRID)
@@ -125,8 +124,9 @@ class PotentialModel:
                 f"{self.holder_const:.6g} ({self.name})")
 
     def _check_envelope(self, r):
-        """The envelope checks of ``validate``: p > 0 non-increasing and decaying, V <= p."""
+        """Envelope checks of ``validate``: p > 0 non-increasing, decaying; V <= p; both finite."""
         p = self.envelope(r)
+        require_finite(f"envelope {self.name}", p, r)
         if np.any(p <= 0):
             raise InvalidInputError(f"envelope must be positive ({self.name})")
         if np.any(np.diff(p) > 0):
@@ -135,6 +135,7 @@ class PotentialModel:
             raise InvalidInputError(
                 f"envelope must decay: p({r[-1]:.3g}) >= p({r[0]:.3g}) ({self.name})")
         v = self(r)
+        require_finite(f"potential {self.name}", v, r)
         if np.any(v > p * (1.0 + 1e-12) + 1e-300):
             bad = r[v > p * (1.0 + 1e-12) + 1e-300][0]
             raise InvalidInputError(
@@ -345,6 +346,7 @@ def mollify(base, kernel, theta):
     is performed on a probe grid; the allowance combines a 1e-8 tolerance with
     the provable refinement gap for a member of the declared Hölder class,
     so the check trips only when the potential behaves worse than declared.
+    An envelope or a gap that is not finite raises EvaluationError.
     """
     if not 0.0 < theta < 1.0:
         raise InvalidInputError(f"theta must lie in (0, 1), got {theta}")
@@ -355,11 +357,14 @@ def mollify(base, kernel, theta):
     rw = rw / rw.sum()
     fine = base(probe[:, None] + theta * x[None, :]) @ rw
     coarse = mp.evaluate(probe)
-    scale = base.envelope(probe) + theta ** base.alpha + 1e-30
+    p = base.envelope(probe)
+    require_finite(f"envelope {base.name}", p, probe)
+    scale = p + theta ** base.alpha + 1e-30
     modulus = (3.0 * kernel.sup_value * base.holder_const
                * (theta / 64.0) ** base.alpha
                * (probe + 1.0) ** (-base.beta))
     gap = np.abs(fine - coarse)
+    require_finite(f"smoothed potential {base.name}", gap, probe)
     if np.any(gap > 1e-8 * scale + modulus):
         worst = probe[np.argmax(gap - 1e-8 * scale - modulus)]
         raise AccuracyError(

@@ -9,9 +9,10 @@ system per angular sector,
 by central differences on a uniform grid with Dirichlet ends.  The weighted
 norm of a sector is the largest singular value of W A^{-1} W with
 W = diag((r+1)**(-s)), that is of B^{-1} for the complex symmetric
-tridiagonal B = W^{-1} A W^{-1}.  One LAPACK factor of B (zgttrf) serves
-the Lanczos norm and the phase-conjugated solve of the energy audit; the
-dense oracle takes sigma_min(B) from B's real symmetric embedding and
+tridiagonal B = W^{-1} A W^{-1}.  B's band is formed in one place
+(DiscreteOperator._band).  One LAPACK factor of it (zgttrf) serves the
+Lanczos norm and the phase-conjugated solve of the energy audit; the dense
+oracle takes sigma_min(B) from the band's real symmetric embedding and
 never touches that factor.  B_- is the entrywise conjugate of B_+, since W
 is real, so both signs of eps have the same norm.
 """
@@ -30,7 +31,7 @@ from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dstebz, dstein, zgttrf, zgttrs
 
 from .errors import (AccuracyError, EvaluationError, InvalidInputError,
-                     SingularMatrixError)
+                     SingularMatrixError, require_finite)
 from .potentials import THREADS, PotentialModel
 
 LANCZOS_STEP_CAP = 1_000
@@ -124,8 +125,8 @@ class AngularSector:
     lambda_value: float = field(init=False)
 
     def __post_init__(self):
-        if self.l < 0:
-            raise InvalidInputError(f"l must be nonnegative, got {self.l}")
+        _check_integer("d", self.d, 2)
+        _check_integer("l", self.l, 0)
         lam = self.h ** 2 * (self.l * (self.l + self.d - 2)
                              + 0.25 * (self.d - 1) * (self.d - 3))
         object.__setattr__(self, "lambda_value", lam)
@@ -174,17 +175,23 @@ class DiscreteOperator:
     sector: AngularSector
     dr: float
 
-    def _lu(self, weighted=None):
-        """The zgttrf factors (dl, d, du, du2, ipiv) of B = W^{-1} A W^{-1}, which zgttrs takes.
+    def _band(self, weighted=None):
+        """A fresh copy of B's complex main diagonal, and B's real off-diagonal.
 
+        B = W^{-1} A W^{-1} has diagonal (diag_real + i sign eps) (r+1)**(2s).
         ``weighted`` is this grid's pair from _weighted_terms, built here
         when not given.
         """
         lift2, off = weighted or _weighted_terms(self.query, self.dr, self.grid)
         d = self.diag_real + _shift(self.query)
         d *= lift2
+        return d, off
+
+    def _lu(self, weighted=None):
+        """The zgttrf factors (dl, d, du, du2, ipiv) of B, which zgttrs takes; see _band."""
+        d, off = self._band(weighted)
         dl, du = off.astype(complex), off.astype(complex)
-        del weighted, lift2, off  # a pair built here is freed before the factor
+        del weighted, off  # a pair built here is freed before the factor
         *lu, info = zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:  # pragma: no cover - eps > 0 keeps this clear
             raise SingularMatrixError(
@@ -201,9 +208,11 @@ def assemble(query, sector, grid_spec):
 
 
 def _radial_terms(query, grid_spec):
-    """Grid r, r**2 and V(r) shared by every sector of one query."""
+    """Grid r, r**2 and V(r) shared by every sector of one query; V must be finite."""
     r = _checked_points(query, grid_spec)
-    return r, r ** 2, np.asarray(query.potential(r), dtype=float)
+    v = np.asarray(query.potential(r), dtype=float)
+    require_finite(f"potential {query.potential.name}", v, r)
+    return r, r ** 2, v
 
 
 def _checked_points(query, grid_spec):
@@ -376,13 +385,11 @@ def dense_weighted_norm(query, sector, grid_spec):
     eigenvalue of index n (from 0, ascending) is sigma_min(B), to within
     a few eps ||B||_2 (Weyl).  Time grows as about n**2.
     """
-    op = assemble(query, sector, grid_spec)
-    lift2, off = _weighted_terms(query, op.dr, op.grid)
-    n = op.grid.size
-    x = op.diag_real * lift2
+    d, off = assemble(query, sector, grid_spec)._band()
+    n = d.size
     ab = np.zeros((3, 2 * n))
-    ab[0, 0::2], ab[0, 1::2] = x, -x
-    ab[1, 0::2] = lift2 * _shift(query).imag
+    ab[0, 0::2], ab[0, 1::2] = d.real, -d.real
+    ab[1, 0::2] = d.imag
     ab[2, :-2:2], ab[2, 1:-2:2] = off, -off
     sigma = sla.eigvals_banded(ab, lower=True, overwrite_a_band=True, select="i",
                                select_range=(n, n))[0]
@@ -469,6 +476,7 @@ def _backward_error(u, rhs, query, r, dr, phase):
         a, b = max(lo - 1, 0), min(hi + 1, n)
         rb = r[a:b]
         v = np.asarray(query.potential(rb), dtype=float)
+        require_finite(f"potential {query.potential.name}", v, rb)
         diag = _diagonal(query, sector, dr, rb ** 2, v) + shift
         ratio = np.exp(np.diff(phase.value(rb) / query.h))
         own = slice(lo - a, hi - a)
@@ -567,7 +575,7 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
         # componentwise backward error: the gauge spans too many orders of
         # magnitude for a norm-relative residual to be meaningful
         resid = _backward_error(u, rhs, query, r, dr, phase)
-        if resid > 1e-8:
+        if not resid <= 1e-8:
             raise InvalidInputError(
                 f"solution residual {resid:.3g} exceeds the 1e-8 precondition")
     lam = sector.lambda_value
@@ -588,10 +596,7 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
         abs_u2 = np.abs(u[a:b]) ** 2
         abs_du2 = np.abs(du) ** 2
         F = -(lam / rb ** 2 - E - p1 ** 2 + vb) * abs_u2 + abs_du2
-        own = F[lo - a:hi - a]
-        if not np.all(np.isfinite(own)):
-            bad = r[lo:hi][~np.isfinite(own)][0]
-            raise EvaluationError(f"energy functional not finite at r={bad:.6g}")
+        require_finite("energy functional", F[lo - a:hi - a], r[lo:hi])
 
         mu = weight(rb)
         mup = weight.derivative(rb)

@@ -275,7 +275,7 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     first sign, and the result, success or failure, fills every sign's
     row.  A row whose
     estimate fails numerically is marked; a sweep with no successful row
-    raises AccuracyError.
+    raises AccuracyError naming the first row's failure.
     """
     hs = [float(h) for h in h_values]
     if not hs:
@@ -331,7 +331,10 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
                                      status, matvecs, residual))
                 start, matvecs = time.perf_counter(), 0
     if not any(row.status == "ok" for row in rows):
-        raise AccuracyError("every sweep row failed")
+        first = rows[0]
+        raise AccuracyError(
+            f"every sweep row failed; the first, at h={first.h:g} and "
+            f"eps={first.eps:g}, with {first.status.removeprefix('failed: ')}")
     return SweepResult(rows=tuple(rows))
 
 

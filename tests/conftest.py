@@ -193,6 +193,16 @@ def gaussian_bump(center=3.0, width=1.0):
     return SimpleNamespace(value=f, d1=df, d2=ddf)
 
 
+def nan_on(f, lo=3.0, hi=3.2):
+    """``f`` with NaN on the open interval (lo, hi)."""
+
+    def g(r):
+        r = np.asarray(r, dtype=float)
+        return np.where((r > lo) & (r < hi), np.nan, f(r))
+
+    return g
+
+
 def conjugate_check(d, grid, test_function):
     """Max relative error of the half-density reduction of the Laplacian.
 

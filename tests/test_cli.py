@@ -603,10 +603,15 @@ def _without(block, key):
      "grid too sparse"),
     ("certify", "{not json", "config is not valid JSON"),
     ("certify", [certify_block()], "config must be a JSON object"),
-    ("mollify", {"mollify": {"thetas": []}}, "nonempty theta list"),
-    ("convert", {"convert": dict(CONVERT_BLOCK, values=[])}, "nonempty value list"),
+    ("mollify", {"mollify": {"thetas": []}},
+     "mollify.thetas must be a nonempty list of numbers"),
+    ("convert", {"convert": dict(CONVERT_BLOCK, values=[])},
+     "convert.values must be a nonempty list of numbers"),
     # dimension two has no r_min = 0 (radial._inner_radius)
     ("sweep", {"sweep": sweep_block(d=2, r_min=0)}, "r_min"),
+    # an empty list is a type error at load, whichever command runs
+    ("certify", {"certify": certify_block(), "mollify": {"thetas": []}},
+     "mollify.thetas must be a nonempty list of numbers"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):

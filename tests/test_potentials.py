@@ -19,7 +19,7 @@ from resolvent_lab.potentials import (_BLOCK_ROWS, MollifierKernel,
                                       barrier_well, holder_seminorm, mollify,
                                       theta_for)
 
-from conftest import by_the_rule, two_pass_ratios
+from conftest import by_the_rule, nan_on, two_pass_ratios
 
 
 def brute_force_seminorm(f, alpha, beta, grid):
@@ -146,6 +146,19 @@ class TestMollify:
         smoothed = mollify(model, kernel, theta)
         r = np.linspace(0.0, 5.0, 41)
         assert_allclose(smoothed.evaluate(r), r + theta * m1, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("part,what,r", [
+        ("evaluate", "smoothed potential", "2.90625"),
+        ("envelope", "envelope", "3.03125"),
+    ])
+    def test_non_finite_potential_or_envelope_rejected(self, kernel, holder_model,
+                                                       part, what, r):
+        # a NaN gap or allowance made the refinement check pass; the window
+        # of the probe point r = 2.90625 reaches into the NaN interval
+        model = replace(holder_model, **{part: nan_on(getattr(holder_model, part))})
+        with pytest.raises(EvaluationError,
+                           match=f"^{what} holder_bump not finite at r={r}$"):
+            mollify(model, kernel, 0.1)
 
     def test_shift_commutes_with_mollification(self, kernel, holder_model):
         c = 0.7
@@ -381,6 +394,17 @@ class TestModels:
                                lambda r: np.full_like(np.asarray(r, dtype=float), 1e6),
                                alpha=1.0, beta=1.0, holder_const=0.0)
         with pytest.raises(InvalidInputError, match="decay"):
+            model.validate()
+
+    @pytest.mark.parametrize("part,what", [("envelope", "envelope"),
+                                           ("evaluate", "potential")])
+    def test_non_finite_envelope_or_potential_rejected(self, power_law_model, part,
+                                                       what):
+        # p <= 0, diff(p) > 0 and V > p are all False at a NaN
+        model = replace(power_law_model,
+                        **{part: nan_on(getattr(power_law_model, part))})
+        with pytest.raises(EvaluationError,
+                           match=f"^{what} power_law not finite at r=3.00"):
             model.validate()
 
     @pytest.mark.parametrize("smoothness", [0.5, 0.1, 0.002])

@@ -31,7 +31,7 @@ from resolvent_lab.radial import (_BLOCK_ROWS, AngularSector, ResolventQuery,
 from resolvent_lab.scaling import GridPolicy
 
 from conftest import (conjugate_check, dense_matrix, gaussian_bump, lift,
-                      sector_norm, weighted_diagonals, weighted_matrix,
+                      nan_on, sector_norm, weighted_diagonals, weighted_matrix,
                       whole_array_audit, whole_array_backward_error)
 
 
@@ -69,6 +69,14 @@ class TestSector:
     def test_d3_nonnegative(self):
         for l in range(6):
             assert AngularSector(3, l, 0.3).lambda_value >= 0.0
+
+    @pytest.mark.parametrize("d,l,name", [
+        (3, 1.5, "l"), (3, True, "l"), (3, -1, "l"), (3, "1", "l"),
+        (2.5, 0, "d"), (1, 0, "d"), (True, 0, "d"), (np.float64(3.0), 0, "d"),
+    ])
+    def test_d_and_l_must_be_integers_in_range(self, d, l, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must"):
+            AngularSector(d, l, 0.5)
 
 
 class TestAssemble:
@@ -308,6 +316,34 @@ class TestNorms:
         assert not np.any(k[np.tril_indices(2 * n, -3)])
         got = sla.eigvals_banded(ab, lower=True, select="i", select_range=(n, n))
         assert got[0] == pytest.approx(sv[-1], rel=0, abs=weyl)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_band_parts_are_the_real_products(self, power_law_model, sign):
+        # complex times real is exact in each part, so the oracle embeds
+        # x = diag_real (r+1)**(2s) and y = sign eps (r+1)**(2s) bit for bit
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-4, sign=sign, s=0.6,
+                           potential=power_law_model)
+        op = assemble(q, AngularSector(3, 1, 0.5), small_grid(3))
+        lift2, off = _weighted_terms(q, op.dr, op.grid)
+        d, band_off = op._band()
+        assert d.real.tobytes() == (op.diag_real * lift2).tobytes()
+        assert d.imag.tobytes() == (lift2 * (sign * 1e-4)).tobytes()
+        assert band_off.tobytes() == off.tobytes()
+
+    @pytest.mark.parametrize("entry", ["lanczos", "oracle"])
+    def test_non_finite_potential_is_an_evaluation_error(self, power_law_model,
+                                                         entry):
+        # Lanczos met a non-finite vector and eigvals_banded raised a bare
+        # ValueError; both now stop where the grid evaluates V
+        model = replace(power_law_model, evaluate=nan_on(power_law_model.evaluate))
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
+                           potential=model)
+        with pytest.raises(EvaluationError,
+                           match=r"^potential power_law not finite at r=3\.05$"):
+            if entry == "lanczos":
+                weighted_resolvent_norm(q, small_grid(3), l_max=1)
+            else:
+                dense_weighted_norm(q, AngularSector(3, 1, 0.5), small_grid(3))
 
     def test_dense_oracle_never_touches_the_factor(self, power_law_model,
                                                    monkeypatch):
@@ -673,6 +709,29 @@ class TestEnergyAudit:
         u = op.solve(rhs) * 1.01
         with pytest.raises(InvalidInputError, match="residual"):
             energy_audit(u, q, cfg, weight, phase, rhs, gs,
+                         v_long=smoothed.evaluate)
+
+    def test_rejects_bad_solution_when_v_is_not_finite(self, audit_setup):
+        # a NaN in V made the backward error NaN, which passed the 1e-8 check
+        model, cfg, q, gs, weight, phase, smoothed, _ = audit_setup
+        grid = UniformGridSpec(dr=0.05, r_max=50.0, tail_tol=1.0)
+        op = assemble_conjugated(q, AngularSector(3, 0, 0.5), grid, phase)
+        rhs = np.exp(-((op.grid - 6.0)) ** 2).astype(complex)
+        u = op.solve(rhs)
+        u[120] *= 2.0
+        with pytest.raises(InvalidInputError, match="residual 0.33"):
+            energy_audit(u, q, cfg, weight, phase, rhs, grid,
+                         v_long=smoothed.evaluate)
+        nan_q = replace(q, potential=replace(model, evaluate=nan_on(
+            model.evaluate, 7.0, 7.1)))
+        with pytest.raises(EvaluationError,
+                           match="^potential weak_decay not finite at r=7.05$"):
+            energy_audit(u, nan_q, cfg, weight, phase, rhs, grid,
+                         v_long=smoothed.evaluate)
+        # a NaN in u itself fails the precondition, not the energy functional
+        u[120] = np.nan
+        with pytest.raises(InvalidInputError, match="residual nan"):
+            energy_audit(u, q, cfg, weight, phase, rhs, grid,
                          v_long=smoothed.evaluate)
 
     def test_rejects_mis_shaped_vectors(self, audit_setup):

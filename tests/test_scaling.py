@@ -14,7 +14,7 @@ from resolvent_lab.radial import ResolventQuery
 from resolvent_lab.scaling import (SweepResult, SweepRow, bound_from_certificate,
                                    fit_models, omega_map, psi_map, sweep)
 
-from conftest import cheap_policy, growth_shape, measured
+from conftest import cheap_policy, growth_shape, measured, nan_on
 
 
 def synthetic_certificate(config, C_used=6.0):
@@ -244,6 +244,16 @@ class TestSweep:
         # a step above the h/10 assembly rule is invalid input, not a failed row
         with pytest.raises(InvalidInputError, match="dr_factor"):
             cheap_policy(dr_factor=0.11)
+
+    def test_non_finite_potential_fails_every_row_and_names_the_first(
+            self, zero_model):
+        model = replace(zero_model, evaluate=nan_on(zero_model.evaluate))
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=model)
+        with pytest.raises(AccuracyError, match=(
+                r"^every sweep row failed; the first, at h=0\.5 and eps=0\.01, "
+                r"with potential zero not finite at r=3\.05$")):
+            sweep(template, [0.5, 0.4], [1e-2], cheap_policy(), signs=(1, -1))
 
     def test_invalid_input_in_a_row_ends_the_sweep(self, zero_model):
         template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
