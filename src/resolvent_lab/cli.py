@@ -70,11 +70,10 @@ _JSON_TYPES = {
     "a JSON object": lambda v: isinstance(v, dict),
     "an object of numbers": lambda v: (isinstance(v, dict)
                                        and all(map(_is_number, v.values()))),
-    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
     "a nonempty list of numbers": lambda v: (isinstance(v, list) and v != []
                                              and all(map(_is_number, v))),
-    "a list of '+' and '-'": lambda v: (isinstance(v, list)
-                                        and all(x in ("+", "-") for x in v)),
+    "a nonempty list of '+' and '-'": lambda v: (
+        isinstance(v, list) and v != [] and all(x in ("+", "-") for x in v)),
     "a nonempty list of [class] or [class, alpha] lists": lambda v: (
         isinstance(v, list) and v != [] and all(map(_is_candidate, v))),
     'a number or "auto"': lambda v: v == "auto" or _is_number(v),
@@ -98,8 +97,8 @@ _FIT_KEYS = {"candidates": "a nonempty list of [class] or [class, alpha] lists",
              "eps": "a number"}
 _SWEEP_KEYS = {
     "d": "an integer", "E": "a number", "s": "a number",
-    "potential": _POTENTIAL_KEYS, "h_values": "a list of numbers",
-    "eps_values": "a list of numbers", "signs": "a list of '+' and '-'",
+    "potential": _POTENTIAL_KEYS, "h_values": "a nonempty list of numbers",
+    "eps_values": "a nonempty list of numbers", "signs": "a nonempty list of '+' and '-'",
     "certificate": "a string", "fit": _FIT_KEYS, **_POLICY_KEYS,
 }
 _MOLLIFY_KEYS = {"potential": _POTENTIAL_KEYS, "alpha": "a number",
@@ -327,17 +326,11 @@ def write_summary_json(result, fit, path):
 
 
 def write_plotdata_tsv(result, path):
+    """One g_measured series per eps, in ascending eps, then the g_bound series."""
     blocks = []
-    series = {}
-    for row in result.rows:
-        if row.status != "ok":
-            continue
-        key = (row.eps, row.sign)
-        series.setdefault(key, []).append((row.h, row.g_measured))
-    for (eps, sign), pairs in sorted(series.items()):
-        label = f"# series: g_measured eps={eps!r} sign={'+' if sign > 0 else '-'}"
-        body = "\n".join(f"{h!r}\t{g!r}" for h, g in pairs)
-        blocks.append(label + "\n" + body)
+    for eps, by_h in sorted(result.curves.items()):
+        body = "\n".join(f"{h!r}\t{g!r}" for h, g in by_h.items())
+        blocks.append(f"# series: g_measured eps={eps!r}\n" + body)
     bound_pairs = sorted({(row.h, row.g_bound) for row in result.rows
                           if row.g_bound is not None}, reverse=True)
     if bound_pairs:

@@ -67,8 +67,8 @@ def holder_seminorm(f, alpha, beta, grid):
         raise InvalidInputError("grid points must be nonnegative")
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1], got {alpha}")
-    if beta < 0:
-        raise InvalidInputError(f"beta must be nonnegative, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise InvalidInputError(f"beta must be finite and nonnegative, got {beta}")
     r = np.sort(r)
     v = np.asarray(f(r), dtype=float)
     require_finite("potential evaluation is", v, r)

@@ -134,7 +134,7 @@ class AngularSector:
 
 @dataclass(frozen=True)
 class UniformGridSpec:
-    """Uniform radial grid on (r_min, r_max] with Dirichlet truncation."""
+    """Uniform radial grid on (r_min, r_max], Dirichlet ends, at least 3 interior points."""
 
     dr: float
     r_max: float
@@ -150,15 +150,17 @@ class UniformGridSpec:
             raise InvalidInputError(f"r_min must be a number, got {self.r_min!r}")
         if not math.isfinite(self.r_max):
             raise InvalidInputError(f"r_max must be finite, got {self.r_max}")
+        # a non-finite r_min leaves no count to check
+        if math.isfinite(self.r_min) and self._interior_count() < 3:
+            raise InvalidInputError(
+                f"r_max={self.r_max:g} must leave at least 3 interior points "
+                f"past r_min={self.r_min:g} at dr={self.dr:g}")
 
     def _interior_count(self):
         return int(math.ceil((self.r_max - self.r_min) / self.dr - 1e-9)) - 1
 
     def points(self):
-        n = self._interior_count()
-        if n < 3:
-            raise InvalidInputError("grid needs at least 3 interior points")
-        return self.r_min + self.dr * np.arange(1, n + 1)
+        return self.r_min + self.dr * np.arange(1, self._interior_count() + 1)
 
 
 @dataclass(frozen=True)

@@ -105,24 +105,21 @@ def _fit_one(kind, alpha, h, g):
 def fit_models(result, candidates, eps=None):
     """Least-squares fit of a sweep's measured g against each candidate shape.
 
-    The successful rows of one eps, one g per h (a - row copies its + row),
-    are fitted: the first eps in row order with four h or more, among those
-    equal to the ``eps`` given.  ``best`` is the fit of least residual
-    among the non-degenerate ones, whose growth C * span clears the
-    threshold (so C > 0), with ties going to the slowest-growing shape;
-    when every fit is degenerate it is None: no growth.
+    One curve of ``result.curves`` is fitted: the first in row order with
+    four h or more, among those whose eps equals the ``eps`` given.
+    ``best`` is the fit of least residual among the non-degenerate ones,
+    whose growth C * span clears the threshold (so C > 0), with ties going
+    to the slowest-growing shape; when every fit is degenerate it is None:
+    no growth.
     """
     if not candidates:
         raise InvalidInputError("fit needs at least one candidate")
-    groups = {}  # in row order: a dict keeps its keys in insertion order
-    for row in result.rows:
-        if row.status == "ok":
-            groups.setdefault(row.eps, {}).setdefault(row.h, row.g_measured)
-    chosen = next((key for key, by_h in groups.items() if len(by_h) >= 4
+    curves = result.curves
+    chosen = next((key for key, by_h in curves.items() if len(by_h) >= 4
                    and (eps is None or key == eps)), None)
     if chosen is None:
         raise InvalidInputError("fit needs at least 4 successful rows at a single eps")
-    h, g = (np.array(column) for column in zip(*groups[chosen].items()))
+    h, g = (np.array(column) for column in zip(*curves[chosen].items()))
     fits = []
     for cand in candidates:
         kind, alpha = (cand, None) if isinstance(cand, str) else (cand[0], cand[1])
@@ -211,15 +208,14 @@ class GridPolicy:
         lam = AngularSector(query.d, self.l_max, query.h).lambda_value
         r_turn = math.sqrt(max(lam, 0.0) / query.E)
         r_min = _inner_radius(query.d, self.r_min)
-        spec = UniformGridSpec(dr=self.dr_factor * query.h,
-                               r_max=max(r_tail, 4.0 * r_turn, self.r_max_floor),
-                               r_min=r_min, tail_tol=self.tail_tol)
-        if spec._interior_count() < 3:
+        try:
+            return UniformGridSpec(dr=self.dr_factor * query.h,
+                                   r_max=max(r_tail, 4.0 * r_turn, self.r_max_floor),
+                                   r_min=r_min, tail_tol=self.tail_tol)
+        except InvalidInputError as exc:
             raise InvalidInputError(
-                f"grid needs at least 3 interior points: r_max={spec.r_max:g}, "
-                f"set by tail_tol, l_max and r_max_floor, leaves none past "
-                f"r_min={r_min:g} at h={query.h:g}")
-        return spec
+                f"{exc}; at h={query.h:g} r_max is set by tail_tol, l_max and "
+                "r_max_floor") from None
 
 
 @dataclass(frozen=True)
@@ -227,10 +223,10 @@ class SweepRow:
     """One (h, eps, sign) row of a sweep.
 
     ``matvecs`` counts the Gram products the row ran and ``residual`` is
-    the largest top Ritz residual over its sectors.  A row copied from
-    another sign's estimate ran none and carries that estimate's residual;
-    a failed row has 0 and None.  ``runtime_ms`` is the row's own time, so
-    a copied row's is the copy's.
+    the largest top Ritz residual over its sectors.  A row that labels
+    an (h, eps) measured for an earlier row ran none and carries that
+    measurement's residual; a failed row has 0 and None.  ``runtime_ms``
+    is the row's own time, so a copied row's is the copy's.
     """
 
     h: float
@@ -255,6 +251,19 @@ class SweepResult:
     rows: tuple
 
     @property
+    def curves(self):
+        """The measured curve of each eps, {eps: {h: g}}, from the ok rows in row order.
+
+        Every sign's row of an (h, eps) holds the same g, so each curve has
+        one g per h.
+        """
+        curves = {}  # a dict keeps its keys in insertion order
+        for row in self.rows:
+            if row.status == "ok":
+                curves.setdefault(row.eps, {}).setdefault(row.h, row.g_measured)
+        return curves
+
+    @property
     def bound_respected(self):
         """None without a bound column, else whether every row is ok and below it."""
         if all(row.g_bound is None for row in self.rows):
@@ -271,11 +280,12 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     must not repeat.  A certificate must share the template's d and E, and
     its s may not exceed the template's: a bound proved at s holds at every
     larger s.  Its r_min may not exceed the grid's, since its margins are
-    verified on r > r_min only.  Each (h, eps) is measured once, at its
-    first sign, and the result, success or failure, fills every sign's
-    row.  A row whose
-    estimate fails numerically is marked; a sweep with no successful row
-    raises AccuracyError naming the first row's failure.
+    verified on r > r_min only.  For a real potential the - resolvent is
+    the entrywise conjugate of the + one, so each (h, eps) is measured
+    once, at sign +1 whatever ``signs`` holds, and the result, success or
+    failure, fills every requested sign's row.  A row whose estimate fails
+    numerically is marked; a sweep with no successful row raises
+    AccuracyError naming the first row's failure.
     """
     hs = [float(h) for h in h_values]
     if not hs:
@@ -314,7 +324,7 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
         g_b = bound.g_values[i] if bound else None
         for eps in sorted(eps_list):
             start = time.perf_counter()
-            query = replace(query_template, h=h, eps=eps, sign=signs[0])
+            query = replace(query_template, h=h, eps=eps, sign=1)
             try:
                 est = weighted_resolvent_norm(
                     query, grid_policy.grid_for(query), grid_policy.l_max,
@@ -325,7 +335,7 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
                 raise
             except ResolventLabError as exc:
                 g, status, matvecs, residual = None, f"failed: {exc}", 0, None
-            for sign in signs:  # later signs copy the estimate and ran nothing
+            for sign in signs:  # labels of the + estimate; later ones ran nothing
                 rows.append(SweepRow(h, eps, sign, g, g_b, grid_policy.l_max,
                                      1000.0 * (time.perf_counter() - start),
                                      status, matvecs, residual))
@@ -360,8 +370,10 @@ def psi_map(regularity_class, lambda_values, lambda0=1.0, alpha=None):
     lam = np.atleast_1d(np.asarray(lambda_values, dtype=float))
     if not lambda0 > 0:
         raise InvalidInputError("lambda0 must be positive")
-    if np.any(lam < lambda0):
-        raise InvalidInputError("lambda values must be at least lambda0")
+    bad = lam[~(np.isfinite(lam) & (lam >= lambda0))]
+    if bad.size:
+        raise InvalidInputError(
+            f"lambda values must be finite and at least lambda0, got {float(bad[0])!r}")
     psi = lam ** (num / den) * (np.log(lam + 1.0) if has_log else 1.0)
     return PsiTable(lambdas=lam, psi=psi, h=lambda0 / lam, E=lambda0 ** 2)
 
@@ -370,8 +382,10 @@ def omega_map(regularity_class, t_values, alpha=None, radial=False):
     """Local energy decay rates omega(t); radial variants drop the loglog."""
     num, den, has_log = _growth_law(regularity_class, alpha)
     t = np.atleast_1d(np.asarray(t_values, dtype=float))
-    if np.any(t <= math.e ** math.e):
-        raise InvalidInputError("t values must exceed e**e")
+    bad = t[~(np.isfinite(t) & (t > math.e ** math.e))]
+    if bad.size:
+        raise InvalidInputError(
+            f"t values must be finite and exceed e**e, got {float(bad[0])!r}")
     logt = np.log(t)
     expo = den / num
     if radial or not has_log:

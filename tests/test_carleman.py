@@ -69,6 +69,36 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match="ell"):
             CarlemanConfig.lipschitz(2.0, 0.6, 8.0, 2.0, E=1.0, h=0.1)
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(regularity="smooth"), "regularity must be 'lipschitz' or 'holder'"),
+        (dict(tau0=0.0), "tau0 must be positive"),
+        (dict(tau0=math.nan), "tau0 must be positive"),
+        (dict(beta=1.0, k=0.0), "Lipschitz regime needs beta > 1"),
+        (dict(k=0.3), r"lipschitz regime fixes \(beta, k\) = \(2, 0.25\)"),
+        # k*ell = 2.25 passes, (2 - 0.5 - 1.4)*9 = 0.9 does not
+        (dict(s=0.7), r"\(beta - 2k - 2s\)\*ell must exceed 2"),
+    ])
+    def test_lipschitz_fields_outside_the_regime_rejected(self, fields, message):
+        base = dict(regularity="lipschitz", beta=2.0, alpha=None, k=0.25, s=0.6,
+                    tau0=8.0, ell=9.0, E=1.0, h=0.1, d=3)
+        with pytest.raises(InvalidConfigError, match=message):
+            CarlemanConfig(**{**base, **fields})
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(alpha=None), r"Hölder regime needs alpha in \(0, 1\), got None"),
+        (dict(alpha=1.0), r"Hölder regime needs alpha in \(0, 1\), got 1.0"),
+        (dict(beta=3.0), r"holder regime fixes \(beta, k\) = \(4, 1\)"),
+    ])
+    def test_holder_fields_outside_the_regime_rejected(self, fields, message):
+        base = dict(regularity="holder", beta=4.0, alpha=0.5, k=1.0, s=0.7,
+                    tau0=4.0, ell=3.5, E=1.0, h=0.1, d=3)
+        with pytest.raises(InvalidConfigError, match=message):
+            CarlemanConfig(**{**base, **fields})
+
+    def test_min_ell_needs_a_positive_gap(self):
+        with pytest.raises(InvalidConfigError, match="must be positive before choosing ell"):
+            min_ell(1.0, 2.0, 0.6)
+
     def test_holder_pairs_only(self):
         with pytest.raises(InvalidConfigError):
             CarlemanConfig.holder(0.5, 0.7, 8.0, 3.5, E=1.0, h=0.1, k=0.75)
@@ -183,6 +213,12 @@ class TestAudit:
         with pytest.raises(SingularPointError):
             audit_at(cfg.a, cfg, zero_model.envelope, 6.0)
 
+    @pytest.mark.parametrize("r", [0.0, [1.0, -2.0]])
+    def test_non_positive_radius_rejected(self, zero_model, r):
+        cfg = CarlemanConfig.lipschitz(2.0, 0.6, 4.0, 9.0, E=1.0, h=0.1)
+        with pytest.raises(InvalidInputError, match="audit radii must be positive"):
+            audit_at(r, cfg, zero_model.envelope, 6.0)
+
 
 class TestCertify:
     def test_monotone_family_nonnegative(self, zero_model):
@@ -206,6 +242,11 @@ class TestCertify:
             certification_grid(GridSpec(points_per_decade=100), 100.0)
         with pytest.raises(InvalidInputError, match="span"):
             certification_grid(GridSpec(span_factor=5.0), 100.0)
+
+    def test_grid_needs_r_min_below_its_upper_end(self):
+        # the grid ends at span_factor * a = 100
+        with pytest.raises(InvalidInputError, match="upper end must exceed its lower end"):
+            certification_grid(GridSpec(), 10.0, r_min=100.0)
 
     def test_grid_brackets_cutoff(self):
         a = 1234.5
@@ -285,6 +326,24 @@ class TestCertify:
         assert loaded.passed is False
         assert loaded.tau0_found == 8.0
         assert json.loads(loaded.to_json())["passed"] is False
+
+    def test_fallback_reraises_outside_two_dimensions(self, holder_model,
+                                                      monkeypatch):
+        cfg = CarlemanConfig.holder(0.5, 0.7, 4.0, min_ell(1.0, 4.0, 0.7),
+                                    E=1.0, h=0.9, d=3, k=1.0)
+        C = rl.recommended_audit_constant(holder_model)
+        searched = []
+        real = rl.carleman.search_tau0
+
+        def counted(template, *rest):
+            searched.append(template.k)
+            return real(template, *rest)
+
+        monkeypatch.setattr(rl.carleman, "search_tau0", counted)
+        with pytest.raises(SearchExhaustedError):
+            search_tau0_with_fallback(cfg, holder_model.envelope, C, GridSpec(), 8.0)
+        # only the steep pair was searched: the shallow one is for d = 2
+        assert searched == [1.0]
 
     def test_d2_fallback_switches_pair(self, holder_model):
         cfg = CarlemanConfig.holder(0.5, 0.7, 4.0, min_ell(1.0, 4.0, 0.7),

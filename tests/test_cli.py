@@ -14,10 +14,10 @@ import scipy
 from hypothesis import given, settings, strategies as st
 
 import resolvent_lab as rl
-from resolvent_lab import potentials, scaling
+from resolvent_lab import cli, potentials, scaling
 from resolvent_lab.carleman import CarlemanConfig, Certificate, FamilySummary
 from resolvent_lab.cli import _BLOCK_KEYS, main
-from resolvent_lab.errors import AccuracyError
+from resolvent_lab.errors import AccuracyError, SingularPointError
 from resolvent_lab.radial import ResolventQuery
 from resolvent_lab.scaling import GridPolicy, sweep
 
@@ -253,6 +253,28 @@ class TestSweepCommand:
         block = sweep_block(certificate=str(tmp_path / "nope.json"))
         cfg = write_config(tmp_path, {"sweep": block})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+    def test_plotdata_has_one_series_per_eps_without_failed_rows(self, tmp_path,
+                                                                  monkeypatch):
+        real = scaling.weighted_resolvent_norm
+
+        def failing_at(query, *args, **kwargs):
+            if (query.h, query.eps) == (0.4, 1e-4):
+                raise AccuracyError("forced failure")
+            return real(query, *args, **kwargs)
+
+        monkeypatch.setattr(scaling, "weighted_resolvent_norm", failing_at)
+        block = sweep_block(h_values=[0.5, 0.4], signs=["+", "-"])
+        cfg = write_config(tmp_path, {"sweep": block})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "summary.json").read_text())["rows"]
+        g = {(row["h"], row["eps"]): row["g_measured"] for row in rows
+             if row["status"] == "ok"}
+        assert len(rows) == 8 and len(g) == 3
+        assert (tmp_path / "plotdata.tsv").read_text() == (
+            f"# series: g_measured eps=0.0001\n0.5\t{g[0.5, 1e-4]!r}\n\n"
+            f"# series: g_measured eps=0.01\n0.5\t{g[0.5, 1e-2]!r}\n"
+            f"0.4\t{g[0.4, 1e-2]!r}\n")
 
     def test_empty_h_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, {"sweep": sweep_block(h_values=[])})
@@ -612,6 +634,14 @@ def _without(block, key):
     # an empty list is a type error at load, whichever command runs
     ("certify", {"certify": certify_block(), "mollify": {"thetas": []}},
      "mollify.thetas must be a nonempty list of numbers"),
+    ("sweep", {"sweep": sweep_block(h_values=[])},
+     "sweep.h_values must be a nonempty list of numbers"),
+    ("sweep", {"sweep": sweep_block(eps_values=[])},
+     "sweep.eps_values must be a nonempty list of numbers"),
+    ("sweep", {"sweep": sweep_block(signs=[])},
+     "sweep.signs must be a nonempty list of '+' and '-'"),
+    ("certify", {"certify": certify_block(), "sweep": sweep_block(h_values=[])},
+     "sweep.h_values must be a nonempty list of numbers"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):
@@ -712,6 +742,17 @@ class TestTopLevel:
         assert f"--out {out!r}" in capsys.readouterr().err
         assert (tmp_path / "afile").read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+    def test_an_unmapped_library_error_exits_three(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def singular(block, out_dir):
+            raise SingularPointError("forced")
+
+        monkeypatch.setitem(cli._HANDLERS, "convert", singular)
+        cfg = write_config(tmp_path, {"convert": CONVERT_BLOCK})
+        assert main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "internal error: forced\n"
+        assert json.loads((tmp_path / "manifest.json").read_text())["exit_code"] == 3
 
     def test_missing_file(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.json"),

@@ -79,6 +79,22 @@ class TestHolderSeminorm:
         with pytest.raises(EvaluationError, match="r="):
             holder_seminorm(f, 0.5, 0.0, np.linspace(0.0, 1.0, 11))
 
+    @pytest.mark.parametrize("grid,alpha,beta,message", [
+        ([-0.1, 0.5, 1.0], 0.5, 0.0, "grid points must be nonnegative"),
+        ([0.0, 0.5, 1.0], 0.0, 0.0, r"alpha must lie in \(0, 1\], got 0.0"),
+        ([0.0, 0.5, 1.0], 1.5, 0.0, r"alpha must lie in \(0, 1\], got 1.5"),
+        ([0.0, 0.5, 1.0], 0.5, -1.0, "beta must be .*nonnegative, got -1.0"),
+    ])
+    def test_rejects_arguments_outside_the_domain(self, grid, alpha, beta, message):
+        with pytest.raises(InvalidInputError, match=message):
+            holder_seminorm(np.sin, alpha, beta, grid)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_rejects_a_non_finite_beta_naming_it(self, beta):
+        # a NaN weight made every quotient NaN, and max(0.0, nan) is 0.0
+        with pytest.raises(InvalidInputError, match=f"beta must be .*, got {beta}$"):
+            holder_seminorm(np.sin, 0.5, beta, np.linspace(0.0, 1.0, 11))
+
 
 class TestKernel:
     def test_mass_and_gradient_mass(self, kernel):
@@ -124,6 +140,22 @@ class TestKernel:
         with pytest.raises(InvalidInputError, match="mass"):
             MollifierKernel(lambda s: 2.0 * rl.bump_kernel().rho(s),
                             lambda s: 2.0 * rl.bump_kernel().drho(s))
+
+    @pytest.mark.parametrize("rho,drho,message", [
+        # unit mass, but negative on (0, 1/2)
+        (lambda s: np.where((s >= 0) & (s <= 1), 6.0 * s - 2.0, 0.0),
+         lambda s: np.full_like(s, 6.0), "kernel must be nonnegative"),
+        # the bump spread over [0, 1.2]
+        (lambda s: rl.bump_kernel().rho(s / 1.2) / 1.2,
+         lambda s: rl.bump_kernel().drho(s / 1.2) / 1.44,
+         r"kernel must vanish outside \[0, 1\]"),
+        # unit mass, but a derivative that integrates to 2
+        (lambda s: np.where((s >= 0) & (s <= 1), 1.0, 0.0),
+         lambda s: np.full_like(s, 2.0), "kernel derivative mass 2.0"),
+    ])
+    def test_rejects_a_kernel_outside_its_contract(self, rho, drho, message):
+        with pytest.raises(InvalidInputError, match=message):
+            MollifierKernel(rho, drho)
 
 
 class TestMollify:
@@ -395,6 +427,33 @@ class TestModels:
                                alpha=1.0, beta=1.0, holder_const=0.0)
         with pytest.raises(InvalidInputError, match="decay"):
             model.validate()
+
+    @pytest.mark.parametrize("change,message", [
+        (dict(holder_const=0.01), "weighted Hölder quotient .* exceeds declared constant"),
+        (dict(envelope=lambda r: 0.5 - np.asarray(r, dtype=float) / 60.0),
+         "envelope must be positive"),
+        (dict(envelope=lambda r: 2.0 + np.cos(np.asarray(r, dtype=float))),
+         "envelope must be non-increasing"),
+        (dict(evaluate=lambda r: 2.0 * (np.asarray(r, dtype=float) + 1.0) ** -1.0),
+         "potential exceeds its envelope at r=0 "),
+    ])
+    def test_validate_rejects_a_model_outside_its_contract(self, power_law_model,
+                                                           change, message):
+        with pytest.raises(InvalidInputError, match=message):
+            replace(power_law_model, **change).validate()
+
+    @pytest.mark.parametrize("name,params,message", [
+        ("power_law", {"c": 0.0}, "power_law needs c > 0"),
+        ("power_law", {"delta": -1.0}, "power_law needs c > 0"),
+        ("holder_bump", {"alpha": 1.0}, r"holder_bump needs alpha in \(0, 1\)"),
+        ("holder_bump", {"freq": 0.0}, "holder_bump needs c > 0"),
+        ("barrier_well", {"height": 0.0}, "barrier_well needs height"),
+        ("barrier_well", {"r_well": 6.0}, "r_well < r_barrier"),
+    ])
+    def test_builders_reject_parameters_outside_their_range(self, name, params,
+                                                            message):
+        with pytest.raises(InvalidInputError, match=message):
+            rl.build_potential(name, params)
 
     @pytest.mark.parametrize("part,what", [("envelope", "envelope"),
                                            ("evaluate", "potential")])

@@ -114,6 +114,14 @@ class TestAssemble:
         with pytest.raises(InvalidInputError, match="r_max"):
             assemble(q, AngularSector(3, 0, 0.5), UniformGridSpec(dr=0.05, r_max=18.0, tail_tol=1e-6))
 
+    @pytest.mark.parametrize("sector", [AngularSector(2, 0, 0.5),
+                                        AngularSector(3, 0, 0.25)])
+    def test_sector_must_share_the_query_d_and_h(self, zero_model, sector):
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=0.1, sign=1, s=0.6,
+                           potential=zero_model)
+        with pytest.raises(InvalidInputError, match="disagree on d or h"):
+            assemble(q, sector, small_grid(3))
+
     def test_d2_needs_positive_r_min(self, zero_model):
         q = ResolventQuery(d=2, E=1.0, h=0.5, eps=0.1, sign=1, s=0.6,
                            potential=zero_model)
@@ -168,6 +176,18 @@ class TestDomain:
         with pytest.raises(InvalidConfigError, match=message):
             CarlemanConfig.lipschitz(3.0, point.pop("s"), 4.0, **point)
 
+    @pytest.mark.parametrize("eps,sign,message", [
+        (0.0, 1, r"eps must lie in \(0, 1\], got 0.0"),
+        (1.5, 1, r"eps must lie in \(0, 1\], got 1.5"),
+        (math.nan, 1, r"eps must lie in \(0, 1\], got nan"),
+        (0.1, 0, "sign must be"),
+        (0.1, 2, "sign must be"),
+    ])
+    def test_query_needs_eps_in_the_unit_interval_and_a_sign(self, zero_model,
+                                                             eps, sign, message):
+        with pytest.raises(InvalidInputError, match=message):
+            ResolventQuery(h=0.5, eps=eps, sign=sign, s=0.6, potential=zero_model)
+
     @pytest.mark.parametrize("d,r_min", [(3, -1.0), (3, math.nan), (3, math.inf),
                                          (2, 0.0)])
     def test_every_radial_range_takes_one_inner_radius_rule(self, zero_model, d,
@@ -213,6 +233,16 @@ class TestDomain:
                                                                 field):
         with pytest.raises(InvalidInputError, match=f"^{field} must"):
             cls(**kwargs)
+
+    @pytest.mark.parametrize("r_min,r_max", [(0.0, 0.15), (1.0, 1.1), (0.0, -5.0)])
+    def test_grid_with_fewer_than_three_interior_points_rejected(self, r_min,
+                                                                r_max):
+        with pytest.raises(InvalidInputError,
+                           match=f"^r_max={r_max:g} must leave at least 3 interior "
+                                 f"points past r_min={r_min:g} at dr=0.05$"):
+            UniformGridSpec(dr=0.05, r_max=r_max, r_min=r_min)
+        # three interior points are enough
+        assert UniformGridSpec(dr=0.05, r_max=r_min + 0.2, r_min=r_min).points().size == 3
 
 
 class TestConjugateCheck:
@@ -463,6 +493,15 @@ class TestNorms:
             _lanczos_sector_norm(op, (lift2, off), _start_vector(n, 0),
                                  tuple(np.empty(n, dtype=complex) for _ in range(3)))
 
+    def test_step_cap_fails_the_sector(self, power_law_model, monkeypatch):
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
+                           potential=power_law_model)
+        op = assemble(q, AngularSector(3, 0, 0.5), small_grid(3))
+        assert sector_norm(op)[1] > 2
+        monkeypatch.setattr(radial, "LANCZOS_STEP_CAP", 2)
+        with pytest.raises(AccuracyError, match="within 2 steps"):
+            sector_norm(op)
+
     @pytest.mark.parametrize("key,value", [
         ("seed", 2.5), ("seed", "7"), ("seed", True), ("seed", np.float64(3.0)),
         ("seed", -1), ("threads", 1.5), ("threads", True), ("threads", 0),
@@ -679,6 +718,15 @@ class TestEnergyAudit:
         assert_allclose(trace.flux_residuals, 0.0)
         # F vanishes with u, so does every difference of mu F
         assert trace.integral_value == trace.integral_scale == 0.0
+
+    def test_zero_rhs_needs_zero_solution(self, audit_setup):
+        model, cfg, q, gs, weight, phase, smoothed, op = audit_setup
+        n = gs.points().size
+        u = np.zeros(n, dtype=complex)
+        u[n // 2] = 1e-300
+        with pytest.raises(InvalidInputError, match="zero right-hand side requires u = 0"):
+            energy_audit(u, q, cfg, weight, phase, np.zeros(n, dtype=complex), gs,
+                         v_long=smoothed.evaluate)
 
     def test_certified_flux_inequality(self, audit_setup):
         model, cfg, q, gs, weight, phase, smoothed, op = audit_setup

@@ -54,6 +54,19 @@ class TestCertifiedBound:
         with pytest.raises(InvalidInputError):
             bound_from_certificate(failed, [0.1])
 
+    @pytest.mark.parametrize("h_values,C_used,message", [
+        ([], 6.0, r"lie in \(0, 1\]"),
+        ([0.0], 6.0, r"lie in \(0, 1\]"),
+        ([0.2, 1.5], 6.0, r"lie in \(0, 1\]"),
+        # a certificate file may hold any number
+        ([0.2], math.inf, "composed bound is not finite"),
+    ])
+    def test_h_values_in_the_unit_interval_and_a_finite_bound(self, h_values,
+                                                               C_used, message):
+        cfg = CarlemanConfig.lipschitz(2.0, 0.6, 8.0, 9.0, E=1.0, h=0.1)
+        with pytest.raises(InvalidInputError, match=message):
+            bound_from_certificate(synthetic_certificate(cfg, C_used), h_values)
+
     def test_bit_exact_after_serialization(self, power_law_model):
         cfg = CarlemanConfig.lipschitz(2.0, 0.6, 8.0, min_ell(0.25, 2.0, 0.6),
                                        E=1.0, h=0.1, d=3)
@@ -197,6 +210,18 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             sweep(template, [], [1e-2], cheap_policy())
 
+    @pytest.mark.parametrize("h_values,eps_values,message", [
+        ([0.2, 0.0], [1e-2], r"h values must lie in \(0, 1\]"),
+        ([1.5, 0.2], [1e-2], r"h values must lie in \(0, 1\]"),
+        ([0.2], [], "eps_values must not be empty"),
+    ])
+    def test_h_outside_the_unit_interval_or_no_eps_rejected(
+            self, zero_model, h_values, eps_values, message):
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=zero_model)
+        with pytest.raises(InvalidInputError, match=message):
+            sweep(template, h_values, eps_values, cheap_policy())
+
     @pytest.mark.parametrize("signs", [(), (1, 0)])
     def test_signs_other_than_plus_minus_one_rejected(self, zero_model, signs):
         template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
@@ -334,6 +359,17 @@ def test_bound_respected_follows_the_rows(rows, respected):
     assert SweepResult(rows=rows).bound_respected is respected
 
 
+def test_curves_hold_one_g_per_h_of_the_ok_rows_in_row_order():
+    rows = (OK_ROW, replace(OK_ROW, sign=-1),
+            replace(OK_ROW, eps=1e-4, g_measured=3.0),
+            replace(FAILED_ROW, h=0.4),
+            replace(OK_ROW, h=0.4, eps=1e-4, g_measured=4.0))
+    curves = SweepResult(rows=rows).curves
+    assert curves == {1e-2: {0.5: 1.0}, 1e-4: {0.5: 3.0, 0.4: 4.0}}
+    assert list(curves) == [1e-2, 1e-4] and list(curves[1e-4]) == [0.5, 0.4]
+    assert SweepResult(rows=(FAILED_ROW,)).curves == {}
+
+
 def test_sweep_verdict_none_true_false(zero_model, monkeypatch):
     cfg = CarlemanConfig.lipschitz(3.0, 0.6, 4.0, min_ell(0.25, 3.0, 0.6),
                                    E=1.0, h=0.1, d=3)
@@ -408,8 +444,26 @@ class TestSweepMirror:
         minus = sweep(*args, signs=(-1,), seed=7)
         assert [row.sign for row in minus.rows] == [-1] * len(minus.rows)
         for a, b in zip(plus.rows, minus.rows):
-            assert b.g_measured == pytest.approx(a.g_measured, rel=1e-10,
-                                                 abs=1e-10)
+            assert b.g_measured == a.g_measured
+
+    def test_rows_do_not_depend_on_the_signs_requested(self, zero_model,
+                                                        monkeypatch):
+        calls = self.counting(monkeypatch)
+        args = (self.template(zero_model), self.H, self.EPS, cheap_policy())
+        both = sweep(*args, signs=(1, -1), seed=7)
+        minus = sweep(*args, signs=(-1,), seed=7)
+        # every (h, eps) is measured on the + side, whatever the signs
+        assert {sign for _, _, sign in calls} == {1}
+
+        def measurement(row):
+            return row.h, row.eps, row.g_measured, row.residual
+
+        assert ([measurement(row) for row in minus.rows]
+                == [measurement(row) for row in both.rows if row.sign == -1])
+        # the first row of an (h, eps) carries the measurement's counters
+        assert ([row.matvecs for row in minus.rows]
+                == [row.matvecs for row in both.rows if row.sign == 1])
+        assert all(row.matvecs == 0 for row in both.rows if row.sign == -1)
 
 
 class TestMaps:
@@ -437,6 +491,13 @@ class TestMaps:
             psi_map("lipschitz", [0.5], 1.0)
         with pytest.raises(InvalidInputError):
             psi_map("fancy", [2.0], 1.0)
+        with pytest.raises(InvalidInputError, match="lambda0 must be positive"):
+            psi_map("lipschitz", [2.0], 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_psi_rejects_a_non_finite_lambda_naming_it(self, value):
+        with pytest.raises(InvalidInputError, match=f"got {value!r}$"):
+            psi_map("lipschitz", [value, 2.0])
 
     def test_omega_hand_values(self):
         assert omega_map("lipschitz", [math.e ** 10])[0] == pytest.approx(0.1, abs=1e-12)
@@ -461,6 +522,11 @@ class TestMaps:
             omega_map("lipschitz", [2.0])
         with pytest.raises(InvalidInputError):
             omega_map("lipschitz", [math.e ** math.e])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_omega_rejects_a_non_finite_t_naming_it(self, value):
+        with pytest.raises(InvalidInputError, match=f"got {value!r}$"):
+            omega_map("lipschitz", [value, 1e6])
 
     def test_maps_monotone(self):
         lam = np.geomspace(2.0, 1e4, 200)
