@@ -9,8 +9,9 @@ system per angular sector,
 by central differences on a uniform grid with Dirichlet ends.  The weighted
 norm of a sector is the largest singular value of W A^{-1} W with
 W = diag((r+1)**(-s)), that is of B^{-1} for the complex symmetric
-tridiagonal B = W^{-1} A W^{-1}.  B's band is formed in one place
-(DiscreteOperator._band).  One LAPACK factor of it (zgttrf) serves the
+tridiagonal B = W^{-1} A W^{-1}.  A's main diagonal is formed in one place
+(_diagonal), which both B's band (DiscreteOperator._band) and the audit's
+backward error read.  One LAPACK factor of B (zgttrf) serves the
 Lanczos norm and the phase-conjugated solve of the energy audit; the dense
 oracle takes sigma_min(B) from the band's real symmetric embedding and
 never touches that factor.  B_- is the entrywise conjugate of B_+, since W
@@ -104,7 +105,7 @@ def _check_positive(name, value):
 def _inner_radius(d, r_min):
     """The left end of the radial range: ``r_min``, finite and >= 0, > 0 when d = 2.
 
-    None gives 0, or R_MIN_D2 in dimension two.
+    None gives 0, or R_MIN_D2 in dimension two; d = None skips the d = 2 rule.
     """
     if r_min is None:
         return R_MIN_D2 if d == 2 else 0.0
@@ -144,14 +145,18 @@ class UniformGridSpec:
     def __post_init__(self):
         _check_positive("dr", self.dr)
         _check_positive("tail_tol", self.tail_tol)
-        # _inner_radius checks the value when the grid is used; None, the
-        # default GridPolicy and certify take, has no meaning here
+        # None, the default GridPolicy and certify take, has no meaning here;
+        # the dimension-two rule waits for the query that uses the grid
         if not isinstance(self.r_min, numbers.Real):
             raise InvalidInputError(f"r_min must be a number, got {self.r_min!r}")
-        if not math.isfinite(self.r_max):
-            raise InvalidInputError(f"r_max must be finite, got {self.r_max}")
-        # a non-finite r_min leaves no count to check
-        if math.isfinite(self.r_min) and self._interior_count() < 3:
+        _inner_radius(None, self.r_min)
+        # a finite span either way, whose points fit one numpy array: at most
+        # intp's largest value in bytes, 8 a point
+        if not abs(self.r_max - self.r_min) <= np.iinfo(np.intp).max // 8 * self.dr:
+            raise InvalidInputError(
+                f"r_max must be finite and leave fewer points past r_min={self.r_min:g} "
+                f"at dr={self.dr:g} than an array can hold, got {self.r_max}")
+        if self._interior_count() < 3:
             raise InvalidInputError(
                 f"r_max={self.r_max:g} must leave at least 3 interior points "
                 f"past r_min={self.r_min:g} at dr={self.dr:g}")
@@ -167,12 +172,12 @@ class UniformGridSpec:
 class DiscreteOperator:
     """Complex tridiagonal sector operator A with Dirichlet ends.
 
-    ``diag_real`` is the real part of the main diagonal; the off-diagonal
-    is the constant -h**2 / dr**2 and the imaginary part sign * eps.
+    ``v`` is V at the nodes ``grid``, shared by every sector of a query;
+    _diagonal forms A's main diagonal from them, _offdiag its off-diagonal.
     """
 
     grid: np.ndarray
-    diag_real: np.ndarray
+    v: np.ndarray
     query: ResolventQuery
     sector: AngularSector
     dr: float
@@ -180,12 +185,12 @@ class DiscreteOperator:
     def _band(self, weighted=None):
         """A fresh copy of B's complex main diagonal, and B's real off-diagonal.
 
-        B = W^{-1} A W^{-1} has diagonal (diag_real + i sign eps) (r+1)**(2s).
+        B = W^{-1} A W^{-1} has A's diagonal times (r+1)**(2s).
         ``weighted`` is this grid's pair from _weighted_terms, built here
         when not given.
         """
         lift2, off = weighted or _weighted_terms(self.query, self.dr, self.grid)
-        d = self.diag_real + _shift(self.query)
+        d = _diagonal(self.query, self.sector, self.dr, self.grid, self.v)
         d *= lift2
         return d, off
 
@@ -206,15 +211,15 @@ def assemble(query, sector, grid_spec):
     """Discretize one angular sector of the absorbing operator."""
     if sector.d != query.d or sector.h != query.h:
         raise InvalidInputError("sector and query disagree on d or h")
-    return _sector_operator(query, sector, grid_spec, *_radial_terms(query, grid_spec))
+    return DiscreteOperator(*_radial_terms(query, grid_spec), query, sector, grid_spec.dr)
 
 
 def _radial_terms(query, grid_spec):
-    """Grid r, r**2 and V(r) shared by every sector of one query; V must be finite."""
+    """Grid r and V(r) shared by every sector of one query; V must be finite."""
     r = _checked_points(query, grid_spec)
     v = np.asarray(query.potential(r), dtype=float)
     require_finite(f"potential {query.potential.name}", v, r)
-    return r, r ** 2, v
+    return r, v
 
 
 def _checked_points(query, grid_spec):
@@ -232,9 +237,10 @@ def _checked_points(query, grid_spec):
     return grid_spec.points()
 
 
-def _diagonal(query, sector, dr, r2, v):
-    """Real part of the main diagonal at the nodes with r**2 = ``r2`` and V = ``v``."""
-    return 2.0 * query.h ** 2 / dr ** 2 + sector.lambda_value / r2 - query.E + v
+def _diagonal(query, sector, dr, r, v):
+    """A's complex main diagonal at the nodes ``r``, where V = ``v``; formed nowhere else."""
+    return (2.0 * query.h ** 2 / dr ** 2 + sector.lambda_value / r ** 2 - query.E + v
+            + 1j * (query.sign * query.eps))
 
 
 def _offdiag(query, dr):
@@ -257,17 +263,6 @@ def _weighted_terms(query, dr, r):
     off = lift[:-1] * lift[1:]
     off *= _offdiag(query, dr)
     return np.multiply(lift, lift, out=lift), off
-
-
-def _shift(query):
-    """The imaginary part of the main diagonal, as the complex i * sign * eps."""
-    return 1j * (query.sign * query.eps)
-
-
-def _sector_operator(query, sector, grid_spec, r, r2, v):
-    diag = _diagonal(query, sector, grid_spec.dr, r2, v)
-    return DiscreteOperator(grid=r, diag_real=diag, query=query, sector=sector,
-                            dr=grid_spec.dr)
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +406,17 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
     _check_integer("l_max", l_max, 0)
     _check_integer("seed", seed, 0)
     _check_integer("threads", threads, 1)
-    terms = _radial_terms(query, grid_spec)
-    weighted = _weighted_terms(query, grid_spec.dr, terms[0])
-    start = _start_vector(terms[0].size, seed)
+    r, v = _radial_terms(query, grid_spec)
+    weighted = _weighted_terms(query, grid_spec.dr, r)
+    start = _start_vector(r.size, seed)
     # per-worker state of this call only: it goes with the pool's threads
     local = threading.local()
 
-    def sector_norm(l):  # assembled on the worker: one live diagonal per thread
+    def sector_norm(l):  # B's band is formed on the worker: one live copy per thread
         if not hasattr(local, "work"):
             local.work = tuple(np.empty_like(start) for _ in range(3))
-        sector = AngularSector(query.d, l, query.h)
-        return _lanczos_sector_norm(
-            _sector_operator(query, sector, grid_spec, *terms), weighted, start,
-            local.work)
+        op = DiscreteOperator(r, v, query, AngularSector(query.d, l, query.h), grid_spec.dr)
+        return _lanczos_sector_norm(op, weighted, start, local.work)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(sector_norm, range(l_max + 1)))
@@ -442,8 +435,10 @@ _BLOCK_ROWS = 8192
 
 
 def _blocks(n):
-    """The row ranges (lo, hi) of the _BLOCK_ROWS-row blocks of rows 0..n-1."""
-    return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+    """(lo, hi, a, b) per _BLOCK_ROWS-row block lo..hi-1 of rows 0..n-1; a..b-1 adds its halo."""
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        yield lo, hi, max(lo - 1, 0), min(hi + 1, n)
 
 
 def _grid_vector(name, x, n):
@@ -468,18 +463,17 @@ def _backward_error(u, rhs, query, r, dr, phase):
     """Componentwise backward error max |A u - rhs| / (|A| |u| + |rhs|).
 
     A is the l = 0 sector operator of ``query`` on the nodes ``r`` with step
-    ``dr``, conjugated by exp(phi/h) for ``phase``; it is formed one block
-    of _BLOCK_ROWS rows at a time, with a one-row halo for the stencil.
+    ``dr``, conjugated by exp(phi/h) for ``phase``; its diagonal comes from
+    _diagonal one _BLOCK_ROWS-row block at a time, with a one-row halo.
     """
     sector, n = AngularSector(query.d, 0, query.h), u.size
-    off, shift = _offdiag(query, dr), _shift(query)
+    off = _offdiag(query, dr)
     worst = []
-    for lo, hi in _blocks(n):
-        a, b = max(lo - 1, 0), min(hi + 1, n)
+    for lo, hi, a, b in _blocks(n):
         rb = r[a:b]
         v = np.asarray(query.potential(rb), dtype=float)
         require_finite(f"potential {query.potential.name}", v, rb)
-        diag = _diagonal(query, sector, dr, rb ** 2, v) + shift
+        diag = _diagonal(query, sector, dr, rb, v)
         ratio = np.exp(np.diff(phase.value(rb) / query.h))
         own = slice(lo - a, hi - a)
         res = np.abs(_stencil(diag, off, ratio, u[a:b])[own] - rhs[lo:hi])
@@ -584,11 +578,10 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
     v_l = np.asarray(v_long(r), dtype=float)
     # the flux derivative at the interior nodes only; the ends lack a full stencil
     dmuF, residuals, tol_scale = np.empty(n - 2), np.empty(n - 2), np.empty(n - 2)
-    for lo, hi in _blocks(n):
+    for lo, hi, a, b in _blocks(n):
         # F on nodes a..b-1 gives the flux derivative at a+1..b-2, which
         # are the block's own interior nodes; u is taken on a-1..b, zero
         # beyond the grid's ends
-        a, b = max(lo - 1, 0), min(hi + 1, n)
         pa, pb = max(a - 1, 0), min(b + 1, n)
         u_pad = np.zeros(b - a + 2, dtype=complex)
         u_pad[pa - a + 1:pb - a + 1] = u[pa:pb]

@@ -204,7 +204,10 @@ class GridPolicy:
 
     def grid_for(self, query):
         """The query's grid; ``r_min`` is checked and defaulted by radial._inner_radius."""
-        r_tail = self.tail_tol ** (-1.0 / (2.0 * query.s)) - 1.0
+        try:
+            r_tail = self.tail_tol ** (-1.0 / (2.0 * query.s)) - 1.0
+        except OverflowError:  # UniformGridSpec rejects the infinite r_max
+            r_tail = math.inf
         lam = AngularSector(query.d, self.l_max, query.h).lambda_value
         r_turn = math.sqrt(max(lam, 0.0) / query.E)
         r_min = _inner_radius(query.d, self.r_min)

@@ -44,10 +44,22 @@ def sector_norm(op, seed=0):
                                 _start_vector(n, seed), work)
 
 
+def main_diagonal(op):
+    """A's complex main diagonal, written out from the sector's grid and potential.
+
+    2 h**2 / dr**2 + lambda_l / r**2 - E + V + i sign eps, each term
+    taken in the order the library takes it.
+    """
+    q, r = op.query, op.grid
+    v = np.asarray(q.potential(r), dtype=float)
+    return (2.0 * q.h ** 2 / op.dr ** 2 + op.sector.lambda_value / r ** 2 - q.E + v
+            + 1j * (q.sign * q.eps))
+
+
 def fresh_diagonals(op):
     """Sub-, main and super-diagonal of the sector operator, built from its terms."""
     off = np.full(op.grid.size - 1, -op.query.h ** 2 / op.dr ** 2, dtype=complex)
-    return off, op.diag_real + 1j * (op.query.sign * op.query.eps), off
+    return off, main_diagonal(op), off
 
 
 def dense_matrix(op):
@@ -70,7 +82,7 @@ def weighted_diagonals(op):
     """
     up = lift(op)
     off = (up[:-1] * up[1:]) * (-op.query.h ** 2 / op.dr ** 2)
-    d = (op.diag_real + 1j * (op.query.sign * op.query.eps)) * (up * up)
+    d = main_diagonal(op) * (up * up)
     return off.astype(complex), d, off.astype(complex)
 
 

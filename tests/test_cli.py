@@ -642,6 +642,12 @@ def _without(block, key):
      "sweep.signs must be a nonempty list of '+' and '-'"),
     ("certify", {"certify": certify_block(), "sweep": sweep_block(h_values=[])},
      "sweep.h_values must be a nonempty list of numbers"),
+    # a tiny tail_tol overflows the r_max power, or asks for more points
+    # (r_max about 1e21) than an array can hold
+    ("sweep", {"sweep": {"s": 0.51, "h_values": [0.5], "tail_tol": 5e-324, "l_max": 0}},
+     "tail_tol, l_max and r_max_floor"),
+    ("sweep", {"sweep": {"s": 0.7, "h_values": [0.5], "tail_tol": 1e-30, "l_max": 0}},
+     "tail_tol, l_max and r_max_floor"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):

@@ -31,8 +31,9 @@ from resolvent_lab.radial import (_BLOCK_ROWS, AngularSector, ResolventQuery,
 from resolvent_lab.scaling import GridPolicy
 
 from conftest import (conjugate_check, dense_matrix, gaussian_bump, lift,
-                      nan_on, sector_norm, weighted_diagonals, weighted_matrix,
-                      whole_array_audit, whole_array_backward_error)
+                      main_diagonal, nan_on, sector_norm, weighted_diagonals,
+                      weighted_matrix, whole_array_audit,
+                      whole_array_backward_error)
 
 
 # c in the dense oracle's error bound c eps cond(B), relative to sigma_min(B)
@@ -99,7 +100,8 @@ class TestAssemble:
         i = np.argmin(np.abs(op.grid - 2.0))
         r = op.grid[i]
         base = 2.0 * 0.01 / gs.dr ** 2 - 1.0
-        assert op.diag_real[i] - base == pytest.approx(0.01 * 2.0 / r ** 2, rel=1e-12)
+        diag = radial._diagonal(q, op.sector, op.dr, op.grid, op.v)
+        assert diag[i].real - base == pytest.approx(0.01 * 2.0 / r ** 2, rel=1e-12)
         assert 0.01 * 1 * (1 + 3 - 2) / 4.0 == pytest.approx(0.005)
 
     def test_dr_rule_enforced(self, zero_model):
@@ -195,8 +197,10 @@ class TestDomain:
         query = ResolventQuery(d=d, E=1.0, h=0.5, eps=0.1, sign=1, s=0.6,
                                potential=zero_model)
         config = CarlemanConfig.lipschitz(3.0, 0.6, 4.0, h=0.5, d=d)
-        grid = UniformGridSpec(dr=0.05, r_max=18.0, r_min=r_min, tail_tol=0.05)
-        for call in (lambda: assemble(query, AngularSector(d, 0, 0.5), grid),
+        # the grid spec rejects every r_min but d = 2's zero when it is built
+        for call in (lambda: assemble(query, AngularSector(d, 0, 0.5),
+                                      UniformGridSpec(dr=0.05, r_max=18.0,
+                                                      r_min=r_min, tail_tol=0.05)),
                      lambda: certify(config, zero_model.envelope, 6.0, r_min=r_min),
                      lambda: GridPolicy(tail_tol=0.05, r_min=r_min).grid_for(query)):
             with pytest.raises(InvalidInputError, match="r_min"):
@@ -228,6 +232,8 @@ class TestDomain:
         (GridSpec, dict(span_factor=math.nan), "span_factor"),
         # appended last so the other cases keep their ids
         (UniformGridSpec, dict(dr=0.05, r_max=18.0, r_min=None), "r_min"),
+        (UniformGridSpec, dict(dr=0.05, r_max=18.0, r_min=math.nan), "r_min"),
+        (UniformGridSpec, dict(dr=0.05, r_max=18.0, r_min=math.inf), "r_min"),
     ])
     def test_grid_values_reject_non_finite_and_ill_typed_fields(self, cls, kwargs,
                                                                 field):
@@ -350,13 +356,13 @@ class TestNorms:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_band_parts_are_the_real_products(self, power_law_model, sign):
         # complex times real is exact in each part, so the oracle embeds
-        # x = diag_real (r+1)**(2s) and y = sign eps (r+1)**(2s) bit for bit
+        # x = Re(A's diagonal) (r+1)**(2s) and y = sign eps (r+1)**(2s) bit for bit
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-4, sign=sign, s=0.6,
                            potential=power_law_model)
         op = assemble(q, AngularSector(3, 1, 0.5), small_grid(3))
         lift2, off = _weighted_terms(q, op.dr, op.grid)
         d, band_off = op._band()
-        assert d.real.tobytes() == (op.diag_real * lift2).tobytes()
+        assert d.real.tobytes() == (main_diagonal(op).real * lift2).tobytes()
         assert d.imag.tobytes() == (lift2 * (sign * 1e-4)).tobytes()
         assert band_off.tobytes() == off.tobytes()
 
@@ -664,7 +670,7 @@ class TestFactor:
                            potential=power_law_model)
         op = assemble(q, AngularSector(d, l, 0.5), small_grid(d))
         weighted = _weighted_terms(q, op.dr, op.grid)
-        kept = [a.copy() for a in (op.diag_real, *weighted)]
+        kept = [a.copy() for a in (op.v, *weighted)]
         *ref, info = zgttrf(*weighted_diagonals(op))
         assert info == 0
         # the factor of B, built here or from the query's shared weighted terms
@@ -673,7 +679,7 @@ class TestFactor:
             for got, want in zip(factors, ref):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert all(a.tobytes() == b.tobytes()
-                   for a, b in zip((op.diag_real, *weighted), kept))
+                   for a, b in zip((op.v, *weighted), kept))
 
 
 class TestRitzPair:
@@ -948,3 +954,29 @@ def check_against_whole_array(q, grid, weight, phase, smoothed, op, cfg, rhs):
     assert same_bits(trace.residual_tolerance, tolerance)
     assert same_bits(trace.integral_value, integral)
     assert same_bits(trace.integral_scale, scale)
+
+
+def test_every_consumer_reads_A_from_one_diagonal(power_law_model, monkeypatch):
+    # an entry changed in _diagonal alone reaches the factor, the oracle,
+    # the conjugated solve and the backward error alike
+    q = ResolventQuery(d=3, E=1.0, h=0.5, eps=0.02, sign=1, s=0.51,
+                       potential=power_law_model)
+    sec = AngularSector(3, 1, 0.5)
+    unpatched = sector_norm(assemble(q, sec, small_grid(3)))[0]
+    original = radial._diagonal
+
+    def absorbing_end(*args):
+        d = original(*args)
+        d[-1] -= 0.5j
+        return d
+
+    monkeypatch.setattr(radial, "_diagonal", absorbing_end)
+    grid = grid_of(2 * _BLOCK_ROWS + 1)
+    phase = rl.PhaseFunction(k=1.0, a=20.0, tau=0.5)
+    op = assemble_conjugated(q, AngularSector(3, 0, 0.5), grid, phase)
+    rhs = audit_rhs(op.grid, "gauss")
+    # 7.0e-16, and 1.3e-3 when the solve or the error alone sees the entry
+    assert _backward_error(op.solve(rhs), rhs, q, op.grid, grid.dr, phase) <= 1e-14
+    value = sector_norm(assemble(q, sec, small_grid(3)))[0]
+    assert value == pytest.approx(dense_weighted_norm(q, sec, small_grid(3)), rel=1e-6)
+    assert abs(value - unpatched) > 1e-6
