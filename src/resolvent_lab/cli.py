@@ -285,7 +285,7 @@ def _fmt(value):
 
 def write_sweep_csv(result, path):
     lines = ["h,eps,sign,g_measured,g_bound,sectors,lmax,runtime_ms,status,"
-             "matvecs,residual"]
+             "matvecs,residual,r_max,tail"]
     for row in result.rows:
         sign = "+" if row.sign > 0 else "-"
         status = "ok" if row.status == "ok" else "failed"
@@ -293,7 +293,7 @@ def write_sweep_csv(result, path):
             repr(row.h), repr(row.eps), sign, _fmt(row.g_measured),
             _fmt(row.g_bound), str(row.sectors), str(row.l_max),
             f"{row.runtime_ms:.3f}", status, str(row.matvecs),
-            _fmt(row.residual)]))
+            _fmt(row.residual), _fmt(row.r_max), _fmt(row.tail)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -305,7 +305,8 @@ def write_summary_json(result, fit, path):
             {"h": row.h, "eps": row.eps, "sign": row.sign,
              "g_measured": row.g_measured, "g_bound": row.g_bound,
              "sectors": row.sectors, "lmax": row.l_max, "status": row.status,
-             "matvecs": row.matvecs, "residual": row.residual}
+             "matvecs": row.matvecs, "residual": row.residual,
+             "r_max": row.r_max, "tail": row.tail}
             for row in result.rows
         ],
         "bound_respected": result.bound_respected,

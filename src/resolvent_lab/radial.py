@@ -6,20 +6,26 @@ system per angular sector,
     A = -h**2 d**2/dr**2 + lambda_l / r**2 - E + V(r) + i sign eps,
     lambda_l = h**2 (l (l + d - 2) + (d - 1)(d - 3) / 4),
 
-by central differences on a uniform grid with Dirichlet ends.  The weighted
-norm of a sector is the largest singular value of W A^{-1} W with
-W = diag((r+1)**(-s)), that is of B^{-1} for the complex symmetric
-tridiagonal B = W^{-1} A W^{-1}.  A's main diagonal is formed in one place
-(_diagonal), which both B's band (DiscreteOperator._band) and the audit's
-backward error read.  One LAPACK factor of B (zgttrf) serves the
-Lanczos norm and the phase-conjugated solve of the energy audit; the dense
-oracle takes sigma_min(B) from the band's real symmetric embedding and
-never touches that factor.  B_- is the entrywise conjugate of B_+, since W
-is real, so both signs of eps have the same norm.
+by central differences on a uniform grid, with u = 0 at r_min and a
+transparent outer end: the last diagonal entry stands in for the exterior,
+its coefficients frozen (Ehrhardt-Arnold), so A^{-1} is the compression of
+that operator's resolvent to the box and the box need not hold the
+weight's tail.  The weighted norm of a sector is the largest singular
+value of W A^{-1} W with W = diag((r+1)**(-s)), that is of B^{-1} for the
+complex symmetric tridiagonal B = W^{-1} A W^{-1}.  A's main diagonal,
+transparent entry included, is formed in one place (_diagonal), which
+both B's band (DiscreteOperator._band) and the audit's backward error
+read.  One LAPACK factor of B (zgttrf) serves the Lanczos norm and the
+phase-conjugated solve of the energy audit; the dense oracle takes
+sigma_min(B) from the band's real symmetric embedding and never touches
+that factor.  B_- is the entrywise conjugate of B_+, since W is real and
+the - side's transparent entry is the conjugate of the + side's, so both
+signs of eps have the same norm.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import threading
@@ -48,7 +54,8 @@ R_MIN_D2 = 1.0
 SEED = 2024
 # the assembly rule: the radial step dr is at most h / STEPS_PER_H
 STEPS_PER_H = 10.0
-# the truncation rule: the weight's tail (r_max + 1)**(-2s) is at most this
+# the truncation tolerance when none is given: scaling.GridPolicy's bound on a
+# short box's tail term and its fallback radius, where (r + 1)**(-2s) falls to it
 TAIL_TOL = 1e-4
 
 
@@ -135,7 +142,11 @@ class AngularSector:
 
 @dataclass(frozen=True)
 class UniformGridSpec:
-    """Uniform radial grid on (r_min, r_max], Dirichlet ends, at least 3 interior points."""
+    """Uniform radial grid on (r_min, r_max], at least 3 points, the last at the outer end.
+
+    ``tail_tol`` is checked but not read: GridPolicy, not the grid, owns
+    the truncation rule.
+    """
 
     dr: float
     r_max: float
@@ -170,7 +181,7 @@ class UniformGridSpec:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Complex tridiagonal sector operator A with Dirichlet ends.
+    """Complex tridiagonal sector operator A, u = 0 at r_min, transparent at the outer end.
 
     ``v`` is V at the nodes ``grid``, shared by every sector of a query;
     _diagonal forms A's main diagonal from them, _offdiag its off-diagonal.
@@ -223,24 +234,34 @@ def _radial_terms(query, grid_spec):
 
 
 def _checked_points(query, grid_spec):
-    """The grid points, once the step, tail and dimension rules hold."""
+    """The grid points, once the step and dimension rules hold."""
     if grid_spec.dr > query.h / STEPS_PER_H * (1.0 + 1e-12):
         raise InvalidInputError(
             f"dr rule violated: dr={grid_spec.dr:g} must be at most "
             f"h/{STEPS_PER_H:g}={query.h / STEPS_PER_H:g}")
-    tail = (grid_spec.r_max + 1.0) ** (-2.0 * query.s)
-    if tail > grid_spec.tail_tol * (1.0 + 1e-9):
-        raise InvalidInputError(
-            f"r_max rule violated: (r_max+1)^(-2s)={tail:.3g} exceeds "
-            f"tail_tol={grid_spec.tail_tol:g}")
     _inner_radius(query.d, grid_spec.r_min)
     return grid_spec.points()
 
 
 def _diagonal(query, sector, dr, r, v):
-    """A's complex main diagonal at the nodes ``r``, where V = ``v``; formed nowhere else."""
-    return (2.0 * query.h ** 2 / dr ** 2 + sector.lambda_value / r ** 2 - query.E + v
+    """A's complex main diagonal at the nodes ``r``, where V = ``v``; formed nowhere else.
+
+    The last node carries the transparent condition.  With a = h**2 / dr**2
+    and d_n the last entry of the interior rule, the coefficients frozen
+    past that node make u_{n+1} = zeta u_n, where zeta + 1/zeta = d_n / a
+    and |zeta| < 1 (the solution that decays outward), so a zeta is taken
+    off d_n.  For eps > 0 this adds sign * Im(-a zeta) > 0: absorption only.
+    The - side's zeta is the conjugate of the + side's, bit for bit.
+    """
+    diag = (2.0 * query.h ** 2 / dr ** 2 + sector.lambda_value / r ** 2 - query.E + v
             + 1j * (query.sign * query.eps))
+    a = query.h ** 2 / dr ** 2
+    t = complex(diag[-1]) / a
+    root = cmath.sqrt(t * t - 4.0)
+    # the root of larger modulus is formed without cancellation; zeta is the other
+    far = t + root if abs(t + root) >= abs(t - root) else t - root
+    diag[-1] -= a * (2.0 / far)
+    return diag
 
 
 def _offdiag(query, dr):

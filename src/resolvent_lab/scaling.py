@@ -30,6 +30,7 @@ import numpy as np
 
 from .carleman import HOLDER, LIPSCHITZ, Certificate, build_phase
 from .errors import AccuracyError, InvalidInputError, ResolventLabError
+from .potentials import REFERENCE_GRID
 from .radial import (SEED, STEPS_PER_H, TAIL_TOL, THREADS, AngularSector,
                      UniformGridSpec, _check_integer, _check_positive,
                      _inner_radius, weighted_resolvent_norm)
@@ -179,11 +180,15 @@ def bound_from_certificate(certificate, h_values):
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """Turns a query into a uniform operator grid and a sector cap.
+    """Turns a query into uniform operator grids and a sector cap.
 
     The default step h/20 sits a factor two inside the h/10 assembly rule
     (radial.STEPS_PER_H) so that halving it moves the measured g by well
-    under 1e-2.
+    under 1e-2.  ``tail_tol`` is the one truncation tolerance: it bounds a
+    short box's measured tail term (sweep) and sets the fallback radius
+    r_tail = tail_tol**(-1/(2s)) - 1, where the weight's tail
+    (r+1)**(-2s) falls to it.  ``r_max_floor`` is the least radius of
+    either box.
     """
 
     tail_tol: float = TAIL_TOL
@@ -202,23 +207,60 @@ class GridPolicy:
             raise InvalidInputError(
                 f"r_max_floor must be finite and nonnegative, got {self.r_max_floor}")
 
+    def _floor(self, query):
+        """max(4 r_turn(l_max), r_max_floor): past it every sector is classically allowed."""
+        lam = AngularSector(query.d, self.l_max, query.h).lambda_value
+        return max(4.0 * math.sqrt(max(lam, 0.0) / query.E), self.r_max_floor)
+
+    def _grid(self, query, r_max):
+        return UniformGridSpec(dr=self.dr_factor * query.h, r_max=r_max,
+                               r_min=_inner_radius(query.d, self.r_min))
+
     def grid_for(self, query):
-        """The query's grid; ``r_min`` is checked and defaulted by radial._inner_radius."""
+        """The fallback grid, on r_tail or the floor when larger.
+
+        ``r_min`` is checked and defaulted by radial._inner_radius.
+        """
         try:
             r_tail = self.tail_tol ** (-1.0 / (2.0 * query.s)) - 1.0
         except OverflowError:  # UniformGridSpec rejects the infinite r_max
             r_tail = math.inf
-        lam = AngularSector(query.d, self.l_max, query.h).lambda_value
-        r_turn = math.sqrt(max(lam, 0.0) / query.E)
-        r_min = _inner_radius(query.d, self.r_min)
         try:
-            return UniformGridSpec(dr=self.dr_factor * query.h,
-                                   r_max=max(r_tail, 4.0 * r_turn, self.r_max_floor),
-                                   r_min=r_min, tail_tol=self.tail_tol)
+            return self._grid(query, max(r_tail, self._floor(query)))
         except InvalidInputError as exc:
             raise InvalidInputError(
                 f"{exc}; at h={query.h:g} r_max is set by tail_tol, l_max and "
                 "r_max_floor") from None
+
+    def short_grid(self, query):
+        """The grid on (r_min, r_c] of a query that traps, or None.
+
+        r_c = max(r_V, 4 r_turn(l_max), r_max_floor), where r_V is the
+        first point of potentials.REFERENCE_GRID, on which models are
+        validated, past which the envelope p stays at or below tail_tol E.
+        The query traps when, for some l <= l_max, the allowed set
+        {r : V + lambda_l / r**2 <= E} on this grid is not one interval.
+        None as well when 2 r_c does not fall short of grid_for's radius.
+        """
+        p = query.potential.envelope(REFERENCE_GRID)
+        above = np.flatnonzero(~(p <= self.tail_tol * query.E))
+        at = above[-1] + 1 if above.size else 0
+        if at == REFERENCE_GRID.size:
+            return None
+        r_c = max(float(REFERENCE_GRID[at]), self._floor(query))
+        if not 2.0 * r_c < self.grid_for(query).r_max:
+            return None
+        try:
+            grid = self._grid(query, r_c)
+        except InvalidInputError:  # r_c leaves too few points past r_min
+            return None
+        r = grid.points()
+        lam = np.array([AngularSector(query.d, l, query.h).lambda_value
+                        for l in range(self.l_max + 1)])
+        allowed = query.potential(r) + lam[:, None] / r ** 2 <= query.E
+        # an interval starts at the first node or where a forbidden node precedes it
+        starts = allowed[:, 0] + np.sum(allowed[:, 1:] & ~allowed[:, :-1], axis=1)
+        return grid if np.any(starts > 1) else None
 
 
 @dataclass(frozen=True)
@@ -226,10 +268,13 @@ class SweepRow:
     """One (h, eps, sign) row of a sweep.
 
     ``matvecs`` counts the Gram products the row ran and ``residual`` is
-    the largest top Ritz residual over its sectors.  A row that labels
-    an (h, eps) measured for an earlier row ran none and carries that
-    measurement's residual; a failed row has 0 and None.  ``runtime_ms``
-    is the row's own time, so a copied row's is the copy's.
+    the largest top Ritz residual over the sectors of the measurements it
+    keeps.  ``r_max`` is the radius of the box g was measured on, and
+    ``tail`` the measured tail term g(2 r_c) - g(r_c) of a short box, None
+    on the fallback box.  A row that labels an (h, eps) measured for an
+    earlier row ran none and carries that measurement's residual, box and
+    tail; a failed row has 0 and None for each.  ``runtime_ms`` is the
+    row's own time, so a copied row's is the copy's.
     """
 
     h: float
@@ -242,6 +287,8 @@ class SweepRow:
     status: str
     matvecs: int
     residual: Optional[float]
+    r_max: Optional[float]
+    tail: Optional[float]
 
     @property
     def sectors(self):
@@ -275,6 +322,32 @@ class SweepResult:
                    for row in self.rows)
 
 
+def _measure(query, policy, seed, threads):
+    """(g, Gram products, residual, r_max, tail) of one query by the policy's box rule.
+
+    A query with a short grid is measured at r_c and at 2 r_c on one step,
+    so the first grid is a prefix of the second, and keeps g(2 r_c) when
+    the tail term g(2 r_c) - g(r_c) is at most tail_tol in size.
+    Otherwise it is measured on grid_for's box, with no tail term.  The
+    Gram products count every measurement run.
+    """
+    def norm(grid):
+        return weighted_resolvent_norm(query, grid, policy.l_max, seed=seed,
+                                       threads=threads)
+
+    short, spent = policy.short_grid(query), 0
+    if short is not None:
+        double = replace(short, r_max=2.0 * short.r_max)
+        near, far = norm(short), norm(double)
+        tail, spent = far.g_value - near.g_value, near.iterations + far.iterations
+        if abs(tail) <= policy.tail_tol:
+            return (far.g_value, spent, max(near.residual, far.residual),
+                    double.r_max, tail)
+    grid = policy.grid_for(query)
+    est = norm(grid)
+    return est.g_value, spent + est.iterations, est.residual, grid.r_max, None
+
+
 def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
           certificate=None, signs=(1,), seed=SEED, threads=THREADS):
     """Measure g over descending h, ascending eps and + before -, with optional bound columns.
@@ -285,10 +358,10 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     larger s.  Its r_min may not exceed the grid's, since its margins are
     verified on r > r_min only.  For a real potential the - resolvent is
     the entrywise conjugate of the + one, so each (h, eps) is measured
-    once, at sign +1 whatever ``signs`` holds, and the result, success or
-    failure, fills every requested sign's row.  A row whose estimate fails
-    numerically is marked; a sweep with no successful row raises
-    AccuracyError naming the first row's failure.
+    once, at sign +1 whatever ``signs`` holds, on the box _measure picks,
+    and the result, success or failure, fills every requested sign's row.
+    A row whose estimate fails numerically is marked; a sweep with no
+    successful row raises AccuracyError naming the first row's failure.
     """
     hs = [float(h) for h in h_values]
     if not hs:
@@ -329,19 +402,18 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
             start = time.perf_counter()
             query = replace(query_template, h=h, eps=eps, sign=1)
             try:
-                est = weighted_resolvent_norm(
-                    query, grid_policy.grid_for(query), grid_policy.l_max,
-                    seed=seed, threads=threads)
-                g, status, matvecs, residual = (est.g_value, "ok", est.iterations,
-                                                est.residual)
+                g, matvecs, residual, r_max, tail = _measure(
+                    query, grid_policy, seed, threads)
+                status = "ok"
             except InvalidInputError:
                 raise
             except ResolventLabError as exc:
-                g, status, matvecs, residual = None, f"failed: {exc}", 0, None
+                g, matvecs, residual, r_max, tail = None, 0, None, None, None
+                status = f"failed: {exc}"
             for sign in signs:  # labels of the + estimate; later ones ran nothing
                 rows.append(SweepRow(h, eps, sign, g, g_b, grid_policy.l_max,
                                      1000.0 * (time.perf_counter() - start),
-                                     status, matvecs, residual))
+                                     status, matvecs, residual, r_max, tail))
                 start, matvecs = time.perf_counter(), 0
     if not any(row.status == "ok" for row in rows):
         first = rows[0]

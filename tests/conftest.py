@@ -1,3 +1,4 @@
+import cmath
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,7 @@ def growth_shape(kind, h, alpha=0.5):
 def measured(h, g, eps=1e-2, sign=1):
     """(h, g) pairs as the successful rows of one (eps, sign) sweep group."""
     rows = tuple(SweepRow(float(hv), eps, sign, float(gv), None, 0, 0.0, "ok",
-                          0, 0.0)
+                          0, 0.0, 1.0, None)
                  for hv, gv in zip(h, g))
     return SweepResult(rows=rows)
 
@@ -44,8 +45,8 @@ def sector_norm(op, seed=0):
                                 _start_vector(n, seed), work)
 
 
-def main_diagonal(op):
-    """A's complex main diagonal, written out from the sector's grid and potential.
+def interior_diagonal(op):
+    """A's main diagonal by the interior rule, written out from the sector's grid and potential.
 
     2 h**2 / dr**2 + lambda_l / r**2 - E + V + i sign eps, each term
     taken in the order the library takes it.
@@ -54,6 +55,27 @@ def main_diagonal(op):
     v = np.asarray(q.potential(r), dtype=float)
     return (2.0 * q.h ** 2 / op.dr ** 2 + op.sector.lambda_value / r ** 2 - q.E + v
             + 1j * (q.sign * q.eps))
+
+
+def boundary_entry(op):
+    """-a zeta, the transparent condition's share of A's last diagonal entry.
+
+    a = h**2 / dr**2, and zeta + 1/zeta = t = d_n / a with |zeta| < 1 for
+    d_n the interior rule's last entry: zeta = 2 / (t +- sqrt(t**2 - 4)),
+    the sign giving the larger denominator, in the library's order of
+    operations.
+    """
+    a = op.query.h ** 2 / op.dr ** 2
+    t = complex(interior_diagonal(op)[-1]) / a
+    plus, minus = t + cmath.sqrt(t * t - 4.0), t - cmath.sqrt(t * t - 4.0)
+    return -a * (2.0 / (plus if abs(plus) >= abs(minus) else minus))
+
+
+def main_diagonal(op):
+    """A's complex main diagonal: the interior rule plus -a zeta at the last node."""
+    d = interior_diagonal(op)
+    d[-1] += boundary_entry(op)
+    return d
 
 
 def fresh_diagonals(op):

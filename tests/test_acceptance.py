@@ -23,8 +23,8 @@ from resolvent_lab.radial import (AngularSector, ResolventQuery,
 from resolvent_lab.scaling import (GridPolicy, fit_models, omega_map,
                                    psi_map, sweep)
 
-from conftest import (H_SWEEP, conjugate_check, dense_matrix, gaussian_bump,
-                      growth_shape, measured, sector_norm)
+from conftest import (H_SWEEP, boundary_entry, conjugate_check, dense_matrix,
+                      gaussian_bump, growth_shape, measured, sector_norm)
 
 THREADS = 2
 
@@ -137,11 +137,15 @@ def test_criterion_4_discrete_operator_fidelity(power_law_model):
     for sign in (1, -1):
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=0.5, sign=sign, s=0.6,
                            potential=power_law_model)
-        mat = dense_matrix(assemble(q, AngularSector(3, 1, 0.5), gs))
+        op = assemble(q, AngularSector(3, 1, 0.5), gs)
+        mat = dense_matrix(op)
         n = mat.shape[0]
+        # the transparent end only absorbs: it adds sign Im(-a zeta) |f_n|**2 > 0
+        absorbed = sign * np.imag(boundary_entry(op))
+        assert absorbed > 0
         for _ in range(50):
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            lhs = q.eps * np.vdot(f, f).real
+            lhs = q.eps * np.vdot(f, f).real + absorbed * abs(f[-1]) ** 2
             rhs = sign * np.imag(np.vdot(f, mat @ f))
             worst = max(worst, abs(lhs - rhs) / lhs)
     assert worst <= 1e-12
@@ -190,6 +194,8 @@ def test_criterion_6_bound_domination(barrier_model, holder_model,
         assert len(result.rows) == len(H_SWEEP) * 2 * 2
         assert all(row.status == "ok" for row in result.rows)
         assert result.bound_respected is True
+        # the transparent end only absorbs, so g <= log(1/eps) on every row
+        assert all(row.g_measured <= math.log(1.0 / row.eps) for row in result.rows)
         margin = min(row.g_bound - row.g_measured for row in result.rows)
         outcomes.append((model.name, margin))
     elapsed = time.time() - start

@@ -166,7 +166,7 @@ class TestSweepCommand:
                      "--threads", "2"]) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == ("h,eps,sign,g_measured,g_bound,sectors,lmax,runtime_ms,"
-                            "status,matvecs,residual")
+                            "status,matvecs,residual,r_max,tail")
         assert len(lines) == 1 + 5 * 2 * 1
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["rows"]) == 10
@@ -176,6 +176,9 @@ class TestSweepCommand:
             assert cells[8] == row["status"] == "ok"
             assert int(cells[9]) == row["matvecs"] > 0
             assert float(cells[10]) == row["residual"] <= 1e-6
+            # the free potential does not trap: the fallback box, no tail term
+            assert float(cells[11]) == row["r_max"] > 0
+            assert cells[12] == "" and row["tail"] is None
         assert (out / "plotdata.tsv").read_text().startswith("# series:")
 
     def test_sweep_with_certificate_populates_bound(self, tmp_path):
@@ -215,9 +218,11 @@ class TestSweepCommand:
         assert json.loads((tmp_path / "summary.json").read_text())["fit"] is None
 
     @pytest.mark.parametrize("potential,h_values,line", [
-        ({"name": "zero"}, [0.5, 0.4, 0.3, 0.25, 0.2], "fit: linfty C=0.00280422"),
-        # g falls as h falls, so every candidate's C is negative
-        ({"name": "holder_bump"}, [0.5, 0.45, 0.4, 0.3], "fit: no growth"),
+        ({"name": "zero"}, [0.5, 0.4, 0.3, 0.25, 0.2], "fit: lipschitz C=0.286482"),
+        ({"name": "holder_bump"}, [0.5, 0.45, 0.4, 0.3], "fit: lipschitz C=0.376038"),
+        # the barrier's g peaks at the resonant h = 0.2 and 0.16, so over these
+        # four h it falls as h falls and every candidate's C is negative
+        ({"name": "barrier_well"}, [0.2, 0.18, 0.16, 0.15], "fit: no growth"),
     ])
     def test_fit_line_names_the_best_class_or_no_growth(self, tmp_path, capsys,
                                                         potential, h_values, line):
@@ -443,6 +448,42 @@ class TestSweepCommand:
                      "--out", str(out)]) == 1
         assert (out / "manifest.json").read_text() == broken
         assert not (out / "summary.json").exists()
+
+
+@pytest.fixture(scope="module")
+def readme_sweep(tmp_path_factory):
+    """summary.json rows of the README example's certify and sweep."""
+    out = tmp_path_factory.mktemp("readme") / "out"
+    doc = readme_config()
+    doc["sweep"]["certificate"] = str(out / "certificate.json")
+    cfg = write_config(out.parent, doc)
+    for command in ("certify", "sweep"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    return json.loads((out / "summary.json").read_text())["rows"]
+
+
+class TestReadmeSweep:
+    # g of each (h, eps) to the digits the README prints; the transparent end
+    # moved (0.1, 1e-4) from 2.6697 and (0.07, 1e-4) from 2.8302 under the
+    # old Dirichlet wall at r_max = 718.7, and no other row
+    G = {(0.2, 1e-4): 6.83094, (0.2, 1e-2): 3.62276, (0.15, 1e-4): 1.61270,
+         (0.15, 1e-2): 1.60557, (0.1, 1e-4): 2.21269, (0.1, 1e-2): 2.17306,
+         (0.07, 1e-4): 2.78006, (0.07, 1e-2): 2.70595, (0.05, 1e-4): 2.80043,
+         (0.05, 1e-2): 2.72747}
+
+    def test_rows_keep_their_values_on_the_short_box(self, readme_sweep):
+        assert len(readme_sweep) == 2 * len(self.G)
+        for row in readme_sweep:
+            assert row["g_measured"] == pytest.approx(self.G[row["h"], row["eps"]],
+                                                      rel=0, abs=1e-5)
+            # barrier_well traps: r_c = 10.065 and its double 20.13
+            assert row["r_max"] <= 20.2 and abs(row["tail"]) <= 1e-4
+
+    def test_g_stays_under_the_log_inverse_eps_ceiling(self, readme_sweep):
+        # sign Im <f, A f> >= eps |f|**2 with the transparent end as well, and
+        # W <= 1, so ||W A^{-1} W|| <= 1/eps
+        for row in readme_sweep:
+            assert row["g_measured"] <= math.log(1.0 / row["eps"])
 
 
 class TestMollifyCommand:

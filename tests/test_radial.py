@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -30,10 +31,10 @@ from resolvent_lab.radial import (_BLOCK_ROWS, AngularSector, ResolventQuery,
                                   _weighted_terms)
 from resolvent_lab.scaling import GridPolicy
 
-from conftest import (conjugate_check, dense_matrix, gaussian_bump, lift,
-                      main_diagonal, nan_on, sector_norm, weighted_diagonals,
-                      weighted_matrix, whole_array_audit,
-                      whole_array_backward_error)
+from conftest import (boundary_entry, conjugate_check, dense_matrix,
+                      gaussian_bump, interior_diagonal, lift, main_diagonal,
+                      nan_on, sector_norm, weighted_diagonals, weighted_matrix,
+                      whole_array_audit, whole_array_backward_error)
 
 
 # c in the dense oracle's error bound c eps cond(B), relative to sigma_min(B)
@@ -87,7 +88,10 @@ class TestAssemble:
                                potential=power_law_model)
             op = assemble(q, AngularSector(3, 0, 0.5), small_grid(3))
             mat = dense_matrix(op)
-            assert_allclose(np.imag(np.diag(mat)), sign * 0.1, rtol=0, atol=0.0)
+            # sign eps at every node, plus the transparent end's absorption
+            assert_allclose(np.imag(np.diag(mat))[:-1], sign * 0.1, rtol=0, atol=0.0)
+            assert np.imag(np.diag(mat))[-1] == sign * 0.1 + np.imag(boundary_entry(op))
+            assert sign * np.imag(boundary_entry(op)) > 0
             off = mat - np.diag(np.diag(mat))
             assert_allclose(np.imag(off), 0.0, atol=0.0)
             assert_allclose(np.real(mat), np.real(mat).T, rtol=0, atol=0.0)
@@ -110,11 +114,23 @@ class TestAssemble:
         with pytest.raises(InvalidInputError, match="dr"):
             assemble(q, AngularSector(3, 0, 0.5), UniformGridSpec(dr=0.1, r_max=18.0, tail_tol=0.05))
 
-    def test_r_max_rule_enforced(self, zero_model):
+    def test_grid_policy_falls_back_to_r_tail(self, zero_model, barrier_model):
+        # with a transparent end the box need not hold the weight's tail
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=0.1, sign=1, s=0.6,
                            potential=zero_model)
-        with pytest.raises(InvalidInputError, match="r_max"):
-            assemble(q, AngularSector(3, 0, 0.5), UniformGridSpec(dr=0.05, r_max=18.0, tail_tol=1e-6))
+        assemble(q, AngularSector(3, 0, 0.5), UniformGridSpec(dr=0.05, r_max=18.0, tail_tol=1e-6))
+        for tol in (1e-3, 0.05):
+            policy = GridPolicy(tail_tol=tol, l_max=2)
+            r_tail = tol ** (-1.0 / 1.2) - 1.0
+            # the free potential never traps
+            assert policy.short_grid(q) is None
+            assert policy.grid_for(q).r_max == r_tail
+        # the barrier traps; r_V = 8.915 at 1e-3, and at 0.05 its 2 r_c = 13.9
+        # does not fall short of r_tail = 11.1, so only the fallback box is left
+        trapped = replace(q, potential=barrier_model)
+        short = GridPolicy(tail_tol=1e-3, l_max=2).short_grid(trapped)
+        assert short.r_max == pytest.approx(8.915, abs=1e-12) and short.dr == 0.025
+        assert GridPolicy(tail_tol=0.05, l_max=2).short_grid(trapped) is None
 
     @pytest.mark.parametrize("sector", [AngularSector(2, 0, 0.5),
                                         AngularSector(3, 0, 0.25)])
@@ -154,11 +170,14 @@ class TestAssemble:
         for sign in (1, -1):
             q = ResolventQuery(d=3, E=1.0, h=0.5, eps=0.5, sign=sign, s=0.6,
                                potential=power_law_model)
-            mat = dense_matrix(assemble(q, AngularSector(3, 1, 0.5), small_grid(3)))
+            op = assemble(q, AngularSector(3, 1, 0.5), small_grid(3))
+            mat = dense_matrix(op)
             n = mat.shape[0]
             for _ in range(20):
                 f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                lhs = 0.5 * np.vdot(f, f).real
+                # eps |f|**2 plus the transparent end's term at the last node
+                lhs = (0.5 * np.vdot(f, f).real
+                       + sign * np.imag(boundary_entry(op)) * abs(f[-1]) ** 2)
                 rhs = sign * np.imag(np.vdot(f, mat @ f))
                 assert abs(lhs - rhs) <= 1e-12 * lhs
 
@@ -356,14 +375,16 @@ class TestNorms:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_band_parts_are_the_real_products(self, power_law_model, sign):
         # complex times real is exact in each part, so the oracle embeds
-        # x = Re(A's diagonal) (r+1)**(2s) and y = sign eps (r+1)**(2s) bit for bit
+        # x = Re(A's diagonal) (r+1)**(2s) and y = Im(A's diagonal) (r+1)**(2s)
+        # bit for bit; y is sign eps (r+1)**(2s) but at the transparent end
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-4, sign=sign, s=0.6,
                            potential=power_law_model)
         op = assemble(q, AngularSector(3, 1, 0.5), small_grid(3))
         lift2, off = _weighted_terms(q, op.dr, op.grid)
         d, band_off = op._band()
         assert d.real.tobytes() == (main_diagonal(op).real * lift2).tobytes()
-        assert d.imag.tobytes() == (lift2 * (sign * 1e-4)).tobytes()
+        assert d.imag.tobytes() == (main_diagonal(op).imag * lift2).tobytes()
+        assert d.imag[:-1].tobytes() == (lift2[:-1] * (sign * 1e-4)).tobytes()
         assert band_off.tobytes() == off.tobytes()
 
     @pytest.mark.parametrize("entry", ["lanczos", "oracle"])
@@ -980,3 +1001,121 @@ def test_every_consumer_reads_A_from_one_diagonal(power_law_model, monkeypatch):
     value = sector_norm(assemble(q, sec, small_grid(3)))[0]
     assert value == pytest.approx(dense_weighted_norm(q, sec, small_grid(3)), rel=1e-6)
     assert abs(value - unpatched) > 1e-6
+
+
+def compact_bump(r, centre=3.0):
+    """exp(-1 / (1 - x**2)) on |x| < 1, x = r - centre, and 0 elsewhere."""
+    x = np.asarray(r, dtype=float) - centre
+    out = np.zeros_like(x)
+    inside = np.abs(x) < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+    return out
+
+
+class TestTransparentEnd:
+    """The last diagonal entry -a zeta stands in for the exterior, coefficients frozen."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_free_solve_matches_the_closed_form(self, zero_model, sign):
+        # d = 3, l = 0, V = 0: A u = f has u(r) = int G(r, r') f(r') dr' with
+        # G = sin(k r_<) e^{i k r_>} / (h**2 k), h**2 k**2 = E - i sign eps and
+        # Im k > 0; the trapezoid rule on the bump's support is exact to
+        # rounding, so what is left is the stencil's O(dr**2) error
+        q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=sign, s=0.6,
+                           potential=zero_model)
+        k = cmath.sqrt(q.E - 1j * sign * q.eps) / q.h
+        k = k if k.imag > 0 else -k
+        rp = np.linspace(2.0, 4.0, 4001)
+        fw = compact_bump(rp) * (rp[1] - rp[0])
+        errors, walls = [], []
+        for dr in (0.025, 0.0125):
+            op = assemble(q, AngularSector(3, 0, 0.5), UniformGridSpec(dr=dr, r_max=10.0))
+            r = op.grid
+            probe = np.arange(0, r.size, round(0.1 / dr))
+            lo = np.minimum.outer(r[probe], rp)
+            hi = np.maximum.outer(r[probe], rp)
+            exact = (np.sin(k * lo) * np.exp(1j * k * hi)) @ fw / (q.h ** 2 * k)
+            off = radial._offdiag(q, dr)
+            for diag, out in ((radial._diagonal(q, op.sector, dr, r, op.v), errors),
+                              (interior_diagonal(op), walls)):
+                band = np.array([np.full(r.size, off), diag, np.full(r.size, off)])
+                u = sla.solve_banded((1, 1), band, compact_bump(r).astype(complex))
+                out.append(np.max(np.abs(u[probe] - exact)) / np.max(np.abs(exact)))
+        # 6.8e-4 and 1.7e-4; a Dirichlet wall at r = 10 reflects: 0.28 at both steps
+        assert errors[1] <= 3e-4 and math.log2(errors[0] / errors[1]) >= 1.9
+        assert min(walls) > 0.1
+
+    def test_sign_mirror_is_bit_exact(self, barrier_model):
+        # zeta_- = conj(zeta_+), so B_- is the entrywise conjugate of B_+
+        for h, eps in ((0.2, 1e-2), (0.1, 1e-4), (0.05, 1e-4)):
+            plus = ResolventQuery(d=3, E=1.0, h=h, eps=eps, sign=1, s=0.7,
+                                  potential=barrier_model)
+            minus = replace(plus, sign=-1)
+            grid = UniformGridSpec(dr=h / 20, r_max=20.13)
+            for l in (0, 8):
+                d_plus, off_plus = assemble(plus, AngularSector(3, l, h), grid)._band()
+                d_minus, off_minus = assemble(minus, AngularSector(3, l, h), grid)._band()
+                assert d_minus.tobytes() == np.conj(d_plus).tobytes()
+                assert off_minus.tobytes() == off_plus.tobytes()
+
+    def test_agrees_with_dirichlet_once_the_wall_has_decayed(self, power_law_model,
+                                                             monkeypatch):
+        # at eps = 1e-2 and h = 0.2 a wave decays as exp(-0.025 r): a wall at
+        # r = 300 returns exp(-15) of it, where at r = 20 it returns 0.37
+        q = ResolventQuery(d=3, E=1.0, h=0.2, eps=1e-2, sign=1, s=0.6,
+                           potential=power_law_model)
+        values = {}
+        for end in ("transparent", "dirichlet"):
+            if end == "dirichlet":
+                def wall(query, sector, dr, r, v):
+                    return (2.0 * query.h ** 2 / dr ** 2 + sector.lambda_value / r ** 2
+                            - query.E + v + 1j * (query.sign * query.eps))
+                monkeypatch.setattr(radial, "_diagonal", wall)
+            values[end] = [weighted_resolvent_norm(
+                q, UniformGridSpec(dr=0.02, r_max=r_max), l_max=2, seed=1).g_value
+                for r_max in (20.0, 300.0)]
+        assert values["dirichlet"][1] == pytest.approx(values["transparent"][1],
+                                                       rel=0, abs=1e-6)
+        assert abs(values["dirichlet"][0] - values["transparent"][0]) > 1e-3
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.floats(0.01, 1.0), steps=st.floats(10.0, 100.0),
+           E=st.floats(0.1, 10.0), eps=st.floats(1e-6, 1.0),
+           sign=st.sampled_from([1, -1]), d=st.integers(2, 4),
+           l=st.integers(0, 40), r_end=st.floats(1.0, 1000.0),
+           v_end=st.floats(-10.0, 10.0))
+    def test_the_decaying_root_absorbs(self, zero_model, h, steps, E, eps, sign,
+                                       d, l, r_end, v_end):
+        # zeta + 1/zeta = t with |zeta| < 1 means Im t = (|zeta| - 1/|zeta|)
+        # sin(arg zeta), so Im zeta has the sign of -Im t = -sign eps / a:
+        # the entry -a zeta always adds absorption on the eps side
+        q = ResolventQuery(d=d, E=E, h=h, eps=eps, sign=sign, s=0.6,
+                           potential=zero_model)
+        sector = AngularSector(d, l, h)
+        dr = h / steps
+        r = np.array([r_end - dr, r_end])
+        v = np.full(2, v_end)
+        diag = radial._diagonal(q, sector, dr, r, v)
+        interior = (2.0 * h ** 2 / dr ** 2 + sector.lambda_value / r ** 2 - E + v
+                    + 1j * (sign * eps))
+        assert diag[0] == interior[0]
+        a = h ** 2 / dr ** 2
+        entry = complex(diag[1] - interior[1])
+        zeta = -entry / a
+        assert abs(zeta) < 1.0
+        assert sign * entry.imag > 0.0
+        t = complex(interior[1]) / a
+        assert abs(zeta + 1.0 / zeta - t) <= 1e-12 * max(1.0, abs(t))
+
+    def test_readme_rows_do_not_depend_on_the_box_end(self, barrier_model):
+        # each README row's box, 2 r_c = 20.13, moved by ten steps
+        policy = GridPolicy()
+        for h in (0.2, 0.15, 0.1, 0.07, 0.05):
+            for eps in (1e-2, 1e-4):
+                q = ResolventQuery(d=3, E=1.0, h=h, eps=eps, sign=1, s=0.7,
+                                   potential=barrier_model)
+                short = policy.short_grid(q)
+                g = [weighted_resolvent_norm(q, replace(short, r_max=r_max),
+                                             policy.l_max, threads=2).g_value
+                     for r_max in (2.0 * short.r_max, 2.0 * short.r_max + 10 * short.dr)]
+                assert g[1] == pytest.approx(g[0], rel=0, abs=1e-6)

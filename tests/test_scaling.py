@@ -341,9 +341,70 @@ class TestSweep:
         assert res.rows[0].g_bound is not None
 
 
+class TestBoxRule:
+    """A trapping query is measured at r_c and 2 r_c; the rest on r_tail."""
+
+    R_TAIL = 1e-3 ** (-1.0 / 1.2) - 1.0  # tail_tol = 1e-3, s = 0.6
+
+    def counting(self, monkeypatch, nudge_far=0.0):
+        """Record (r_max, estimate) per norm; add ``nudge_far`` to g on the 2 r_c box."""
+        calls = []
+        real = scaling.weighted_resolvent_norm
+
+        def counted(query, grid_spec, *args, **kwargs):
+            est = real(query, grid_spec, *args, **kwargs)
+            if nudge_far and 10.0 < grid_spec.r_max < 20.0:
+                est = replace(est, sector_values=tuple(
+                    v * math.exp(nudge_far) for v in est.sector_values))
+            calls.append((grid_spec.r_max, est))
+            return est
+
+        monkeypatch.setattr(scaling, "weighted_resolvent_norm", counted)
+        return calls
+
+    def run(self, model):
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=model)
+        return sweep(template, [0.2], [1e-2], cheap_policy(tail_tol=1e-3),
+                     signs=(1, -1), seed=7)
+
+    def test_trapping_query_keeps_the_short_box(self, barrier_model, monkeypatch):
+        calls = self.counting(monkeypatch)
+        plus, minus = self.run(barrier_model).rows
+        # r_V = 8.915: the barrier's envelope is at most 1e-3 from there on
+        assert [r_max for r_max, _ in calls] == pytest.approx([8.915, 17.83], abs=1e-12)
+        (_, near), (_, far) = calls
+        assert plus.g_measured == far.g_value
+        assert plus.tail == far.g_value - near.g_value
+        assert abs(plus.tail) <= 1e-3 and plus.r_max == calls[1][0]
+        assert plus.matvecs == near.iterations + far.iterations
+        assert plus.residual == max(near.residual, far.residual)
+        assert (minus.r_max, minus.tail, minus.matvecs) == (plus.r_max, plus.tail, 0)
+
+    def test_failed_tail_check_falls_back_to_r_tail(self, barrier_model,
+                                                    monkeypatch):
+        calls = self.counting(monkeypatch, nudge_far=0.01)
+        plus, minus = self.run(barrier_model).rows
+        assert [r_max for r_max, _ in calls][2] == self.R_TAIL
+        fallback = calls[2][1]
+        assert plus.g_measured == fallback.g_value and plus.residual == fallback.residual
+        assert (plus.r_max, plus.tail) == (minus.r_max, minus.tail) == (self.R_TAIL, None)
+        # the row counts every Gram product it ran, the short boxes' too
+        assert plus.matvecs == sum(est.iterations for _, est in calls)
+
+    @pytest.mark.parametrize("name", ["zero", "holder_bump"])
+    def test_non_trapping_query_goes_straight_to_r_tail(self, name, monkeypatch):
+        model = rl.build_potential(name, {"c": 0.1} if name == "holder_bump" else {})
+        calls = self.counting(monkeypatch)
+        plus, _ = self.run(model).rows
+        assert [r_max for r_max, _ in calls] == [self.R_TAIL]
+        assert (plus.r_max, plus.tail, plus.matvecs) == (self.R_TAIL, None,
+                                                         calls[0][1].iterations)
+
+
 OK_ROW = SweepRow(h=0.5, eps=1e-2, sign=1, g_measured=1.0, g_bound=2.0,
                   l_max=2, runtime_ms=0.0, status="ok", matvecs=20,
-                  residual=1e-7)
+                  residual=1e-7, r_max=18.0, tail=None)
 FAILED_ROW = replace(OK_ROW, g_measured=None, status="failed: forced")
 
 
