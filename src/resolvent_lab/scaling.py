@@ -185,7 +185,8 @@ class GridPolicy:
     The default step h/20 sits a factor two inside the h/10 assembly rule
     (radial.STEPS_PER_H) so that halving it moves the measured g by well
     under 1e-2.  ``tail_tol`` is the one truncation tolerance: it bounds a
-    short box's measured tail term (sweep) and sets the fallback radius
+    short box's measured tail term (sweep), sets a non-trapping short box
+    to ln(1/tail_tol) absorption lengths, and sets the fallback radius
     r_tail = tail_tol**(-1/(2s)) - 1, where the weight's tail
     (r+1)**(-2s) falls to it.  ``r_max_floor`` is the least radius of
     either box.
@@ -233,14 +234,19 @@ class GridPolicy:
                 "r_max_floor") from None
 
     def short_grid(self, query):
-        """The grid on (r_min, r_c] of a query that traps, or None.
+        """The short grid on (r_min, r_c] of a query, or None.
 
-        r_c = max(r_V, 4 r_turn(l_max), r_max_floor), where r_V is the
-        first point of potentials.REFERENCE_GRID, on which models are
-        validated, past which the envelope p stays at or below tail_tol E.
-        The query traps when, for some l <= l_max, the allowed set
-        {r : V + lambda_l / r**2 <= E} on this grid is not one interval.
-        None as well when 2 r_c does not fall short of grid_for's radius.
+        Start from r_c = max(r_V, 4 r_turn(l_max), r_max_floor), where r_V
+        is the first point of potentials.REFERENCE_GRID, on which models
+        are validated, past which the envelope p stays at or below
+        tail_tol E.  The query traps when, for some l <= l_max, the allowed
+        set {r : V + lambda_l / r**2 <= E} on this grid is not one
+        interval.  A query that does not trap holds no mode behind a
+        barrier, and its outgoing wave's intensity decays like exp(-r/ell)
+        with ell = h sqrt(E) / eps, so its r_c is raised to at least
+        ell ln(1/tail_tol), where that intensity falls to tail_tol.
+        None when the two boxes _measure runs, r_c + 2 r_c, do not fall
+        short of grid_for's radius: a short box must cost less than that.
         """
         p = query.potential.envelope(REFERENCE_GRID)
         above = np.flatnonzero(~(p <= self.tail_tol * query.E))
@@ -248,7 +254,8 @@ class GridPolicy:
         if at == REFERENCE_GRID.size:
             return None
         r_c = max(float(REFERENCE_GRID[at]), self._floor(query))
-        if not 2.0 * r_c < self.grid_for(query).r_max:
+        fallback = self.grid_for(query).r_max
+        if not 3.0 * r_c < fallback:
             return None
         try:
             grid = self._grid(query, r_c)
@@ -260,7 +267,11 @@ class GridPolicy:
         allowed = query.potential(r) + lam[:, None] / r ** 2 <= query.E
         # an interval starts at the first node or where a forbidden node precedes it
         starts = allowed[:, 0] + np.sum(allowed[:, 1:] & ~allowed[:, :-1], axis=1)
-        return grid if np.any(starts > 1) else None
+        if np.any(starts > 1):
+            return grid
+        ell = query.h * math.sqrt(query.E) / query.eps
+        r_c = max(r_c, ell * math.log(1.0 / self.tail_tol))
+        return self._grid(query, r_c) if 3.0 * r_c < fallback else None
 
 
 @dataclass(frozen=True)
@@ -269,9 +280,10 @@ class SweepRow:
 
     ``matvecs`` counts the Gram products the row ran and ``residual`` is
     the largest top Ritz residual over the sectors of the measurements it
-    keeps.  ``r_max`` is the radius of the box g was measured on, and
-    ``tail`` the measured tail term g(2 r_c) - g(r_c) of a short box, None
-    on the fallback box.  A row that labels an (h, eps) measured for an
+    keeps: both boxes of a short-box row, the one box of a fallback row.
+    ``r_max`` is the radius of the box g was measured on, and ``tail`` the
+    measured tail term g(2 r_c) - g(r_c) of a short box, None on the
+    fallback box.  A row that labels an (h, eps) measured for an
     earlier row ran none and carries that measurement's residual, box and
     tail; a failed row has 0 and None for each.  ``runtime_ms`` is the
     row's own time, so a copied row's is the copy's.
@@ -325,9 +337,10 @@ class SweepResult:
 def _measure(query, policy, seed, threads):
     """(g, Gram products, residual, r_max, tail) of one query by the policy's box rule.
 
-    A query with a short grid is measured at r_c and at 2 r_c on one step,
-    so the first grid is a prefix of the second, and keeps g(2 r_c) when
-    the tail term g(2 r_c) - g(r_c) is at most tail_tol in size.
+    A query with a short grid, trapping or not, is measured at r_c and at
+    2 r_c on one step, so the first grid is a prefix of the second, and
+    keeps g(2 r_c) when the tail term g(2 r_c) - g(r_c) is at most
+    tail_tol in size; the residual is then the larger of both boxes'.
     Otherwise it is measured on grid_for's box, with no tail term.  The
     Gram products count every measurement run.
     """

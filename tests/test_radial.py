@@ -122,9 +122,13 @@ class TestAssemble:
         for tol in (1e-3, 0.05):
             policy = GridPolicy(tail_tol=tol, l_max=2)
             r_tail = tol ** (-1.0 / 1.2) - 1.0
-            # the free potential never traps
-            assert policy.short_grid(q) is None
             assert policy.grid_for(q).r_max == r_tail
+        # the free potential never traps, so its short box holds ln(1/tail_tol)
+        # absorption lengths h sqrt(E)/eps = 5: 34.54 at 1e-3, where
+        # 3 * 34.54 < r_tail = 315.2; at 0.05, 3 * 14.98 >= r_tail = 11.14
+        short = GridPolicy(tail_tol=1e-3, l_max=2).short_grid(q)
+        assert short.r_max == pytest.approx(5.0 * math.log(1e3), rel=1e-15)
+        assert GridPolicy(tail_tol=0.05, l_max=2).short_grid(q) is None
         # the barrier traps; r_V = 8.915 at 1e-3, and at 0.05 its 2 r_c = 13.9
         # does not fall short of r_tail = 11.1, so only the fallback box is left
         trapped = replace(q, potential=barrier_model)

@@ -11,8 +11,9 @@ from resolvent_lab.carleman import (CarlemanConfig, Certificate, FamilySummary,
                                     build_phase, certify, min_ell)
 from resolvent_lab.errors import AccuracyError, InvalidInputError
 from resolvent_lab.radial import ResolventQuery
-from resolvent_lab.scaling import (SweepResult, SweepRow, bound_from_certificate,
-                                   fit_models, omega_map, psi_map, sweep)
+from resolvent_lab.scaling import (GridPolicy, SweepResult, SweepRow,
+                                   bound_from_certificate, fit_models,
+                                   omega_map, psi_map, sweep)
 
 from conftest import cheap_policy, growth_shape, measured, nan_on
 
@@ -342,7 +343,12 @@ class TestSweep:
 
 
 class TestBoxRule:
-    """A trapping query is measured at r_c and 2 r_c; the rest on r_tail."""
+    """A short box, r_c and then 2 r_c, is taken only when r_c + 2 r_c < r_tail.
+
+    A trapping query's r_c is set by the potential; a non-trapping one's is
+    at least ln(1/tail_tol) absorption lengths h sqrt(E)/eps.  Every other
+    query, and one whose tail check fails, is measured on r_tail.
+    """
 
     R_TAIL = 1e-3 ** (-1.0 / 1.2) - 1.0  # tail_tol = 1e-3, s = 0.6
 
@@ -362,10 +368,10 @@ class TestBoxRule:
         monkeypatch.setattr(scaling, "weighted_resolvent_norm", counted)
         return calls
 
-    def run(self, model):
+    def run(self, model, **policy):
         template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
                                   potential=model)
-        return sweep(template, [0.2], [1e-2], cheap_policy(tail_tol=1e-3),
+        return sweep(template, [0.2], [1e-2], cheap_policy(tail_tol=1e-3, **policy),
                      signs=(1, -1), seed=7)
 
     def test_trapping_query_keeps_the_short_box(self, barrier_model, monkeypatch):
@@ -400,6 +406,35 @@ class TestBoxRule:
         assert [r_max for r_max, _ in calls] == [self.R_TAIL]
         assert (plus.r_max, plus.tail, plus.matvecs) == (self.R_TAIL, None,
                                                          calls[0][1].iterations)
+
+    def test_trapping_short_boxes_costing_more_than_r_tail_are_skipped(
+            self, barrier_model, monkeypatch):
+        # r_c = 110: the boxes 110 and 220 would run 330 > r_tail = 315.2
+        calls = self.counting(monkeypatch)
+        plus, _ = self.run(barrier_model, r_max_floor=110.0).rows
+        assert [r_max for r_max, _ in calls] == [self.R_TAIL]
+        assert (plus.r_max, plus.tail) == (self.R_TAIL, None)
+
+    @pytest.mark.parametrize("fixture", ["zero_model", "holder_model"])
+    def test_non_trapping_short_box_holds_the_absorption_length(
+            self, fixture, request, monkeypatch):
+        # ell = h sqrt(E)/eps = 5, so r_c = 5 ln 1000 = 34.54 and
+        # 3 r_c = 103.6 < r_tail = 137.95 (tail_tol = 1e-3, s = 0.7)
+        model = request.getfixturevalue(fixture)
+        policy = GridPolicy(tail_tol=1e-3, dr_factor=0.05, l_max=8)
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.7,
+                                  potential=model)
+        calls = self.counting(monkeypatch)
+        (row,) = sweep(template, [0.05], [1e-2], policy, seed=7).rows
+        r_c = 5.0 * math.log(1e3)
+        assert [r_max for r_max, _ in calls] == pytest.approx([r_c, 2.0 * r_c],
+                                                              rel=1e-15)
+        assert abs(row.tail) <= 1e-3 and row.r_max == calls[1][0]
+        query = replace(template, h=0.05, eps=1e-2)
+        fallback = policy.grid_for(query)
+        assert fallback.r_max > 3.0 * r_c
+        far = rl.weighted_resolvent_norm(query, fallback, policy.l_max, seed=7)
+        assert row.g_measured == pytest.approx(far.g_value, rel=0, abs=1e-6)
 
 
 OK_ROW = SweepRow(h=0.5, eps=1e-2, sign=1, g_measured=1.0, g_bound=2.0,
