@@ -26,10 +26,12 @@ rule; a kernel too rough for the rule raises AccuracyError.
 
 from __future__ import annotations
 
+import collections
 import functools
 import inspect
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -43,6 +45,82 @@ Array = np.ndarray
 # worker threads when none is given: the mollifier's row blocks here, the
 # sectors of a resolvent norm in radial
 THREADS = min(8, os.cpu_count() or 1)
+
+# the process's pools, one per worker count, made on first use; a forked
+# child has none of its parent's threads, so it drops them and makes its own
+_POOLS = {}
+_POOLS_LOCK = threading.Lock()
+_ON_POOL = threading.local()  # active on the pools' own threads
+
+
+def _forget_pools():
+    global _POOLS_LOCK
+    _POOLS.clear()
+    _POOLS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pools)
+
+
+def _mark_pool_thread():
+    _ON_POOL.active = True
+
+
+def _pool(threads):
+    """The pool of threads - 1 workers; the caller is the last one."""
+    with _POOLS_LOCK:
+        if threads not in _POOLS:
+            _POOLS[threads] = ThreadPoolExecutor(
+                max_workers=threads - 1, thread_name_prefix=f"resolvent-lab-{threads}",
+                initializer=_mark_pool_thread)
+        return _POOLS[threads]
+
+
+def map_on_pool(worker, items, threads):
+    """[f(item) for item in items] in item order, with f = worker() once per task.
+
+    min(threads, len(items)) tasks share the items, each taking the next
+    one left and calling ``worker`` before its first; one task runs on the
+    calling thread and the others on the process's pool for ``threads``.
+    A call with one task, or from a pool thread, runs inline, so a pool
+    thread never waits on a pool.  Every item runs; the first failure in
+    item order is raised.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    failures = {}
+    pending = collections.deque(range(len(items)))
+
+    def task():
+        f = None
+        while True:
+            try:
+                i = pending.popleft()
+            except IndexError:
+                return
+            f = f or worker()
+            try:
+                results[i] = f(items[i])
+            except Exception as exc:  # raised below, in item order
+                failures[i] = exc
+
+    count = min(threads, len(items))
+    if count <= 1 or getattr(_ON_POOL, "active", False):
+        task()
+    else:
+        futures = [_pool(threads).submit(task) for _ in range(count - 1)]
+        try:
+            task()
+        except BaseException:  # an interrupt: the others take no more items
+            pending.clear()
+            raise
+        finally:
+            for future in futures:
+                future.result()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
 
 # Reference grid used by the built-in builders to measure their constants and
 # to validate model invariants.  Dense near the origin where the envelopes
@@ -253,14 +331,11 @@ _BLOCK_ROWS = 512
 def _map_blocks(fill, n):
     """[fill(rows) for each slice ``rows`` of _BLOCK_ROWS of n rows], in row order.
 
-    More than one block maps over THREADS workers; one block runs inline.
+    The blocks map over THREADS tasks (map_on_pool); numpy releases the GIL
+    in the window's loops.
     """
     blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
-    if len(blocks) > 1:
-        # numpy releases the GIL in the window's loops
-        with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            return list(pool.map(fill, blocks))
-    return [fill(rows) for rows in blocks]
+    return map_on_pool(lambda: fill, blocks, THREADS)
 
 
 class MollifiedPotential:

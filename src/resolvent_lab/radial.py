@@ -28,8 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +37,7 @@ from scipy.linalg.lapack import dstebz, dstein, zgttrf, zgttrs
 
 from .errors import (AccuracyError, EvaluationError, InvalidInputError,
                      SingularMatrixError, require_finite)
-from .potentials import THREADS, PotentialModel
+from .potentials import THREADS, PotentialModel, map_on_pool
 
 LANCZOS_STEP_CAP = 1_000
 RESIDUAL_TOL = 1e-6
@@ -193,22 +191,32 @@ class DiscreteOperator:
     sector: AngularSector
     dr: float
 
-    def _band(self, weighted=None):
-        """A fresh copy of B's complex main diagonal, and B's real off-diagonal.
+    def _band(self, weighted=None, d=None):
+        """B's complex main diagonal, formed in ``d`` when given, and B's real off-diagonal.
 
         B = W^{-1} A W^{-1} has A's diagonal times (r+1)**(2s).
         ``weighted`` is this grid's pair from _weighted_terms, built here
-        when not given.
+        when not given; without ``d`` the diagonal is a fresh array.
         """
         lift2, off = weighted or _weighted_terms(self.query, self.dr, self.grid)
-        d = _diagonal(self.query, self.sector, self.dr, self.grid, self.v)
+        if d is not None:
+            np.copyto(d, self.v)
+        d = _diagonal(self.query, self.sector, self.dr, self.grid,
+                      self.v if d is None else d)
         d *= lift2
         return d, off
 
-    def _lu(self, weighted=None):
-        """The zgttrf factors (dl, d, du, du2, ipiv) of B, which zgttrs takes; see _band."""
-        d, off = self._band(weighted)
-        dl, du = off.astype(complex), off.astype(complex)
+    def _lu(self, weighted=None, band=None):
+        """The zgttrf factors (dl, d, du, du2, ipiv) of B, which zgttrs takes; see _band.
+
+        B's band is formed in the complex buffers ``band`` = (dl, d, du),
+        whose contents are not read, or in fresh ones; zgttrf factors it in
+        place and allocates du2 and ipiv only.
+        """
+        dl, d, du = band or _band_buffers(self.grid.size)
+        d, off = self._band(weighted, d)
+        np.copyto(dl, off)
+        np.copyto(du, off)
         del weighted, off  # a pair built here is freed before the factor
         *lu, info = zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:  # pragma: no cover - eps > 0 keeps this clear
@@ -216,6 +224,11 @@ class DiscreteOperator:
                 f"sector factorization failed: zgttrf info={info} "
                 f"(sector l={self.sector.l})")
         return lu
+
+
+def _band_buffers(n):
+    """Complex (dl, d, du) of a grid of n points, for _lu to form B's band in."""
+    return np.empty(n - 1, complex), np.empty(n, complex), np.empty(n - 1, complex)
 
 
 def assemble(query, sector, grid_spec):
@@ -246,6 +259,10 @@ def _checked_points(query, grid_spec):
 def _diagonal(query, sector, dr, r, v):
     """A's complex main diagonal at the nodes ``r``, where V = ``v``; formed nowhere else.
 
+    A real ``v`` is not written, and the diagonal is a fresh array; a
+    complex ``v`` is a caller's buffer whose real part holds V, and the
+    diagonal is formed in it and returned.
+
     The last node carries the transparent condition.  With a = h**2 / dr**2
     and d_n the last entry of the interior rule, the coefficients frozen
     past that node make u_{n+1} = zeta u_n, where zeta + 1/zeta = d_n / a
@@ -253,8 +270,17 @@ def _diagonal(query, sector, dr, r, v):
     off d_n.  For eps > 0 this adds sign * Im(-a zeta) > 0: absorption only.
     The - side's zeta is the conjugate of the + side's, bit for bit.
     """
-    diag = (2.0 * query.h ** 2 / dr ** 2 + sector.lambda_value / r ** 2 - query.E + v
-            + 1j * (query.sign * query.eps))
+    diag = v if np.iscomplexobj(v) else v.astype(complex)
+    # ((2 a + lambda_l / r**2) - E) + V + i sign eps with the formula's
+    # operations in its order; the imaginary part holds the real terms
+    # until sign eps takes it
+    x = diag.imag
+    np.square(r, out=x)
+    np.divide(sector.lambda_value, x, out=x)
+    x += 2.0 * query.h ** 2 / dr ** 2
+    x -= query.E
+    diag.real += x
+    x.fill(query.sign * query.eps)
     a = query.h ** 2 / dr ** 2
     t = complex(diag[-1]) / a
     root = cmath.sqrt(t * t - 4.0)
@@ -344,18 +370,19 @@ def _top_ritz_pair(alphas, betas):
     return float(theta[0]), float(vec[-1, 0])
 
 
-def _lanczos_sector_norm(op, weighted, start, work):
+def _lanczos_sector_norm(op, weighted, start, work, band):
     """(sqrt(theta), Gram products, residual) of B^{-1} = W A^{-1} W by Lanczos.
 
     Runs the three-term recurrence on G = B^{-H} B^{-1} from ``start``,
     which it does not write, with ``weighted`` the query's pair from
-    _weighted_terms and ``work`` three complex vectors of the grid's length
-    whose contents are not read.  It stops when the top Ritz pair
-    (theta, s) of T_k has residual |beta_k s_k| / theta <= RESIDUAL_TOL.
+    _weighted_terms, ``work`` three complex vectors of the grid's length
+    and ``band`` the buffers _lu forms B in; no buffer's contents are read.
+    It stops when the top Ritz pair (theta, s) of T_k has residual
+    |beta_k s_k| / theta <= RESIDUAL_TOL.
     No basis is kept: without reorthogonalization the top Ritz value
     converges before a spurious copy of it can form (Paige).
     """
-    lu = op._lu(weighted)
+    lu = op._lu(weighted, band)
     v, v_prev, r = work
     np.copyto(v, start)
     # q_k = scale * v and q_{k-1} = scale_prev * v_prev: each Lanczos vector is
@@ -422,7 +449,9 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
     """Weighted sector resolvent norms over l = 0..l_max, on ``threads`` workers.
 
     Every sector starts from one Gaussian vector drawn from ``seed``, so a
-    sector's value depends on neither l_max nor the thread count.
+    sector's value depends on neither l_max nor the thread count.  Each
+    task of map_on_pool holds B's band and the Lanczos vectors for the
+    whole call, so a sector allocates only zgttrf's du2 and ipiv.
     """
     _check_integer("l_max", l_max, 0)
     _check_integer("seed", seed, 0)
@@ -430,17 +459,19 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
     r, v = _radial_terms(query, grid_spec)
     weighted = _weighted_terms(query, grid_spec.dr, r)
     start = _start_vector(r.size, seed)
-    # per-worker state of this call only: it goes with the pool's threads
-    local = threading.local()
+    n = r.size
 
-    def sector_norm(l):  # B's band is formed on the worker: one live copy per thread
-        if not hasattr(local, "work"):
-            local.work = tuple(np.empty_like(start) for _ in range(3))
-        op = DiscreteOperator(r, v, query, AngularSector(query.d, l, query.h), grid_spec.dr)
-        return _lanczos_sector_norm(op, weighted, start, local.work)
+    def worker():
+        band = _band_buffers(n)
+        work = tuple(np.empty(n, complex) for _ in range(3))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(sector_norm, range(l_max + 1)))
+        def sector_norm(l):
+            op = DiscreteOperator(r, v, query, AngularSector(query.d, l, query.h),
+                                  grid_spec.dr)
+            return _lanczos_sector_norm(op, weighted, start, work, band)
+        return sector_norm
+
+    results = map_on_pool(worker, range(l_max + 1), threads)
     return NormEstimate(iterations=sum(res[1] for res in results),
                         residual=max(res[2] for res in results),
                         sector_values=tuple(res[0] for res in results))

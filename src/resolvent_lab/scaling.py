@@ -183,8 +183,10 @@ class GridPolicy:
     """Turns a query into uniform operator grids and a sector cap.
 
     The default step h/20 sits a factor two inside the h/10 assembly rule
-    (radial.STEPS_PER_H) so that halving it moves the measured g by well
-    under 1e-2.  ``tail_tol`` is the one truncation tolerance: it bounds a
+    (radial.STEPS_PER_H).  Halving it is not always a small change: the
+    README row (h, eps) = (0.2, 1e-4) reads g = 6.8309 at h/20 and 6.7455
+    at h/40, while at h = 0.1 the change is 4.8e-5 (ROADMAP item 3).
+    ``tail_tol`` is the one truncation tolerance: it bounds a
     short box's measured tail term (sweep), sets a non-trapping short box
     to ln(1/tail_tol) absorption lengths, and sets the fallback radius
     r_tail = tail_tol**(-1/(2s)) - 1, where the weight's tail
@@ -376,6 +378,8 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     A row whose estimate fails numerically is marked; a sweep with no
     successful row raises AccuracyError naming the first row's failure.
     """
+    _check_integer("threads", threads, 1)
+    _check_integer("seed", seed, 0)
     hs = [float(h) for h in h_values]
     if not hs:
         raise InvalidInputError("h_values must not be empty")

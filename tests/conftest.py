@@ -33,6 +33,18 @@ def measured(h, g, eps=1e-2, sign=1):
     return SweepResult(rows=rows)
 
 
+def buffers(n, fill=None):
+    """Three Lanczos vectors and the (dl, d, du) band buffers of a grid of n points.
+
+    With ``fill`` every entry holds it, standing for a previous sector's
+    contents.
+    """
+    sizes = (n, n, n, n - 1, n, n - 1)
+    made = [np.empty(k, dtype=complex) if fill is None else np.full(k, fill, dtype=complex)
+            for k in sizes]
+    return tuple(made[:3]), tuple(made[3:])
+
+
 def sector_norm(op, seed=0):
     """(value, Gram products, residual) of one sector, started as the library does.
 
@@ -40,9 +52,8 @@ def sector_norm(op, seed=0):
     ``weighted_resolvent_norm`` builds them once per query.
     """
     n = op.grid.size
-    work = tuple(np.empty(n, dtype=complex) for _ in range(3))
     return _lanczos_sector_norm(op, _weighted_terms(op.query, op.dr, op.grid),
-                                _start_vector(n, seed), work)
+                                _start_vector(n, seed), *buffers(n))
 
 
 def interior_diagonal(op):

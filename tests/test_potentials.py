@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,8 +18,8 @@ from resolvent_lab.errors import (AccuracyError, EvaluationError,
                                   InvalidInputError)
 from resolvent_lab.potentials import (_BLOCK_ROWS, MollifierKernel,
                                       PotentialModel, REFERENCE_GRID,
-                                      barrier_well, holder_seminorm, mollify,
-                                      theta_for)
+                                      barrier_well, holder_seminorm,
+                                      map_on_pool, mollify, theta_for)
 
 from conftest import by_the_rule, nan_on, two_pass_ratios
 
@@ -327,6 +329,71 @@ class TestBlockedEvaluation:
                 tracemalloc.stop()
         # one whole n x 64 window would take 85 MB per temporary
         assert max(peaks.values()) < 16e6, peaks
+
+
+class TestPool:
+    def test_every_item_runs_once_in_item_order(self):
+        # more tasks than cores, switching threads as often as the
+        # interpreter allows: a lost or repeated item would show in ``runs``
+        runs, made = [], []
+
+        def square(i):
+            runs.append(i)
+            return i * i
+
+        def worker():
+            made.append(threading.get_ident())
+            return square
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 8):
+                runs.clear(), made.clear()
+                assert map_on_pool(worker, range(500), threads) == [i * i for i in range(500)]
+                assert sorted(runs) == list(range(500))
+                # one worker() per task, and each task on its own thread
+                assert 1 <= len(made) == len(set(made)) <= threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_every_item_runs_and_the_first_failure_is_raised(self):
+        runs = []
+
+        def fail_odd(i):
+            runs.append(i)
+            if i % 2:
+                raise EvaluationError(f"item {i}")
+            return i
+
+        for threads in (1, 3):
+            runs.clear()
+            with pytest.raises(EvaluationError, match="^item 1$"):
+                map_on_pool(lambda: fail_odd, range(9), threads)
+            assert sorted(runs) == list(range(9))
+
+    def test_evaluate_on_a_pool_thread_runs_inline(self, kernel, holder_model,
+                                                   monkeypatch):
+        # a pool thread never waits on a pool, so the sweep's sector tasks
+        # and the mollifier's row blocks cannot deadlock on each other
+        monkeypatch.setattr(potentials, "THREADS", 2)
+        callers = []
+
+        def recorded(r):
+            callers.append(threading.get_ident())
+            return holder_model.evaluate(r)
+
+        smoothed = rl.MollifiedPotential(replace(holder_model, evaluate=recorded),
+                                         kernel, 0.01)
+        r = np.linspace(0.0, 10.0, 4 * _BLOCK_ROWS)
+        want = smoothed.evaluate(r)
+        callers.clear()
+        on_pool = potentials._pool(2).submit(
+            lambda: (threading.get_ident(), smoothed.evaluate(r)))
+        ident, got = on_pool.result(timeout=60)
+        assert ident != threading.get_ident()
+        assert callers == [ident] * 4
+        assert np.max(np.abs(got - want)) <= 4e-16 * np.max(np.abs(want))
 
 
 BUILT_IN = [("zero", {}), ("power_law", {"c": 0.5, "delta": 1.0}),

@@ -31,7 +31,7 @@ from resolvent_lab.radial import (_BLOCK_ROWS, AngularSector, ResolventQuery,
                                   _weighted_terms)
 from resolvent_lab.scaling import GridPolicy
 
-from conftest import (boundary_entry, conjugate_check, dense_matrix,
+from conftest import (boundary_entry, buffers, conjugate_check, dense_matrix,
                       gaussian_bump, interior_diagonal, lift, main_diagonal,
                       nan_on, sector_norm, weighted_diagonals, weighted_matrix,
                       whole_array_audit, whole_array_backward_error)
@@ -485,9 +485,9 @@ class TestNorms:
         weighted = _weighted_terms(q, op.dr, op.grid)
         start = _start_vector(op.grid.size, 0)
         kept = [a.copy() for a in (start, *weighted)]
-        # working vectors left over from another sector: their contents are not read
-        stale = tuple(np.full(start.size, complex(np.nan, np.nan)) for _ in range(3))
-        assert _lanczos_sector_norm(op, weighted, start, stale) == sector_norm(op)
+        # buffers left over from another sector: their contents are not read
+        stale = buffers(start.size, fill=complex(np.nan, np.nan))
+        assert _lanczos_sector_norm(op, weighted, start, *stale) == sector_norm(op)
         # the start vector and the weighted terms are shared by the sectors
         assert all(np.array_equal(a, b) for a, b in zip((start, *weighted), kept))
         assert np.vdot(start, start).real == pytest.approx(1.0, rel=1e-15)
@@ -498,20 +498,21 @@ class TestNorms:
                            potential=power_law_model)
         inner = radial._lanczos_sector_norm
 
-        def recording(op, weighted, start, work):
-            vectors.setdefault(threading.get_ident(), set()).add(id(work))
-            alive.extend(weakref.ref(v) for v in work)
-            return inner(op, weighted, start, work)
+        def recording(op, weighted, start, work, band):
+            held = (*work, *band)
+            vectors.setdefault(threading.get_ident(), set()).add(tuple(map(id, held)))
+            alive.extend(weakref.ref(v) for v in held)
+            return inner(op, weighted, start, work, band)
 
         monkeypatch.setattr(radial, "_lanczos_sector_norm", recording)
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             vectors, alive = {}, []
             weighted_resolvent_norm(q, small_grid(3), l_max=5, seed=0,
                                     threads=threads)
             assert 1 <= len(vectors) <= threads
             assert all(len(ids) == 1 for ids in vectors.values())
-            # three vectors for each of the six sectors; nothing outlives the call
-            assert len(alive) == 18 and all(ref() is None for ref in alive)
+            # six buffers for each of the six sectors; nothing outlives the call
+            assert len(alive) == 36 and all(ref() is None for ref in alive)
 
     def test_non_finite_vector_fails_the_sector(self, power_law_model):
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
@@ -521,8 +522,7 @@ class TestNorms:
         lift2[7] = np.nan
         n = op.grid.size
         with pytest.raises(AccuracyError, match="non-finite"):
-            _lanczos_sector_norm(op, (lift2, off), _start_vector(n, 0),
-                                 tuple(np.empty(n, dtype=complex) for _ in range(3)))
+            _lanczos_sector_norm(op, (lift2, off), _start_vector(n, 0), *buffers(n))
 
     def test_step_cap_fails_the_sector(self, power_law_model, monkeypatch):
         q = ResolventQuery(d=3, E=1.0, h=0.5, eps=1e-2, sign=1, s=0.6,
@@ -630,7 +630,7 @@ class TestNorms:
         assert n == 55_179
         weighted = _weighted_terms(q, op.dr, op.grid)
         start = _start_vector(n, 2024)
-        work = tuple(np.empty(n, dtype=complex) for _ in range(3))
+        work, band = buffers(n)
         factored = []
         lu = radial.DiscreteOperator._lu
 
@@ -643,13 +643,35 @@ class TestNorms:
         monkeypatch.setattr(radial.DiscreteOperator, "_lu", measured_from_here)
         tracemalloc.start()
         try:
-            _, steps, _ = _lanczos_sector_norm(op, weighted, start, work)
+            _, steps, _ = _lanczos_sector_norm(op, weighted, start, work, band)
             growth = tracemalloc.get_traced_memory()[1] - factored[0]
         finally:
             tracemalloc.stop()
         assert steps >= 5
         # one full-length complex vector is 0.88 MB
         assert growth < n * 16, growth
+
+    def test_a_sector_allocates_only_the_pivots(self, holder_model):
+        # the same sector with its buffers held: B's band is formed in them,
+        # so what it allocates is zgttrf's du2 and ipiv and T_k's few kB
+        q = ResolventQuery(d=3, E=1.0, h=0.05, eps=1e-2, sign=1, s=0.7,
+                           potential=holder_model)
+        policy = GridPolicy(tail_tol=1e-3, dr_factor=0.05, l_max=8)
+        op = assemble(q, AngularSector(3, 2, 0.05), policy.grid_for(q))
+        n = op.grid.size
+        weighted = _weighted_terms(q, op.dr, op.grid)
+        start = _start_vector(n, 2024)
+        work, band = buffers(n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _lanczos_sector_norm(op, weighted, start, work, band)
+            growth = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        pivots = 16 * (n - 2) + 4 * n
+        # 18 kB above the pivots; a real grid-length array is 0.44 MB
+        assert pivots <= growth < pivots + 64 * 1024, growth
 
 
 class TestFactor:
@@ -698,11 +720,14 @@ class TestFactor:
         kept = [a.copy() for a in (op.v, *weighted)]
         *ref, info = zgttrf(*weighted_diagonals(op))
         assert info == 0
-        # the factor of B, built here or from the query's shared weighted terms
-        for factors in (op._lu(), op._lu(weighted)):
+        # the factor of B, built here or from the query's shared weighted
+        # terms, and in a worker's band buffers, which zgttrf overwrites
+        _, band = buffers(op.grid.size, fill=complex(np.nan, np.nan))
+        for factors in (op._lu(), op._lu(weighted), op._lu(weighted, band)):
             assert len(factors) == len(ref)
             for got, want in zip(factors, ref):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert all(got is buf for got, buf in zip(factors, band))
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip((op.v, *weighted), kept))
 

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -287,6 +290,20 @@ class TestSweep:
         with pytest.raises(InvalidInputError, match="threads"):
             sweep(template, [0.2, 0.1], [1e-2], cheap_policy(), threads=0)
 
+    @pytest.mark.parametrize("key,value", [("threads", 0), ("seed", -1)])
+    def test_seed_and_threads_are_checked_before_any_row(self, zero_model,
+                                                         monkeypatch, key, value):
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=zero_model)
+
+        def measured(*args):
+            raise AssertionError("a row was measured")
+
+        monkeypatch.setattr(scaling, "_measure", measured)
+        monkeypatch.setattr(GridPolicy, "grid_for", measured)
+        with pytest.raises(InvalidInputError, match=f"^{key} must be at least"):
+            sweep(template, [0.2, 0.1], [1e-2], cheap_policy(), **{key: value})
+
     @pytest.mark.parametrize("key,value", [
         ("seed", 2.5), ("seed", "7"), ("seed", True), ("threads", 1.5),
         ("threads", True),
@@ -560,6 +577,47 @@ class TestSweepMirror:
         assert ([row.matvecs for row in minus.rows]
                 == [row.matvecs for row in both.rows if row.sign == 1])
         assert all(row.matvecs == 0 for row in both.rows if row.sign == -1)
+
+
+class TestWorkerPool:
+    """The process keeps one pool per worker count; a forked child makes its own."""
+
+    def rows(self, model, threads):
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
+                                  potential=model)
+        swept = sweep(template, [0.5, 0.4], [1e-2], cheap_policy(l_max=4),
+                      seed=3, threads=threads)
+        return [(row.g_measured, row.matvecs, row.residual) for row in swept.rows]
+
+    def test_pools_are_kept_and_change_no_bit(self, power_law_model):
+        first, counts = self.rows(power_law_model, 1), []
+        for _ in range(5):
+            for threads in (2, 1, 3, 2):
+                assert self.rows(power_law_model, threads) == first
+            counts.append(threading.active_count())
+        assert counts == counts[:1] * 5
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_a_forked_child_sweeps_on_its_own_pool(self, power_law_model):
+        # the parent's two-worker pool exists; its thread does not in the child
+        want = self.rows(power_law_model, 2)
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(
+            target=lambda: results.put(self.rows(power_law_model, 2)))
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that forking a threaded process can deadlock
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        try:
+            got = results.get(timeout=120)
+            child.join(timeout=30)
+        finally:
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        assert got == want
 
 
 class TestMaps:
