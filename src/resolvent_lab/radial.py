@@ -13,14 +13,14 @@ that operator's resolvent to the box and the box need not hold the
 weight's tail.  The weighted norm of a sector is the largest singular
 value of W A^{-1} W with W = diag((r+1)**(-s)), that is of B^{-1} for the
 complex symmetric tridiagonal B = W^{-1} A W^{-1}.  A's main diagonal,
-transparent entry included, is formed in one place (_diagonal), which
-both B's band (DiscreteOperator._band) and the audit's backward error
-read.  One LAPACK factor of B (zgttrf) serves the Lanczos norm and the
-phase-conjugated solve of the energy audit; the dense oracle takes
-sigma_min(B) from the band's real symmetric embedding and never touches
-that factor.  B_- is the entrywise conjugate of B_+, since W is real and
-the - side's transparent entry is the conjugate of the + side's, so both
-signs of eps have the same norm.
+transparent entry included, is formed in one place (_diagonal), and B's
+band in one (DiscreteOperator._band), in buffers from _band_buffers, for
+the Lanczos norm, the dense oracle and the audit's phase-conjugated solve.
+One factor step (DiscreteOperator._factor, zgttrf in place) serves the
+norm and the solve; the oracle takes sigma_min(B) from the band's real
+symmetric embedding without it.  B_- is the entrywise conjugate of B_+,
+since W is real and the - side's transparent entry is the conjugate of
+the + side's, so both signs of eps have the same norm.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -181,8 +181,8 @@ class UniformGridSpec:
 class DiscreteOperator:
     """Complex tridiagonal sector operator A, u = 0 at r_min, transparent at the outer end.
 
-    ``v`` is V at the nodes ``grid``, shared by every sector of a query;
-    _diagonal forms A's main diagonal from them, _offdiag its off-diagonal.
+    ``v`` is V at the nodes ``grid``, shared by every sector of a query.
+    _band forms B = W^{-1} A W^{-1}, and _factor factors it in place.
     """
 
     grid: np.ndarray
@@ -191,34 +191,26 @@ class DiscreteOperator:
     sector: AngularSector
     dr: float
 
-    def _band(self, weighted=None, d=None):
-        """B's complex main diagonal, formed in ``d`` when given, and B's real off-diagonal.
+    def _band(self, weighted, band):
+        """B's band, formed in the complex buffers ``band`` = (dl, d, du), not read.
 
-        B = W^{-1} A W^{-1} has A's diagonal times (r+1)**(2s).
-        ``weighted`` is this grid's pair from _weighted_terms, built here
-        when not given; without ``d`` the diagonal is a fresh array.
+        ``weighted`` is this grid's pair from _weighted_terms: B's diagonal
+        is A's times (r+1)**(2s), and its off-diagonal fills dl and du.
         """
-        lift2, off = weighted or _weighted_terms(self.query, self.dr, self.grid)
-        if d is not None:
-            np.copyto(d, self.v)
-        d = _diagonal(self.query, self.sector, self.dr, self.grid,
-                      self.v if d is None else d)
+        lift2, off = weighted
+        dl, d, du = band
+        _diagonal(self.query, self.sector, self.dr, self.grid, self.v, d)
         d *= lift2
-        return d, off
-
-    def _lu(self, weighted=None, band=None):
-        """The zgttrf factors (dl, d, du, du2, ipiv) of B, which zgttrs takes; see _band.
-
-        B's band is formed in the complex buffers ``band`` = (dl, d, du),
-        whose contents are not read, or in fresh ones; zgttrf factors it in
-        place and allocates du2 and ipiv only.
-        """
-        dl, d, du = band or _band_buffers(self.grid.size)
-        d, off = self._band(weighted, d)
         np.copyto(dl, off)
         np.copyto(du, off)
-        del weighted, off  # a pair built here is freed before the factor
-        *lu, info = zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        return band
+
+    def _factor(self, band):
+        """The zgttrf factors (dl, d, du, du2, ipiv) of _band's band, which zgttrs takes.
+
+        zgttrf factors the band in place and allocates du2 and ipiv only.
+        """
+        *lu, info = zgttrf(*band, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:  # pragma: no cover - eps > 0 keeps this clear
             raise SingularMatrixError(
                 f"sector factorization failed: zgttrf info={info} "
@@ -227,23 +219,18 @@ class DiscreteOperator:
 
 
 def _band_buffers(n):
-    """Complex (dl, d, du) of a grid of n points, for _lu to form B's band in."""
+    """Complex (dl, d, du) of a grid of n points, for _band to form B's band in."""
     return np.empty(n - 1, complex), np.empty(n, complex), np.empty(n - 1, complex)
 
 
 def assemble(query, sector, grid_spec):
-    """Discretize one angular sector of the absorbing operator."""
+    """Discretize one angular sector of the absorbing operator; V must be finite."""
     if sector.d != query.d or sector.h != query.h:
         raise InvalidInputError("sector and query disagree on d or h")
-    return DiscreteOperator(*_radial_terms(query, grid_spec), query, sector, grid_spec.dr)
-
-
-def _radial_terms(query, grid_spec):
-    """Grid r and V(r) shared by every sector of one query; V must be finite."""
     r = _checked_points(query, grid_spec)
     v = np.asarray(query.potential(r), dtype=float)
     require_finite(f"potential {query.potential.name}", v, r)
-    return r, v
+    return DiscreteOperator(r, v, query, sector, grid_spec.dr)
 
 
 def _checked_points(query, grid_spec):
@@ -256,12 +243,16 @@ def _checked_points(query, grid_spec):
     return grid_spec.points()
 
 
-def _diagonal(query, sector, dr, r, v):
-    """A's complex main diagonal at the nodes ``r``, where V = ``v``; formed nowhere else.
+def _coupling(query, dr):
+    """a = h**2 / dr**2: A's off-diagonal is -a, and its diagonal holds 2 a."""
+    return query.h ** 2 / dr ** 2
 
-    A real ``v`` is not written, and the diagonal is a fresh array; a
-    complex ``v`` is a caller's buffer whose real part holds V, and the
-    diagonal is formed in it and returned.
+
+def _diagonal(query, sector, dr, r, v, out):
+    """A's main diagonal at the nodes ``r``, where V = ``v``, formed in the complex ``out``.
+
+    ``out``'s contents are not read; it is returned.  This is the only
+    place A's diagonal is formed.
 
     The last node carries the transparent condition.  With a = h**2 / dr**2
     and d_n the last entry of the interior rule, the coefficients frozen
@@ -270,29 +261,23 @@ def _diagonal(query, sector, dr, r, v):
     off d_n.  For eps > 0 this adds sign * Im(-a zeta) > 0: absorption only.
     The - side's zeta is the conjugate of the + side's, bit for bit.
     """
-    diag = v if np.iscomplexobj(v) else v.astype(complex)
+    a = _coupling(query, dr)
     # ((2 a + lambda_l / r**2) - E) + V + i sign eps with the formula's
     # operations in its order; the imaginary part holds the real terms
     # until sign eps takes it
-    x = diag.imag
+    x = out.imag
     np.square(r, out=x)
     np.divide(sector.lambda_value, x, out=x)
-    x += 2.0 * query.h ** 2 / dr ** 2
+    x += 2.0 * a
     x -= query.E
-    diag.real += x
+    np.add(v, x, out=out.real)
     x.fill(query.sign * query.eps)
-    a = query.h ** 2 / dr ** 2
-    t = complex(diag[-1]) / a
+    t = complex(out[-1]) / a
     root = cmath.sqrt(t * t - 4.0)
     # the root of larger modulus is formed without cancellation; zeta is the other
     far = t + root if abs(t + root) >= abs(t - root) else t - root
-    diag[-1] -= a * (2.0 / far)
-    return diag
-
-
-def _offdiag(query, dr):
-    """The constant off-diagonal -h**2 / dr**2 of every sector operator."""
-    return -query.h ** 2 / dr ** 2
+    out[-1] -= a * (2.0 / far)
+    return out
 
 
 def _lift(r, s):
@@ -308,7 +293,7 @@ def _weighted_terms(query, dr, r):
     """
     lift = _lift(r, query.s)
     off = lift[:-1] * lift[1:]
-    off *= _offdiag(query, dr)
+    off *= -_coupling(query, dr)
     return np.multiply(lift, lift, out=lift), off
 
 
@@ -376,13 +361,13 @@ def _lanczos_sector_norm(op, weighted, start, work, band):
     Runs the three-term recurrence on G = B^{-H} B^{-1} from ``start``,
     which it does not write, with ``weighted`` the query's pair from
     _weighted_terms, ``work`` three complex vectors of the grid's length
-    and ``band`` the buffers _lu forms B in; no buffer's contents are read.
+    and ``band`` the buffers B is formed and factored in, none read.
     It stops when the top Ritz pair (theta, s) of T_k has residual
     |beta_k s_k| / theta <= RESIDUAL_TOL.
     No basis is kept: without reorthogonalization the top Ritz value
     converges before a spurious copy of it can form (Paige).
     """
-    lu = op._lu(weighted, band)
+    lu = op._factor(op._band(weighted, band))
     v, v_prev, r = work
     np.copyto(v, start)
     # q_k = scale * v and q_{k-1} = scale_prev * v_prev: each Lanczos vector is
@@ -430,12 +415,13 @@ def dense_weighted_norm(query, sector, grid_spec):
     eigenvalue of index n (from 0, ascending) is sigma_min(B), to within
     a few eps ||B||_2 (Weyl).  Time grows as about n**2.
     """
-    d, off = assemble(query, sector, grid_spec)._band()
-    n = d.size
+    op = assemble(query, sector, grid_spec)
+    n = op.grid.size
+    _, d, off = op._band(_weighted_terms(query, op.dr, op.grid), _band_buffers(n))
     ab = np.zeros((3, 2 * n))
     ab[0, 0::2], ab[0, 1::2] = d.real, -d.real
     ab[1, 0::2] = d.imag
-    ab[2, :-2:2], ab[2, 1:-2:2] = off, -off
+    ab[2, :-2:2], ab[2, 1:-2:2] = off.real, -off.real
     sigma = sla.eigvals_banded(ab, lower=True, overwrite_a_band=True, select="i",
                                select_range=(n, n))[0]
     if not sigma > 0.0:
@@ -449,25 +435,25 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
     """Weighted sector resolvent norms over l = 0..l_max, on ``threads`` workers.
 
     Every sector starts from one Gaussian vector drawn from ``seed``, so a
-    sector's value depends on neither l_max nor the thread count.  Each
+    sector's value depends on neither l_max nor the thread count.  Every
+    sector's operator shares the grid and V of assemble's l = 0 one.  Each
     task of map_on_pool holds B's band and the Lanczos vectors for the
     whole call, so a sector allocates only zgttrf's du2 and ipiv.
     """
     _check_integer("l_max", l_max, 0)
     _check_integer("seed", seed, 0)
     _check_integer("threads", threads, 1)
-    r, v = _radial_terms(query, grid_spec)
-    weighted = _weighted_terms(query, grid_spec.dr, r)
-    start = _start_vector(r.size, seed)
-    n = r.size
+    base = assemble(query, AngularSector(query.d, 0, query.h), grid_spec)
+    n = base.grid.size
+    weighted = _weighted_terms(query, base.dr, base.grid)
+    start = _start_vector(n, seed)
 
     def worker():
         band = _band_buffers(n)
         work = tuple(np.empty(n, complex) for _ in range(3))
 
         def sector_norm(l):
-            op = DiscreteOperator(r, v, query, AngularSector(query.d, l, query.h),
-                                  grid_spec.dr)
+            op = replace(base, sector=AngularSector(query.d, l, query.h))
             return _lanczos_sector_norm(op, weighted, start, work, band)
         return sector_norm
 
@@ -519,13 +505,13 @@ def _backward_error(u, rhs, query, r, dr, phase):
     _diagonal one _BLOCK_ROWS-row block at a time, with a one-row halo.
     """
     sector, n = AngularSector(query.d, 0, query.h), u.size
-    off = _offdiag(query, dr)
+    off = -_coupling(query, dr)
     worst = []
     for lo, hi, a, b in _blocks(n):
         rb = r[a:b]
         v = np.asarray(query.potential(rb), dtype=float)
         require_finite(f"potential {query.potential.name}", v, rb)
-        diag = _diagonal(query, sector, dr, rb, v)
+        diag = _diagonal(query, sector, dr, rb, v, np.empty(rb.size, complex))
         ratio = np.exp(np.diff(phase.value(rb) / query.h))
         own = slice(lo - a, hi - a)
         res = np.abs(_stencil(diag, off, ratio, u[a:b])[own] - rhs[lo:hi])
@@ -554,8 +540,12 @@ class ConjugatedOperator:
 
     def solve(self, rhs):
         """u = (r+1)**s exp(phi/h) B^{-1} ((r+1)**s exp(-phi/h) rhs), one value per grid point."""
-        u = self._scaling(-1.0) * _grid_vector("rhs", rhs, self.grid.size)
-        u = zgttrs(*self.base._lu(), u, overwrite_b=True)[0]
+        base, n = self.base, self.grid.size
+        u = self._scaling(-1.0) * _grid_vector("rhs", rhs, n)
+        # the weighted pair is freed once the band is formed, before the factor
+        band = base._band(_weighted_terms(base.query, base.dr, self.grid),
+                          _band_buffers(n))
+        u = zgttrs(*base._factor(band), u, overwrite_b=True)[0]
         u *= self._scaling(1.0)
         return u
 

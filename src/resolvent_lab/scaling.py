@@ -243,12 +243,14 @@ class GridPolicy:
         are validated, past which the envelope p stays at or below
         tail_tol E.  The query traps when, for some l <= l_max, the allowed
         set {r : V + lambda_l / r**2 <= E} on this grid is not one
-        interval.  A query that does not trap holds no mode behind a
-        barrier, and its outgoing wave's intensity decays like exp(-r/ell)
-        with ell = h sqrt(E) / eps, so its r_c is raised to at least
-        ell ln(1/tail_tol), where that intensity falls to tail_tol.
-        None when the two boxes _measure runs, r_c + 2 r_c, do not fall
-        short of grid_for's radius: a short box must cost less than that.
+        interval; a grid too short for 3 points does not trap.  A query
+        that does not trap holds no mode behind a barrier, and its outgoing
+        wave's intensity decays like exp(-r/ell) with ell = h sqrt(E) / eps,
+        so its r_c is raised to at least ell ln(1/tail_tol), where that
+        intensity falls to tail_tol.  None when the two boxes _measure
+        runs, r_c + 2 r_c, do not fall short of grid_for's radius (a short
+        box must cost less than that), or when r_c still leaves too few
+        points.
         """
         p = query.potential.envelope(REFERENCE_GRID)
         above = np.flatnonzero(~(p <= self.tail_tol * query.E))
@@ -259,21 +261,26 @@ class GridPolicy:
         fallback = self.grid_for(query).r_max
         if not 3.0 * r_c < fallback:
             return None
-        try:
-            grid = self._grid(query, r_c)
-        except InvalidInputError:  # r_c leaves too few points past r_min
-            return None
-        r = grid.points()
-        lam = np.array([AngularSector(query.d, l, query.h).lambda_value
-                        for l in range(self.l_max + 1)])
-        allowed = query.potential(r) + lam[:, None] / r ** 2 <= query.E
-        # an interval starts at the first node or where a forbidden node precedes it
-        starts = allowed[:, 0] + np.sum(allowed[:, 1:] & ~allowed[:, :-1], axis=1)
-        if np.any(starts > 1):
-            return grid
+        grid = self._short(query, r_c)
+        if grid is not None:  # a grid of fewer than 3 points holds no barrier
+            r = grid.points()
+            lam = np.array([AngularSector(query.d, l, query.h).lambda_value
+                            for l in range(self.l_max + 1)])
+            allowed = query.potential(r) + lam[:, None] / r ** 2 <= query.E
+            # an interval starts at the first node or where a forbidden node precedes it
+            starts = allowed[:, 0] + np.sum(allowed[:, 1:] & ~allowed[:, :-1], axis=1)
+            if np.any(starts > 1):
+                return grid
         ell = query.h * math.sqrt(query.E) / query.eps
         r_c = max(r_c, ell * math.log(1.0 / self.tail_tol))
-        return self._grid(query, r_c) if 3.0 * r_c < fallback else None
+        return self._short(query, r_c) if 3.0 * r_c < fallback else None
+
+    def _short(self, query, r_c):
+        """The grid on (r_min, r_c], or None when r_c leaves fewer than 3 points past r_min."""
+        try:
+            return self._grid(query, r_c)
+        except InvalidInputError:
+            return None
 
 
 @dataclass(frozen=True)
@@ -410,14 +417,16 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
             raise InvalidInputError(
                 f"certificate holds on r >= r_min={certificate.r_min:g} only and "
                 f"does not bound a sweep whose grid starts at r_min={r_min:g}")
+    # every row's query is built, and so checked, before the first row runs
+    queries = [[replace(query_template, h=h, eps=eps, sign=1) for eps in sorted(eps_list)]
+               for h in hs]
     bound = bound_from_certificate(certificate, hs) if certificate else None
     signs = sorted(signs, reverse=True)
     rows = []
     for i, h in enumerate(hs):
         g_b = bound.g_values[i] if bound else None
-        for eps in sorted(eps_list):
+        for query in queries[i]:
             start = time.perf_counter()
-            query = replace(query_template, h=h, eps=eps, sign=1)
             try:
                 g, matvecs, residual, r_max, tail = _measure(
                     query, grid_policy, seed, threads)
@@ -428,7 +437,7 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
                 g, matvecs, residual, r_max, tail = None, 0, None, None, None
                 status = f"failed: {exc}"
             for sign in signs:  # labels of the + estimate; later ones ran nothing
-                rows.append(SweepRow(h, eps, sign, g, g_b, grid_policy.l_max,
+                rows.append(SweepRow(h, query.eps, sign, g, g_b, grid_policy.l_max,
                                      1000.0 * (time.perf_counter() - start),
                                      status, matvecs, residual, r_max, tail))
                 start, matvecs = time.perf_counter(), 0

@@ -9,8 +9,9 @@ from resolvent_lab.carleman import CarlemanConfig, GridSpec, min_ell, search_tau
 from resolvent_lab.errors import EvaluationError, InvalidInputError
 from resolvent_lab.potentials import (_BLOCK_ROWS, PotentialModel,
                                       REFERENCE_GRID, holder_seminorm)
-from resolvent_lab.radial import (ResolventQuery, _lanczos_sector_norm,
-                                  _start_vector, _weighted_terms)
+from resolvent_lab.radial import (ResolventQuery, _band_buffers,
+                                  _lanczos_sector_norm, _start_vector,
+                                  _weighted_terms)
 from resolvent_lab.scaling import GridPolicy, SweepResult, SweepRow, sweep
 
 H_SWEEP = (0.2, 0.15, 0.1, 0.07, 0.05)
@@ -54,6 +55,12 @@ def sector_norm(op, seed=0):
     n = op.grid.size
     return _lanczos_sector_norm(op, _weighted_terms(op.query, op.dr, op.grid),
                                 _start_vector(n, seed), *buffers(n))
+
+
+def formed_band(op):
+    """B's band (dl, d, du) of the sector, formed by ``_band`` as every consumer forms it."""
+    return op._band(_weighted_terms(op.query, op.dr, op.grid),
+                    _band_buffers(op.grid.size))
 
 
 def interior_diagonal(op):

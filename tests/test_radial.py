@@ -32,7 +32,8 @@ from resolvent_lab.radial import (_BLOCK_ROWS, AngularSector, ResolventQuery,
 from resolvent_lab.scaling import GridPolicy
 
 from conftest import (boundary_entry, buffers, conjugate_check, dense_matrix,
-                      gaussian_bump, interior_diagonal, lift, main_diagonal,
+                      formed_band, gaussian_bump, interior_diagonal, lift,
+                      main_diagonal,
                       nan_on, sector_norm, weighted_diagonals, weighted_matrix,
                       whole_array_audit, whole_array_backward_error)
 
@@ -104,7 +105,8 @@ class TestAssemble:
         i = np.argmin(np.abs(op.grid - 2.0))
         r = op.grid[i]
         base = 2.0 * 0.01 / gs.dr ** 2 - 1.0
-        diag = radial._diagonal(q, op.sector, op.dr, op.grid, op.v)
+        diag = radial._diagonal(q, op.sector, op.dr, op.grid, op.v,
+                                np.empty(op.grid.size, complex))
         assert diag[i].real - base == pytest.approx(0.01 * 2.0 / r ** 2, rel=1e-12)
         assert 0.01 * 1 * (1 + 3 - 2) / 4.0 == pytest.approx(0.005)
 
@@ -385,11 +387,11 @@ class TestNorms:
                            potential=power_law_model)
         op = assemble(q, AngularSector(3, 1, 0.5), small_grid(3))
         lift2, off = _weighted_terms(q, op.dr, op.grid)
-        d, band_off = op._band()
+        _, d, band_off = formed_band(op)
         assert d.real.tobytes() == (main_diagonal(op).real * lift2).tobytes()
         assert d.imag.tobytes() == (main_diagonal(op).imag * lift2).tobytes()
         assert d.imag[:-1].tobytes() == (lift2[:-1] * (sign * 1e-4)).tobytes()
-        assert band_off.tobytes() == off.tobytes()
+        assert band_off.real.tobytes() == off.tobytes() and not band_off.imag.any()
 
     @pytest.mark.parametrize("entry", ["lanczos", "oracle"])
     def test_non_finite_potential_is_an_evaluation_error(self, power_law_model,
@@ -416,7 +418,7 @@ class TestNorms:
         def refused(*args, **kwargs):
             raise AssertionError("the oracle reached the sector factor")
 
-        monkeypatch.setattr(radial.DiscreteOperator, "_lu", refused)
+        monkeypatch.setattr(radial.DiscreteOperator, "_factor", refused)
         monkeypatch.setattr(radial, "zgttrf", refused)
         monkeypatch.setattr(radial, "zgttrs", refused)
         for q, sec, value in expected:
@@ -632,15 +634,15 @@ class TestNorms:
         start = _start_vector(n, 2024)
         work, band = buffers(n)
         factored = []
-        lu = radial.DiscreteOperator._lu
+        factor = radial.DiscreteOperator._factor
 
         def measured_from_here(self, *args):
-            factors = lu(self, *args)
+            factors = factor(self, *args)
             tracemalloc.reset_peak()
             factored.append(tracemalloc.get_traced_memory()[0])
             return factors
 
-        monkeypatch.setattr(radial.DiscreteOperator, "_lu", measured_from_here)
+        monkeypatch.setattr(radial.DiscreteOperator, "_factor", measured_from_here)
         tracemalloc.start()
         try:
             _, steps, _ = _lanczos_sector_norm(op, weighted, start, work, band)
@@ -688,7 +690,7 @@ class TestFactor:
         op = assemble(q, sec, gs)
         assert op.grid.size <= 400
         mat = dense_matrix(op)
-        lu = op._lu()
+        lu = op._factor(formed_band(op))
         up = lift(op)
         rng = np.random.default_rng(0)
         b = rng.standard_normal(op.grid.size) + 1j * rng.standard_normal(op.grid.size)
@@ -720,13 +722,13 @@ class TestFactor:
         kept = [a.copy() for a in (op.v, *weighted)]
         *ref, info = zgttrf(*weighted_diagonals(op))
         assert info == 0
-        # the factor of B, built here or from the query's shared weighted
-        # terms, and in a worker's band buffers, which zgttrf overwrites
+        # the factor of B from the query's shared weighted terms, formed in a
+        # worker's stale band buffers, which zgttrf overwrites
         _, band = buffers(op.grid.size, fill=complex(np.nan, np.nan))
-        for factors in (op._lu(), op._lu(weighted), op._lu(weighted, band)):
-            assert len(factors) == len(ref)
-            for got, want in zip(factors, ref):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        factors = op._factor(op._band(weighted, band))
+        assert len(factors) == len(ref)
+        for got, want in zip(factors, ref):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert all(got is buf for got, buf in zip(factors, band))
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip((op.v, *weighted), kept))
@@ -962,6 +964,24 @@ class TestEnergyAudit:
         assert audit_peak <= 10e6, audit_peak
         assert error_peak <= 2e6, error_peak
 
+    def test_the_solve_holds_only_the_band_u_the_pivots_and_one_real_array(
+            self, audit_setup):
+        # B's band (3 complex vectors), u, zgttrf's du2 and ipiv and one real
+        # grid array: (r+1)**(2s) and B's off-diagonal, the weighted pair,
+        # are freed once the band is formed, so they add 16 bytes a point
+        # above this bound if they outlive it into the factor
+        *_, op = audit_setup
+        n = op.grid.size
+        rhs = audit_rhs(op.grid, "gauss")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op.solve(rhs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3 * 16 + 16 + (16 + 4) + 8) * n, peak
+
 
 def grid_of(n):
     """The criterion-9 step on a grid of exactly n interior points."""
@@ -1064,8 +1084,10 @@ class TestTransparentEnd:
             lo = np.minimum.outer(r[probe], rp)
             hi = np.maximum.outer(r[probe], rp)
             exact = (np.sin(k * lo) * np.exp(1j * k * hi)) @ fw / (q.h ** 2 * k)
-            off = radial._offdiag(q, dr)
-            for diag, out in ((radial._diagonal(q, op.sector, dr, r, op.v), errors),
+            off = -radial._coupling(q, dr)
+            transparent = radial._diagonal(q, op.sector, dr, r, op.v,
+                                           np.empty(r.size, complex))
+            for diag, out in ((transparent, errors),
                               (interior_diagonal(op), walls)):
                 band = np.array([np.full(r.size, off), diag, np.full(r.size, off)])
                 u = sla.solve_banded((1, 1), band, compact_bump(r).astype(complex))
@@ -1082,8 +1104,9 @@ class TestTransparentEnd:
             minus = replace(plus, sign=-1)
             grid = UniformGridSpec(dr=h / 20, r_max=20.13)
             for l in (0, 8):
-                d_plus, off_plus = assemble(plus, AngularSector(3, l, h), grid)._band()
-                d_minus, off_minus = assemble(minus, AngularSector(3, l, h), grid)._band()
+                sector = AngularSector(3, l, h)
+                _, d_plus, off_plus = formed_band(assemble(plus, sector, grid))
+                _, d_minus, off_minus = formed_band(assemble(minus, sector, grid))
                 assert d_minus.tobytes() == np.conj(d_plus).tobytes()
                 assert off_minus.tobytes() == off_plus.tobytes()
 
@@ -1096,9 +1119,10 @@ class TestTransparentEnd:
         values = {}
         for end in ("transparent", "dirichlet"):
             if end == "dirichlet":
-                def wall(query, sector, dr, r, v):
-                    return (2.0 * query.h ** 2 / dr ** 2 + sector.lambda_value / r ** 2
-                            - query.E + v + 1j * (query.sign * query.eps))
+                def wall(query, sector, dr, r, v, out):
+                    out[:] = (2.0 * query.h ** 2 / dr ** 2 + sector.lambda_value / r ** 2
+                              - query.E + v + 1j * (query.sign * query.eps))
+                    return out
                 monkeypatch.setattr(radial, "_diagonal", wall)
             values[end] = [weighted_resolvent_norm(
                 q, UniformGridSpec(dr=0.02, r_max=r_max), l_max=2, seed=1).g_value
@@ -1124,7 +1148,7 @@ class TestTransparentEnd:
         dr = h / steps
         r = np.array([r_end - dr, r_end])
         v = np.full(2, v_end)
-        diag = radial._diagonal(q, sector, dr, r, v)
+        diag = radial._diagonal(q, sector, dr, r, v, np.empty(2, complex))
         interior = (2.0 * h ** 2 / dr ** 2 + sector.lambda_value / r ** 2 - E + v
                     + 1j * (sign * eps))
         assert diag[0] == interior[0]

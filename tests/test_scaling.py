@@ -218,13 +218,19 @@ class TestSweep:
         ([0.2, 0.0], [1e-2], r"h values must lie in \(0, 1\]"),
         ([1.5, 0.2], [1e-2], r"h values must lie in \(0, 1\]"),
         ([0.2], [], "eps_values must not be empty"),
+        # an eps outside (0, 1] fails before the first row, not at its own
+        ([0.2, 0.1], [0.01, 2.0], r"eps must lie in \(0, 1\], got 2\.0"),
     ])
     def test_h_outside_the_unit_interval_or_no_eps_rejected(
-            self, zero_model, h_values, eps_values, message):
+            self, zero_model, monkeypatch, h_values, eps_values, message):
         template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
                                   potential=zero_model)
+        calls = []
+        monkeypatch.setattr(scaling, "weighted_resolvent_norm",
+                            lambda *args, **kwargs: calls.append(args))
         with pytest.raises(InvalidInputError, match=message):
             sweep(template, h_values, eps_values, cheap_policy())
+        assert calls == []
 
     @pytest.mark.parametrize("signs", [(), (1, 0)])
     def test_signs_other_than_plus_minus_one_rejected(self, zero_model, signs):
@@ -452,6 +458,27 @@ class TestBoxRule:
         assert fallback.r_max > 3.0 * r_c
         far = rl.weighted_resolvent_norm(query, fallback, policy.l_max, seed=7)
         assert row.g_measured == pytest.approx(far.g_value, rel=0, abs=1e-6)
+
+    def test_a_grid_too_short_to_trap_holds_the_absorption_length(self, zero_model,
+                                                                   monkeypatch):
+        # l_max = 0 and V = 0 leave r_c = 0, no grid to test for trapping:
+        # the query does not trap, so r_c = 5 ln 1000 = 34.54, not r_tail = 137.95
+        policy = GridPolicy(tail_tol=1e-3, dr_factor=0.05, l_max=0)
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.7,
+                                  potential=zero_model)
+        calls = self.counting(monkeypatch)
+        (row,) = sweep(template, [0.05], [1e-2], policy, seed=7).rows
+        r_c = 5.0 * math.log(1e3)
+        assert [r_max for r_max, _ in calls] == pytest.approx([r_c, 2.0 * r_c],
+                                                              rel=1e-15)
+        # the tail term is 3.2e-5, and g sits 1.3e-8 from the r_tail box's
+        assert abs(row.tail) <= 1e-4 and row.r_max == calls[1][0]
+        query = replace(template, h=0.05, eps=1e-2)
+        far = rl.weighted_resolvent_norm(query, policy.grid_for(query), 0, seed=7)
+        assert row.g_measured == pytest.approx(far.g_value, rel=0, abs=1e-7)
+        # an absorption length that still leaves fewer than 3 points: r_tail
+        short = replace(query, E=1e-4, eps=1.0)
+        assert GridPolicy(tail_tol=0.05, l_max=0).short_grid(short) is None
 
 
 OK_ROW = SweepRow(h=0.5, eps=1e-2, sign=1, g_measured=1.0, g_bound=2.0,
