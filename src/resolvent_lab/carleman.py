@@ -255,18 +255,15 @@ def build_phase(config):
 class AuditValues:
     """Pointwise audit quantities at radii away from r = a, with the weight mu and mu' there."""
 
-    r: np.ndarray
     mu: np.ndarray
     mup: np.ndarray
     A: np.ndarray
     B1: np.ndarray
     B2: np.ndarray
-    lhs_main: np.ndarray
-    lhs_2d: np.ndarray
 
 
-def audit_at(r, config, envelope_p, C):
-    """Evaluate A, B1, B2 and the certified left-hand sides at radii r.
+def audit_at(r, config, envelope_p):
+    """Evaluate A, B1 and B2 at radii r; certify forms the margins from them.
 
     The weight and phase are the ones ``config`` fixes; r may be a scalar or
     an array of positive points distinct from the cutoff radius a.
@@ -286,7 +283,7 @@ def audit_at(r, config, envelope_p, C):
     p2 = phase.second_derivative(r)
     A = mup * p1 ** 2 + 2.0 * mu * p1 * p2
     p_r = np.asarray(envelope_p(r), dtype=float)
-    h, E, beta = config.h, config.E, config.beta
+    h, beta = config.h, config.beta
     denom = p1 * mu / h + mup
     if config.regularity == LIPSCHITZ:
         B1 = (r + 1.0) ** (-beta) * mu + p_r * mup
@@ -296,14 +293,9 @@ def audit_at(r, config, envelope_p, C):
         B1 = th ** (config.alpha - 1.0) * (r + 1.0) ** (-beta) * mu \
             + (p_r + (r + 1.0) ** (-beta)) * mup
         B2 = (mu * (th ** config.alpha * (r + 1.0) ** (-beta) / h + np.abs(p2))) ** 2 / denom
-    B = B1 + B2
-    lhs_main = A - C * B + 0.5 * E * mup
-    lhs_2d = A - h ** 2 * r ** (-3.0) * mu - C * B + (2.0 * E / 3.0) * mup
-    for name, arr in (("A", A), ("B1", B1), ("B2", B2),
-                      ("lhs_main", lhs_main), ("lhs_2d", lhs_2d)):
+    for name, arr in (("A", A), ("B1", B1), ("B2", B2)):
         require_finite(f"audit value {name} is", arr, r)
-    return AuditValues(r=r, mu=mu, mup=mup, A=A, B1=B1, B2=B2, lhs_main=lhs_main,
-                       lhs_2d=lhs_2d)
+    return AuditValues(mu=mu, mup=mup, A=A, B1=B1, B2=B2)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +417,9 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None):
     if not 0 < C < math.inf:
         raise InvalidInputError(f"audit constant C must be positive and finite, got {C}")
     grid = certification_grid(grid_spec, config.a, r_min)
-    audit = audit_at(grid, config, envelope_p, C)
-    mu, mup = audit.mu, audit.mup
-    k, k0, s, a = config.k, config.k0, config.s, config.a
+    audit = audit_at(grid, config, envelope_p)
+    mu, mup, A = audit.mu, audit.mup, audit.A
+    k, k0, s, a, h, E = config.k, config.k0, config.s, config.a, config.h, config.E
     # headroom keeps the margin strictly positive where the recorded constant
     # is the exact asymptotic ratio (the quotient margin is identically zero
     # there in exact arithmetic, so bare floats would sign-flip on noise)
@@ -439,9 +431,10 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None):
         c26.append(Kj)
         margins[F_QUOTIENT.format(j=j)] = (
             Kj * a ** (2 * k * j) * (grid + 1.0) ** (2 * s) - mu ** j / mup)
-    margins[F_MAIN] = audit.lhs_main
+    B = audit.B1 + audit.B2
+    margins[F_MAIN] = A - C * B + 0.5 * E * mup
     if config.d == 2:
-        margins[F_2D] = audit.lhs_2d
+        margins[F_2D] = A - h ** 2 * grid ** (-3.0) * mu - C * B + (2.0 * E / 3.0) * mup
     families = []
     for name in sorted(margins):
         arr = margins[name]

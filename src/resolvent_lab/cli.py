@@ -67,7 +67,6 @@ _JSON_TYPES = {
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a boolean": lambda v: isinstance(v, bool),
-    "a JSON object": lambda v: isinstance(v, dict),
     "an object of numbers": lambda v: (isinstance(v, dict)
                                        and all(map(_is_number, v.values()))),
     "a nonempty list of numbers": lambda v: (isinstance(v, list) and v != []

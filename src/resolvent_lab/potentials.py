@@ -12,8 +12,10 @@ Smoothing at width theta in (0, 1) replaces V by
     V_theta(r) = int_0^1 rho(sigma) V(r + theta*sigma) dsigma,
     V_theta'(r) = theta**(-1) int_0^1 rho'(sigma) (V(r + theta*sigma) - V(r)) dsigma,
 
-for a nonnegative kernel rho supported in [0, 1] with unit mass.  For a
-model in the class above this keeps
+where the lab's kernel rho is the bump exp(-1/(s(1-s))) scaled to unit
+mass: nonnegative, supported in [0, 1], with a derivative of zero mass.  The
+formula fixes these facts, so they are checked by the tests, not at run
+time.  For a model in the class above this keeps
 
     |V - V_theta| <= holder_const * m_alpha * theta**alpha * (r+1)**(-beta),
     |V_theta'|    <= holder_const * m_alpha' * theta**(alpha-1) * (r+1)**(-beta),
@@ -21,7 +23,8 @@ model in the class above this keeps
 where m_alpha = int sigma**alpha rho and m_alpha' = int sigma**alpha |rho'|.
 The kernel's integrals are 128-node Gauss-Legendre sums, split at 1/2 for
 rho' where the bump's |rho'| has its kink, and checked against the 64-node
-rule; a kernel too rough for the rule raises AccuracyError.
+rule, which guards a caller's alpha: an integrand too rough for the rule
+raises AccuracyError.
 """
 
 from __future__ import annotations
@@ -255,38 +258,6 @@ def _integrate_01(f, split=False):
     return fine
 
 
-class MollifierKernel:
-    """Nonnegative smoothing kernel supported in [0, 1] with unit mass."""
-
-    def __init__(self, rho, drho):
-        self.rho = rho
-        self.drho = drho
-        self.moment0 = _integrate_01(rho)
-        self.gradient_mass = _integrate_01(drho, split=True)
-        probe = np.linspace(-0.5, 1.5, 2001)
-        vals = np.asarray(rho(probe))
-        if np.any(vals < -1e-14):
-            raise InvalidInputError("kernel must be nonnegative")
-        outside = (probe < 0.0) | (probe > 1.0)
-        if np.any(np.abs(vals[outside]) > 1e-14):
-            raise InvalidInputError("kernel must vanish outside [0, 1]")
-        if abs(self.moment0 - 1.0) > 1e-10:
-            raise InvalidInputError(
-                f"kernel mass {self.moment0!r} differs from 1 beyond 1e-10")
-        if abs(self.gradient_mass) > 1e-10:
-            raise InvalidInputError(
-                f"kernel derivative mass {self.gradient_mass!r} exceeds 1e-10")
-        self.sup_value = float(np.max(vals))
-
-    def moment_alpha(self, alpha):
-        """int_0^1 sigma**alpha rho(sigma) dsigma."""
-        return _integrate_01(lambda s: s ** alpha * self.rho(s))
-
-    def moment_alpha_deriv(self, alpha):
-        """int_0^1 sigma**alpha |rho'(sigma)| dsigma."""
-        return _integrate_01(lambda s: s ** alpha * np.abs(self.drho(s)), split=True)
-
-
 def _on_bump_support(s, f):
     """f(s, s (1 - s)) on 1e-3 < s < 1 - 1e-3, where the bump is not negligible, else 0."""
     s = np.asarray(s, dtype=float)
@@ -312,10 +283,30 @@ def _bump_drho(s):
         s, lambda si, u: np.exp(-1.0 / u) * (1.0 - 2.0 * si) / u ** 2 / _BUMP_NORM)
 
 
+class MollifierKernel:
+    """The lab's smoothing kernel: the normalized bump exp(-1/(s(1-s))) on (0, 1).
+
+    The formula fixes its contract (nonnegative, supported in [0, 1], unit
+    mass, a derivative of zero mass, largest at s = 1/2); the tests check it.
+    """
+
+    rho = staticmethod(_bump_rho)
+    drho = staticmethod(_bump_drho)
+    sup_value = float(_bump_rho(0.5))
+
+    def moment_alpha(self, alpha):
+        """int_0^1 sigma**alpha rho(sigma) dsigma."""
+        return _integrate_01(lambda s: s ** alpha * self.rho(s))
+
+    def moment_alpha_deriv(self, alpha):
+        """int_0^1 sigma**alpha |rho'(sigma)| dsigma."""
+        return _integrate_01(lambda s: s ** alpha * np.abs(self.drho(s)), split=True)
+
+
 @functools.cache
 def bump_kernel():
-    """The default kernel: the normalized bump exp(-1/(s(1-s))) on (0, 1)."""
-    return MollifierKernel(_bump_rho, _bump_drho)
+    """The one kernel instance, which every smoothing and certificate constant uses."""
+    return MollifierKernel()
 
 
 # ---------------------------------------------------------------------------

@@ -546,6 +546,7 @@ class ConjugatedOperator:
         band = base._band(_weighted_terms(base.query, base.dr, self.grid),
                           _band_buffers(n))
         u = zgttrs(*base._factor(band), u, overwrite_b=True)[0]
+        del band  # the factored band is freed before the scaling's temporaries
         u *= self._scaling(1.0)
         return u
 

@@ -390,8 +390,6 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     hs = [float(h) for h in h_values]
     if not hs:
         raise InvalidInputError("h_values must not be empty")
-    if any(not 0.0 < h <= 1.0 for h in hs):
-        raise InvalidInputError("h values must lie in (0, 1]")
     if any(a <= b for a, b in zip(hs, hs[1:])):
         raise InvalidInputError(f"h_values must be strictly descending, got {hs!r}")
     eps_list = [float(e) for e in eps_values]

@@ -37,7 +37,7 @@ def demo_config():
 @pytest.fixture()
 def a_term(demo_config, zero_model):
     """A = (mu phi'**2)' of the demo configuration, as audit_at computes it."""
-    return lambda r: audit_at(r, demo_config, zero_model.envelope, 6.0).A
+    return lambda r: audit_at(r, demo_config, zero_model.envelope).A
 
 
 class TestConfig:
@@ -200,7 +200,7 @@ class TestAudit:
         cfg = CarlemanConfig.lipschitz(2.0, 0.6, 4.0, 9.0, E=1.0, h=0.1)
         w = build_weight(cfg)
         r = np.array([cfg.a * 2.0, cfg.a * 5.0])
-        av = audit_at(r, cfg, zero_model.envelope, 6.0)
+        av = audit_at(r, cfg, zero_model.envelope)
         assert_allclose(av.A, 0.0)
         mup = w.derivative(r)
         # with a vanishing phase the squared-curvature term drops entirely
@@ -211,13 +211,13 @@ class TestAudit:
     def test_singular_radius_rejected(self, zero_model):
         cfg = CarlemanConfig.lipschitz(2.0, 0.6, 4.0, 9.0, E=1.0, h=0.1)
         with pytest.raises(SingularPointError):
-            audit_at(cfg.a, cfg, zero_model.envelope, 6.0)
+            audit_at(cfg.a, cfg, zero_model.envelope)
 
     @pytest.mark.parametrize("r", [0.0, [1.0, -2.0]])
     def test_non_positive_radius_rejected(self, zero_model, r):
         cfg = CarlemanConfig.lipschitz(2.0, 0.6, 4.0, 9.0, E=1.0, h=0.1)
         with pytest.raises(InvalidInputError, match="audit radii must be positive"):
-            audit_at(r, cfg, zero_model.envelope, 6.0)
+            audit_at(r, cfg, zero_model.envelope)
 
 
 class TestCertify:

@@ -16,8 +16,8 @@ import resolvent_lab as rl
 from resolvent_lab import potentials
 from resolvent_lab.errors import (AccuracyError, EvaluationError,
                                   InvalidInputError)
-from resolvent_lab.potentials import (_BLOCK_ROWS, MollifierKernel,
-                                      PotentialModel, REFERENCE_GRID,
+from resolvent_lab.potentials import (_BLOCK_ROWS, PotentialModel,
+                                      REFERENCE_GRID, _integrate_01,
                                       barrier_well, holder_seminorm,
                                       map_on_pool, mollify, theta_for)
 
@@ -100,8 +100,11 @@ class TestHolderSeminorm:
 
 class TestKernel:
     def test_mass_and_gradient_mass(self, kernel):
-        assert abs(kernel.moment0 - 1.0) <= 1e-10
-        assert abs(kernel.gradient_mass) <= 1e-10
+        assert abs(_integrate_01(kernel.rho) - 1.0) <= 1e-10
+        assert abs(_integrate_01(kernel.drho, split=True)) <= 1e-10
+
+    def test_sup_value_is_the_largest_value(self, kernel):
+        assert kernel.sup_value == np.max(kernel.rho(np.linspace(-0.5, 1.5, 2001)))
 
     def test_support_and_sign(self, kernel):
         probe = np.array([-0.2, -1e-9, 1.0 + 1e-9, 1.5])
@@ -124,40 +127,14 @@ class TestKernel:
     def test_derivative_kink_off_the_split_raises(self):
         # 1320 s^3 (1-s)^7 has unit mass and peaks at s = 0.3, so |rho'| has
         # a kink there that a rule split only at 1/2 cannot resolve
-        def rho(s):
-            s = np.asarray(s, dtype=float)
-            return np.where((s >= 0.0) & (s <= 1.0), 1320.0 * s ** 3 * (1.0 - s) ** 7, 0.0)
+        assert _integrate_01(lambda s: 1320.0 * s ** 3 * (1.0 - s) ** 7) == pytest.approx(
+            1.0, abs=1e-13)
 
-        def drho(s):
-            s = np.asarray(s, dtype=float)
-            return 1320.0 * s ** 2 * (1.0 - s) ** 6 * (3.0 - 10.0 * s)
+        def skewed(s):
+            return s ** 0.5 * np.abs(1320.0 * s ** 2 * (1.0 - s) ** 6 * (3.0 - 10.0 * s))
 
-        skewed = MollifierKernel(rho, drho)
-        assert skewed.moment0 == pytest.approx(1.0, abs=1e-13)
         with pytest.raises(AccuracyError, match="Gauss-Legendre"):
-            skewed.moment_alpha_deriv(0.5)
-
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_rejects_unnormalized_kernel(self):
-        with pytest.raises(InvalidInputError, match="mass"):
-            MollifierKernel(lambda s: 2.0 * rl.bump_kernel().rho(s),
-                            lambda s: 2.0 * rl.bump_kernel().drho(s))
-
-    @pytest.mark.parametrize("rho,drho,message", [
-        # unit mass, but negative on (0, 1/2)
-        (lambda s: np.where((s >= 0) & (s <= 1), 6.0 * s - 2.0, 0.0),
-         lambda s: np.full_like(s, 6.0), "kernel must be nonnegative"),
-        # the bump spread over [0, 1.2]
-        (lambda s: rl.bump_kernel().rho(s / 1.2) / 1.2,
-         lambda s: rl.bump_kernel().drho(s / 1.2) / 1.44,
-         r"kernel must vanish outside \[0, 1\]"),
-        # unit mass, but a derivative that integrates to 2
-        (lambda s: np.where((s >= 0) & (s <= 1), 1.0, 0.0),
-         lambda s: np.full_like(s, 2.0), "kernel derivative mass 2.0"),
-    ])
-    def test_rejects_a_kernel_outside_its_contract(self, rho, drho, message):
-        with pytest.raises(InvalidInputError, match=message):
-            MollifierKernel(rho, drho)
+            _integrate_01(skewed, split=True)
 
 
 class TestMollify:

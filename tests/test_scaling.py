@@ -215,8 +215,9 @@ class TestSweep:
             sweep(template, [], [1e-2], cheap_policy())
 
     @pytest.mark.parametrize("h_values,eps_values,message", [
-        ([0.2, 0.0], [1e-2], r"h values must lie in \(0, 1\]"),
-        ([1.5, 0.2], [1e-2], r"h values must lie in \(0, 1\]"),
+        # each row's query owns the h rule, and every query is built first
+        ([0.2, 0.0], [1e-2], r"h must lie in \(0, 1\], got 0\.0"),
+        ([1.5, 0.2], [1e-2], r"h must lie in \(0, 1\], got 1\.5"),
         ([0.2], [], "eps_values must not be empty"),
         # an eps outside (0, 1] fails before the first row, not at its own
         ([0.2, 0.1], [0.01, 2.0], r"eps must lie in \(0, 1\], got 2\.0"),
