@@ -227,6 +227,27 @@ class TestCertify:
         margins = {f.name: f.min_margin for f in cert.families}
         assert margins["weight_monotone"] >= 0.0
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_carleman_margins_are_formed_from_the_audit_terms(self, zero_model, d):
+        # carleman_main in every dimension, carleman_2d in two only, each the
+        # grid minimum of its formula over audit_at's A, B1 and B2
+        cfg = CarlemanConfig.holder(0.5, 0.7, 30.0, 3.5, E=1.0, h=0.1, k=1.0, d=d)
+        C = 6.0
+        cert = certify(cfg, zero_model.envelope, C)
+        families = {f.name: f for f in cert.families}
+        grid = cert.grid
+        av = audit_at(grid, cfg, zero_model.envelope)
+        expected = {"carleman_main": av.A - C * (av.B1 + av.B2) + 0.5 * cfg.E * av.mup}
+        if d == 2:
+            expected["carleman_2d"] = (av.A - cfg.h ** 2 * grid ** (-3.0) * av.mu
+                                       - C * (av.B1 + av.B2)
+                                       + (2.0 * cfg.E / 3.0) * av.mup)
+        assert {n for n in families if n.startswith("carleman")} == set(expected)
+        for name, margin in expected.items():
+            i = int(np.argmin(margin))
+            assert families[name].min_margin == margin[i]
+            assert families[name].argmin_r == grid[i]
+
     def test_monotone_margin_beyond_cutoff_paper_bound(self, zero_model):
         cfg = CarlemanConfig.holder(0.5, 0.7, 30.0, 3.5, E=1.0, h=0.1, k=1.0)
         w = build_weight(cfg)

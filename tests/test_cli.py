@@ -751,6 +751,18 @@ def test_wrongly_typed_value_never_exits_three(case, value):
     assert code in (0, 1, 2), (path, value)
 
 
+def test_every_json_type_is_named_by_a_key():
+    def named(types):
+        for kind in types.values():
+            if isinstance(kind, dict):
+                yield from named(kind)
+            else:
+                yield kind
+
+    used = {kind for types in _BLOCK_KEYS.values() for kind in named(types)}
+    assert used == set(cli._JSON_TYPES)
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv", [
         [], ["sweep"], ["bogus", "--config", "config.json"],

@@ -16,8 +16,9 @@ import resolvent_lab as rl
 from resolvent_lab import potentials
 from resolvent_lab.errors import (AccuracyError, EvaluationError,
                                   InvalidInputError)
-from resolvent_lab.potentials import (_BLOCK_ROWS, PotentialModel,
-                                      REFERENCE_GRID, _integrate_01,
+from resolvent_lab.potentials import (_BLOCK_ROWS, MollifierKernel,
+                                      PotentialModel, REFERENCE_GRID,
+                                      _integrate_01,
                                       barrier_well, holder_seminorm,
                                       map_on_pool, mollify, theta_for)
 
@@ -105,6 +106,18 @@ class TestKernel:
 
     def test_sup_value_is_the_largest_value(self, kernel):
         assert kernel.sup_value == np.max(kernel.rho(np.linspace(-0.5, 1.5, 2001)))
+
+    def test_takes_no_argument(self, kernel):
+        # the bump is the one kernel: a user rho/drho pair has nowhere to go
+        with pytest.raises(TypeError):
+            MollifierKernel(kernel.rho, kernel.drho)
+        probe = np.linspace(-0.5, 1.5, 2001)
+        assert np.array_equal(MollifierKernel().rho(probe), kernel.rho(probe))
+        assert np.array_equal(MollifierKernel().drho(probe), kernel.drho(probe))
+
+    def test_bump_kernel_is_one_instance(self, kernel):
+        assert isinstance(kernel, MollifierKernel)
+        assert rl.bump_kernel() is kernel
 
     def test_support_and_sign(self, kernel):
         probe = np.array([-0.2, -1e-9, 1.0 + 1e-9, 1.5])
