@@ -345,6 +345,12 @@ def _cmd_sweep(block, out_dir, **run_kw):
     model = _build_model(block)
     template = ResolventQuery(h=1.0, eps=1.0, sign=1, s=block["s"],
                               potential=model, **_given(block, ("d", "E")))
+    for key, field in (("h_values", "h"), ("eps_values", "eps")):
+        for value in block.get(key, ()):
+            try:  # ResolventQuery's own range check, named by the block's key
+                replace(template, **{field: value})
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"sweep.{key}: {exc}") from None
     sweep_kw = _given(block, ("eps_values",))
     if "signs" in block:
         sweep_kw["signs"] = tuple(1 if sign == "+" else -1 for sign in block["signs"])

@@ -134,12 +134,178 @@ REFERENCE_GRID = np.unique(np.concatenate([
 ]))
 
 
+# Pairs fewer than _CELL_ROWS places apart in the sorted grid are all
+# evaluated.  Farther ones are grouped in cells: the rows i of a block of
+# _CELL_ROWS consecutive rows, each paired with i + k for one offset
+# k >= _CELL_ROWS.  A cell is evaluated only while its bound can beat the
+# best quotient found.
+_CELL_ROWS = 32
+# each bound is inflated by this relative margin, far above the rounding of
+# the few operations that separate it from a pair's quotient
+_BOUND_SLACK = 1e-9
+# the difference of two floats, each 0 or at least this in size, is 0 or normal
+_TINY = 2.0 ** -970
+# entries of one temporary when cells are bounded or evaluated: 32 KB
+_TEMP_SIZE = 4096
+# the first batch holds the cells of the largest bounds; when more than
+# _LIVE_SHARE of all cells can still beat the best quotient after it, the
+# bounds prune too little and the plain scan is cheaper
+_FIRST_CELLS = 512
+_LIVE_SHARE = 0.25
+
+
+def _scan(r, v, w, alpha, first, stop, best):
+    """(best quotient, whether pairs are left) after the offsets first .. stop - 1.
+
+    Offset by offset in the sorted grid r.  Each pair's quotient is
+    |v_j - v_i| / dr**alpha * max(w_j, w_i), and the maximum is taken over
+    the pairs with 0 < dr <= 1.  Once no pair at an offset lies within unit
+    distance, none at a larger offset does either: the scan stops there and
+    reports no pairs left.
+    """
+    for off in range(first, min(stop, r.size)):
+        dr = r[off:] - r[:-off]
+        if dr.min() > 1.0:
+            return best, False
+        best = _max_quotient(dr, v[off:] - v[:-off], np.maximum(w[off:], w[:-off]),
+                             alpha, best)
+    return best, stop < r.size
+
+
+def _max_quotient(dr, dv, wmax, alpha, best):
+    """max(best, |dv| / dr**alpha * wmax over the pairs with 0 < dr <= 1).
+
+    Every pair's quotient is formed, and the others are left out of the
+    maximum; a NaN among the pairs counted leaves ``best`` as it was.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # dr = 0 is not counted
+        quot = np.abs(dv) / dr ** alpha
+        quot *= wmax
+    return max(best, float(np.max(quot, where=(dr > 0.0) & (dr <= 1.0), initial=-math.inf)))
+
+
+def _rounding_is_relative(r, v, w):
+    """Whether every bound is within a relative _BOUND_SLACK of the quotients it bounds.
+
+    That needs a finite w (v is finite), and no difference of v and no
+    grid step in the subnormal range, where rounding is absolute: every
+    nonzero |v| and every positive step is at least _TINY.
+    """
+    steps, size = np.diff(r), np.abs(v)
+    return bool(np.isfinite(w).all()
+                and not np.any((size > 0.0) & (size < _TINY))
+                and not np.any((steps > 0.0) & (steps < _TINY)))
+
+
+def _window_extrema(x, op):
+    """op over each window x[p : p + _CELL_ROWS], by log2(_CELL_ROWS) doublings."""
+    step = 1
+    while step < _CELL_ROWS:
+        x = op(x[:-step], x[step:])
+        step *= 2
+    return x
+
+
+def _block_search(r, v, w, alpha, best):
+    """The best quotient over all pairs, given ``best`` over the offsets below _CELL_ROWS.
+
+    Cell (b, k) holds the pairs (i, i + k) for the rows lo <= i < lo + _CELL_ROWS
+    of block b, lo = b _CELL_ROWS.  No quotient in it exceeds the spread of v
+    over those rows i and i + k, times the largest w there, over
+    (r[lo + k] - r[lo + _CELL_ROWS - 1])**alpha, and it holds no pair when
+    that distance exceeds 1.  Cells are evaluated, the largest bounds
+    first, until no bound beats the best quotient, so the result is the
+    plain scan's maximum, float for float.  When too many bounds still
+    beat it after the first batch, it returns None and the plain scan is
+    left to finish.
+    """
+    n = r.size
+    lo = np.arange(0, n - _CELL_ROWS, _CELL_ROWS)
+    last = r[lo + _CELL_ROWS - 1]
+    # the offsets that bring some block within unit distance, and a few more
+    reach = np.searchsorted(r, last + 1.0 + _BOUND_SLACK * (1.0 + last), side="right")
+    counts = np.maximum(reach - lo - _CELL_ROWS, 0)
+    width = int(counts.max())
+    if width == 0:
+        return best
+    # past the grid, r is inf, so no pair and no cell reaches there
+    pad = width + _CELL_ROWS
+    rp = np.concatenate([r, np.full(pad, math.inf)])
+    vp, wp = (np.concatenate([x, np.full(pad, x[-1])]) for x in (v, w))
+    vmax, vmin = _window_extrema(vp, np.maximum), _window_extrema(vp, np.minimum)
+    wmax = _window_extrema(wp, np.maximum)
+    # row b of these views lists the offsets k = _CELL_ROWS + c from block b,
+    # so cell (b, c) is entry c of the row; slicing copies nothing
+    window = np.lib.stride_tricks.sliding_window_view
+    rows = slice(_CELL_ROWS, _CELL_ROWS * (lo.size + 1), _CELL_ROWS)
+    far_r, far_vmax, far_vmin, far_wmax = (window(x, width)[rows]
+                                           for x in (rp, vmax, vmin, wmax))
+    bound = np.empty((lo.size, width))
+    tops = []  # the _FIRST_CELLS largest bounds of each chunk of rows
+    step = max(1, _TEMP_SIZE // width)
+    for b0 in range(0, lo.size, step):
+        b = slice(b0, b0 + step)
+        near = lo[b, None]
+        dmin = far_r[b] - last[b, None]
+        spread = (np.maximum(far_vmax[b], vmax[near])
+                  - np.minimum(far_vmin[b], vmin[near]))
+        # 0/0 is NaN, and never live: v is constant over the cell
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            part = spread / dmin ** alpha
+            part *= np.maximum(far_wmax[b], wmax[near])
+            part *= 1.0 + _BOUND_SLACK
+        part[dmin > 1.0] = 0.0
+        bound[b] = part
+        tops.append(b0 * width + _largest(part.ravel(), _FIRST_CELLS))
+    bound = bound.ravel()
+
+    rw, vw, ww = (window(x, _CELL_ROWS) for x in (rp, vp, wp))
+
+    def evaluate(cells, best):
+        for start in range(0, cells.size, _TEMP_SIZE // _CELL_ROWS):
+            chunk = cells[start:start + _TEMP_SIZE // _CELL_ROWS]
+            i0 = chunk // width * _CELL_ROWS
+            j0 = i0 + _CELL_ROWS + chunk % width
+            best = _max_quotient(rw[j0] - rw[i0], vw[j0] - vw[i0],
+                                 np.maximum(ww[j0], ww[i0]), alpha, best)
+        return best
+
+    cells = np.concatenate(tops)
+    cells = cells[_largest(bound[cells], _FIRST_CELLS)]
+    best = evaluate(cells, best)
+    bound[cells] = 0.0
+    live = bound > best
+    if np.count_nonzero(live) > _LIVE_SHARE * counts.sum():
+        return None
+    live = np.flatnonzero(live)
+    batch = 4 * _FIRST_CELLS
+    while live.size:
+        order = _largest(bound[live], batch)
+        cells = live[order]
+        live = np.delete(live, order)
+        best = evaluate(cells, best)
+        live = live[bound[live] > best]
+        batch *= 4
+    return best
+
+
+def _largest(x, count):
+    """Indices of the ``count`` largest entries of x, in no order (all of them if fewer)."""
+    if x.size <= count:
+        return np.arange(x.size)
+    return np.argpartition(x, x.size - count)[x.size - count:]
+
+
 def holder_seminorm(f, alpha, beta, grid):
     """Largest weighted Hölder quotient over all grid pairs within unit distance.
 
     Returns max over pairs (r, r') with 0 < |r - r'| <= 1 of
-    |f(r) - f(r')| * (r+1)**beta / |r - r'|**alpha.  The estimate is a lower
-    bound on the true seminorm and never decreases under grid refinement.
+    |f(r) - f(r')| * (r+1)**beta / |r - r'|**alpha, the exact maximum over
+    the grid's pairs, found by a bounded block search: pairs fewer than 32
+    places apart in the sorted grid are all evaluated, and farther ones
+    only in blocks whose bound can beat the largest quotient found.  The
+    estimate is a lower bound on the true seminorm and never decreases
+    under grid refinement.
     """
     r = np.asarray(grid, dtype=float).ravel()
     if r.size < 2:
@@ -154,18 +320,11 @@ def holder_seminorm(f, alpha, beta, grid):
     v = np.asarray(f(r), dtype=float)
     require_finite("potential evaluation is", v, r)
     w = (r + 1.0) ** beta
-    best = 0.0
-    for off in range(1, r.size):
-        dr = r[off:] - r[:-off]
-        if dr.min() > 1.0:
-            break
-        mask = (dr > 0.0) & (dr <= 1.0)
-        if not mask.any():
-            continue
-        quot = np.abs(v[off:] - v[:-off])[mask] / dr[mask] ** alpha
-        wmax = np.maximum(w[off:][mask], w[:-off][mask])
-        best = max(best, float(np.max(quot * wmax)))
-    return best
+    best, left = _scan(r, v, w, alpha, 1, _CELL_ROWS, 0.0)
+    if not left:
+        return best
+    found = _block_search(r, v, w, alpha, best) if _rounding_is_relative(r, v, w) else None
+    return _scan(r, v, w, alpha, _CELL_ROWS, r.size, best)[0] if found is None else found
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,10 @@ class UniformGridSpec:
 class DiscreteOperator:
     """Complex tridiagonal sector operator A, u = 0 at r_min, transparent at the outer end.
 
-    ``v`` is V at the nodes ``grid``, shared by every sector of a query.
-    _band forms B = W^{-1} A W^{-1}, and _factor factors it in place.
+    ``v`` is V at the nodes ``grid``, shared by every sector of a query,
+    and so is ``squares``, r**2 at the nodes, when a norm forms it once for
+    all its sectors.  _band forms B = W^{-1} A W^{-1}, and _factor factors
+    it in place.
     """
 
     grid: np.ndarray
@@ -190,16 +192,24 @@ class DiscreteOperator:
     query: ResolventQuery
     sector: AngularSector
     dr: float
+    squares: np.ndarray | None = None
 
     def _band(self, weighted, band):
         """B's band, formed in the complex buffers ``band`` = (dl, d, du), not read.
 
         ``weighted`` is this grid's pair from _weighted_terms: B's diagonal
         is A's times (r+1)**(2s), and its off-diagonal fills dl and du.
+        Without ``squares`` r**2 is formed in du's memory, and A's diagonal
+        takes its real steps in dl's, before dl and du are filled.
         """
         lift2, off = weighted
         dl, d, du = band
-        _diagonal(self.query, self.sector, self.dr, self.grid, self.v, d)
+        n = self.grid.size
+        squares = self.squares
+        if squares is None:
+            squares = np.square(self.grid, out=du.view(float)[:n])
+        _diagonal(self.query, self.sector, self.dr, self.grid, self.v, d,
+                  squares, dl.view(float)[:n])
         d *= lift2
         np.copyto(dl, off)
         np.copyto(du, off)
@@ -248,11 +258,14 @@ def _coupling(query, dr):
     return query.h ** 2 / dr ** 2
 
 
-def _diagonal(query, sector, dr, r, v, out):
+def _diagonal(query, sector, dr, r, v, out, squares=None, scratch=None):
     """A's main diagonal at the nodes ``r``, where V = ``v``, formed in the complex ``out``.
 
     ``out``'s contents are not read; it is returned.  This is the only
-    place A's diagonal is formed.
+    place A's diagonal is formed.  ``squares`` is r**2 when the caller has
+    formed it, and ``scratch`` a contiguous real buffer of r.size values,
+    not read, for the real steps; without them r**2 is formed, and the
+    steps run, in out's imaginary half.
 
     The last node carries the transparent condition.  With a = h**2 / dr**2
     and d_n the last entry of the interior rule, the coefficients frozen
@@ -263,15 +276,15 @@ def _diagonal(query, sector, dr, r, v, out):
     """
     a = _coupling(query, dr)
     # ((2 a + lambda_l / r**2) - E) + V + i sign eps with the formula's
-    # operations in its order; the imaginary part holds the real terms
-    # until sign eps takes it
-    x = out.imag
-    np.square(r, out=x)
-    np.divide(sector.lambda_value, x, out=x)
+    # operations in its order
+    x = out.imag if scratch is None else scratch
+    if squares is None:
+        squares = np.square(r, out=x)
+    np.divide(sector.lambda_value, squares, out=x)
     x += 2.0 * a
     x -= query.E
     np.add(v, x, out=out.real)
-    x.fill(query.sign * query.eps)
+    out.imag.fill(query.sign * query.eps)
     t = complex(out[-1]) / a
     root = cmath.sqrt(t * t - 4.0)
     # the root of larger modulus is formed without cancellation; zeta is the other
@@ -436,7 +449,8 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
 
     Every sector starts from one Gaussian vector drawn from ``seed``, so a
     sector's value depends on neither l_max nor the thread count.  Every
-    sector's operator shares the grid and V of assemble's l = 0 one.  Each
+    sector's operator shares the grid, V and r**2 of assemble's l = 0 one,
+    and (r+1)**(2s) and B's off-diagonal are formed once too.  Each
     task of map_on_pool holds B's band and the Lanczos vectors for the
     whole call, so a sector allocates only zgttrf's du2 and ipiv.
     """
@@ -444,6 +458,7 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
     _check_integer("seed", seed, 0)
     _check_integer("threads", threads, 1)
     base = assemble(query, AngularSector(query.d, 0, query.h), grid_spec)
+    base = replace(base, squares=np.square(base.grid))
     n = base.grid.size
     weighted = _weighted_terms(query, base.dr, base.grid)
     start = _start_vector(n, seed)

@@ -34,6 +34,29 @@ def measured(h, g, eps=1e-2, sign=1):
     return SweepResult(rows=rows)
 
 
+def exhaustive_seminorm(f, alpha, beta, grid):
+    """The weighted Hölder quotient by the plain scan over every offset, the seminorm's oracle.
+
+    Every grid pair within unit distance is evaluated, offset by offset in
+    the sorted grid, as holder_seminorm did before its block search.
+    """
+    r = np.sort(np.asarray(grid, dtype=float).ravel())
+    v = np.asarray(f(r), dtype=float)
+    w = (r + 1.0) ** beta
+    best = 0.0
+    for off in range(1, r.size):
+        dr = r[off:] - r[:-off]
+        if dr.min() > 1.0:
+            break
+        mask = (dr > 0.0) & (dr <= 1.0)
+        if not mask.any():
+            continue
+        quot = np.abs(v[off:] - v[:-off])[mask] / dr[mask] ** alpha
+        wmax = np.maximum(w[off:][mask], w[:-off][mask])
+        best = max(best, float(np.max(quot * wmax)))
+    return best
+
+
 def buffers(n, fill=None):
     """Three Lanczos vectors and the (dl, d, du) band buffers of a grid of n points.
 

@@ -689,6 +689,11 @@ def _without(block, key):
      "tail_tol, l_max and r_max_floor"),
     ("sweep", {"sweep": {"s": 0.7, "h_values": [0.5], "tail_tol": 1e-30, "l_max": 0}},
      "tail_tol, l_max and r_max_floor"),
+    # a value out of range names the list that holds it
+    ("sweep", {"sweep": {"s": 0.7, "h_values": [0.2, 0.0], "l_max": 0}},
+     "sweep.h_values"),
+    ("sweep", {"sweep": sweep_block(eps_values=[1e-2, 2.0])}, "sweep.eps_values"),
+    ("sweep", {"sweep": sweep_block(eps_values=[0.0])}, "sweep.eps_values"),
 ])
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
                                                    doc, named):

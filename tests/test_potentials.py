@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import expit
@@ -22,7 +23,7 @@ from resolvent_lab.potentials import (_BLOCK_ROWS, MollifierKernel,
                                       barrier_well, holder_seminorm,
                                       map_on_pool, mollify, theta_for)
 
-from conftest import by_the_rule, nan_on, two_pass_ratios
+from conftest import by_the_rule, exhaustive_seminorm, nan_on, two_pass_ratios
 
 
 def brute_force_seminorm(f, alpha, beta, grid):
@@ -97,6 +98,123 @@ class TestHolderSeminorm:
         # a NaN weight made every quotient NaN, and max(0.0, nan) is 0.0
         with pytest.raises(InvalidInputError, match=f"beta must be .*, got {beta}$"):
             holder_seminorm(np.sin, 0.5, beta, np.linspace(0.0, 1.0, 11))
+
+
+@st.composite
+def seminorm_grids(draw):
+    """(grid, centre): a sorted grid, sparse to dense, with repeated points and
+    clusters 1e-7 wide, the first of them starting at ``centre``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    span = draw(st.floats(0.05, 20.0))
+    parts = [rng.uniform(0.0, span, round(10 ** rng.uniform(0.31, 3.5)))]
+    parts.append(rng.choice(parts[0], draw(st.integers(0, 30))))
+    centres = rng.uniform(0.0, span, draw(st.integers(1, 4)))
+    for centre in centres[:draw(st.integers(0, centres.size))]:
+        parts.append(centre + rng.uniform(0.0, 1e-7, rng.integers(2, 100)))
+    return np.sort(np.concatenate(parts)), centres[0]
+
+
+def seminorm_function(kind, alpha, beta, cut):
+    """Zero, a constant, a smooth function, |cos|**alpha, a step or a ramp 1e-7 wide at
+    ``cut``, or (r+1)**(1-beta).
+
+    A ramp over a cluster of the grid has its largest quotient between the
+    cluster's ends, often more than 32 places apart; (r+1)**(1-beta) has a
+    nearly flat weighted quotient at alpha = 1, where the bounds prune too
+    little.
+    """
+    return {
+        "zero": lambda r: np.zeros_like(r),
+        "constant": lambda r: np.full_like(r, 3.7),
+        "smooth": lambda r: np.exp(-r) * np.sin(3.0 * r) + 0.5 / (r + 1.0) ** 2,
+        "cusp": lambda r: np.abs(np.cos(2.0 * r)) ** alpha,
+        "step": lambda r: np.where(r > cut, 1.0, 0.0),
+        "ramp": lambda r: np.clip((r - cut) / 1e-7, 0.0, 1.0),
+        "power": lambda r: (r + 1.0) ** (1.0 - beta),
+    }[kind]
+
+
+def recorded_seminorm(monkeypatch, name, params):
+    """The (f, alpha, beta, grid) and result of the seminorm call that builds a model."""
+    calls = []
+
+    def recording(f, alpha, beta, grid):
+        value = holder_seminorm(f, alpha, beta, grid)
+        calls.append(((f, alpha, beta, np.array(grid)), value))
+        return value
+
+    monkeypatch.setattr(potentials, "holder_seminorm", recording)
+    model = potentials.POTENTIAL_BUILDERS[name](**params)
+    monkeypatch.undo()
+    [(args, value)] = calls
+    return model, args, value
+
+
+BUILT_IN_MODELS = [
+    ("zero", {}),
+    ("power_law", {"c": 0.5, "delta": 0.5}),
+    ("power_law", {"c": 0.5, "delta": 1.0}),
+    ("power_law", {"c": 0.5, "delta": 2.0}),
+    ("barrier_well", {}),
+    ("holder_bump", {"c": 1.0, "alpha": 0.3, "freq": 2.0}),
+    ("holder_bump", {"c": 1.0, "alpha": 0.5, "freq": 2.0}),
+    ("holder_bump", {"c": 1.0, "alpha": 0.8, "freq": 2.0}),
+]
+
+
+class TestBlockSearch:
+    """holder_seminorm's block search returns the plain scan's maximum, float for float."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grid_centre=seminorm_grids(),
+           alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+           beta=st.floats(0.0, 6.0),
+           kind=st.sampled_from(["zero", "constant", "smooth", "cusp", "step", "ramp",
+                                 "power"]))
+    def test_equals_the_plain_scan(self, grid_centre, alpha, beta, kind):
+        grid, centre = grid_centre
+        f = seminorm_function(kind, alpha, beta, centre)
+        assert holder_seminorm(f, alpha, beta, grid) == exhaustive_seminorm(f, alpha, beta, grid)
+
+    def test_window_extrema_slide_over_32_values(self):
+        x = np.random.default_rng(3).standard_normal(200)
+        for op, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
+            assert potentials._window_extrema(x, op).tolist() == [
+                reduce(x[p:p + 32]) for p in range(x.size - 31)]
+
+    @pytest.mark.parametrize("name,params", BUILT_IN_MODELS)
+    def test_every_built_in_constant_is_the_plain_scans(self, monkeypatch, name, params):
+        model, args, value = recorded_seminorm(monkeypatch, name, params)
+        assert value == exhaustive_seminorm(*args)
+        assert model.holder_const == 1.25 * exhaustive_seminorm(*args)
+
+    @pytest.mark.parametrize("name,params", BUILT_IN_MODELS)
+    def test_memory_on_a_built_in_grid(self, monkeypatch, name, params):
+        # the plain scan peaked at 450-560 kB on these grids, the search at 1.7 MB
+        _, args, _ = recorded_seminorm(monkeypatch, name, params)
+        tracemalloc.start()
+        try:
+            holder_seminorm(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6, peak
+
+    @pytest.mark.parametrize("f,grid,beta", [
+        # (r+1)**6 overflows at r = 1e60: no bound holds with an infinite weight
+        (np.sin, np.concatenate([np.linspace(0.0, 2.0, 300), [1e60, 2e60]]), 6.0),
+        # values and steps so small that their differences are subnormal
+        (lambda r: 1e-300 * np.cos(r), np.linspace(0.0, 2.0, 300), 1.0),
+        (np.cos, np.concatenate([[1e-310], np.linspace(0.0, 2.0, 300)]), 1.0),
+    ])
+    def test_the_plain_scan_runs_where_bounds_do_not_hold(self, monkeypatch, f, grid, beta):
+        def never(*args):
+            raise AssertionError("the block search ran")
+
+        with np.errstate(over="ignore"):
+            expected = exhaustive_seminorm(f, 0.5, beta, grid)
+            monkeypatch.setattr(potentials, "_block_search", never)
+            assert holder_seminorm(f, 0.5, beta, grid) == expected
 
 
 class TestKernel:

@@ -1120,7 +1120,7 @@ class TestTransparentEnd:
         values = {}
         for end in ("transparent", "dirichlet"):
             if end == "dirichlet":
-                def wall(query, sector, dr, r, v, out):
+                def wall(query, sector, dr, r, v, out, *_):
                     out[:] = (2.0 * query.h ** 2 / dr ** 2 + sector.lambda_value / r ** 2
                               - query.E + v + 1j * (query.sign * query.eps))
                     return out
