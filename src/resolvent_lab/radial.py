@@ -108,12 +108,14 @@ def _check_positive(name, value):
 
 
 def _inner_radius(d, r_min):
-    """The left end of the radial range: ``r_min``, finite and >= 0, > 0 when d = 2.
+    """The left end of the radial range: ``r_min``, a finite number >= 0, > 0 when d = 2.
 
     None gives 0, or R_MIN_D2 in dimension two; d = None skips the d = 2 rule.
     """
     if r_min is None:
         return R_MIN_D2 if d == 2 else 0.0
+    if not isinstance(r_min, numbers.Real):
+        raise InvalidInputError(f"r_min must be a number, got {r_min!r}")
     if not 0.0 <= r_min < math.inf:
         raise InvalidInputError(f"r_min must be finite and nonnegative, got {r_min}")
     if d == 2 and r_min == 0:
@@ -156,8 +158,8 @@ class UniformGridSpec:
         _check_positive("tail_tol", self.tail_tol)
         # None, the default GridPolicy and certify take, has no meaning here;
         # the dimension-two rule waits for the query that uses the grid
-        if not isinstance(self.r_min, numbers.Real):
-            raise InvalidInputError(f"r_min must be a number, got {self.r_min!r}")
+        if self.r_min is None:
+            raise InvalidInputError("r_min must be a number, got None")
         _inner_radius(None, self.r_min)
         # a finite span either way, whose points fit one numpy array: at most
         # intp's largest value in bytes, 8 a point
@@ -181,10 +183,8 @@ class UniformGridSpec:
 class DiscreteOperator:
     """Complex tridiagonal sector operator A, u = 0 at r_min, transparent at the outer end.
 
-    ``v`` is V at the nodes ``grid``, shared by every sector of a query,
-    and so is ``squares``, r**2 at the nodes, when a norm forms it once for
-    all its sectors.  _band forms B = W^{-1} A W^{-1}, and _factor factors
-    it in place.
+    ``v`` is V at the nodes ``grid``, shared by every sector of a query.
+    _band forms B = W^{-1} A W^{-1}, and _factor factors it in place.
     """
 
     grid: np.ndarray
@@ -192,24 +192,18 @@ class DiscreteOperator:
     query: ResolventQuery
     sector: AngularSector
     dr: float
-    squares: np.ndarray | None = None
 
     def _band(self, weighted, band):
         """B's band, formed in the complex buffers ``band`` = (dl, d, du), not read.
 
         ``weighted`` is this grid's pair from _weighted_terms: B's diagonal
         is A's times (r+1)**(2s), and its off-diagonal fills dl and du.
-        Without ``squares`` r**2 is formed in du's memory, and A's diagonal
-        takes its real steps in dl's, before dl and du are filled.
+        A's diagonal takes its real steps in dl's memory before dl is filled.
         """
         lift2, off = weighted
         dl, d, du = band
-        n = self.grid.size
-        squares = self.squares
-        if squares is None:
-            squares = np.square(self.grid, out=du.view(float)[:n])
         _diagonal(self.query, self.sector, self.dr, self.grid, self.v, d,
-                  squares, dl.view(float)[:n])
+                  dl.view(float)[:self.grid.size])
         d *= lift2
         np.copyto(dl, off)
         np.copyto(du, off)
@@ -258,14 +252,12 @@ def _coupling(query, dr):
     return query.h ** 2 / dr ** 2
 
 
-def _diagonal(query, sector, dr, r, v, out, squares=None, scratch=None):
+def _diagonal(query, sector, dr, r, v, out, scratch):
     """A's main diagonal at the nodes ``r``, where V = ``v``, formed in the complex ``out``.
 
     ``out``'s contents are not read; it is returned.  This is the only
-    place A's diagonal is formed.  ``squares`` is r**2 when the caller has
-    formed it, and ``scratch`` a contiguous real buffer of r.size values,
-    not read, for the real steps; without them r**2 is formed, and the
-    steps run, in out's imaginary half.
+    place A's diagonal is formed.  ``scratch`` is a real buffer of r.size
+    values, not read, in which r**2 is formed and the real steps run.
 
     The last node carries the transparent condition.  With a = h**2 / dr**2
     and d_n the last entry of the interior rule, the coefficients frozen
@@ -277,13 +269,11 @@ def _diagonal(query, sector, dr, r, v, out, squares=None, scratch=None):
     a = _coupling(query, dr)
     # ((2 a + lambda_l / r**2) - E) + V + i sign eps with the formula's
     # operations in its order
-    x = out.imag if scratch is None else scratch
-    if squares is None:
-        squares = np.square(r, out=x)
-    np.divide(sector.lambda_value, squares, out=x)
-    x += 2.0 * a
-    x -= query.E
-    np.add(v, x, out=out.real)
+    np.square(r, out=scratch)
+    np.divide(sector.lambda_value, scratch, out=scratch)
+    scratch += 2.0 * a
+    scratch -= query.E
+    np.add(v, scratch, out=out.real)
     out.imag.fill(query.sign * query.eps)
     t = complex(out[-1]) / a
     root = cmath.sqrt(t * t - 4.0)
@@ -449,8 +439,8 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
 
     Every sector starts from one Gaussian vector drawn from ``seed``, so a
     sector's value depends on neither l_max nor the thread count.  Every
-    sector's operator shares the grid, V and r**2 of assemble's l = 0 one,
-    and (r+1)**(2s) and B's off-diagonal are formed once too.  Each
+    sector's operator shares the grid and V of assemble's l = 0 one, and
+    (r+1)**(2s) and B's off-diagonal are formed once too.  Each
     task of map_on_pool holds B's band and the Lanczos vectors for the
     whole call, so a sector allocates only zgttrf's du2 and ipiv.
     """
@@ -458,7 +448,6 @@ def weighted_resolvent_norm(query, grid_spec, l_max, seed=SEED, threads=THREADS)
     _check_integer("seed", seed, 0)
     _check_integer("threads", threads, 1)
     base = assemble(query, AngularSector(query.d, 0, query.h), grid_spec)
-    base = replace(base, squares=np.square(base.grid))
     n = base.grid.size
     weighted = _weighted_terms(query, base.dr, base.grid)
     start = _start_vector(n, seed)
@@ -526,7 +515,8 @@ def _backward_error(u, rhs, query, r, dr, phase):
         rb = r[a:b]
         v = np.asarray(query.potential(rb), dtype=float)
         require_finite(f"potential {query.potential.name}", v, rb)
-        diag = _diagonal(query, sector, dr, rb, v, np.empty(rb.size, complex))
+        diag = np.empty(rb.size, complex)
+        _diagonal(query, sector, dr, rb, v, diag, diag.imag)
         ratio = np.exp(np.diff(phase.value(rb) / query.h))
         own = slice(lo - a, hi - a)
         res = np.abs(_stencil(diag, off, ratio, u[a:b])[own] - rhs[lo:hi])
@@ -620,8 +610,8 @@ def energy_audit(u, query, config, weight, phase, rhs, grid_spec, v_long):
     n = r.size
     u, rhs = _grid_vector("u", u, n), _grid_vector("rhs", rhs, n)
     dr, h, E = grid_spec.dr, query.h, query.E
-    # a zero test, not a norm: the norm squares the entries, so a nonzero
-    # vector of scale 1e-170 would read as zero
+    # a zero test, not a norm: the norm of a nonzero vector of scale
+    # 1e-170 underflows, so it would read as zero
     if not np.any(rhs):
         if np.any(u):
             raise InvalidInputError("zero right-hand side requires u = 0")

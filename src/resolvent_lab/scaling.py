@@ -104,7 +104,7 @@ def _fit_one(kind, alpha, h, g):
 
 
 def fit_models(result, candidates, eps=None):
-    """Least-squares fit of a sweep's measured g against each candidate shape.
+    """Fit a sweep's measured g to each candidate shape, minimizing the squared residual.
 
     One curve of ``result.curves`` is fitted: the first in row order with
     four h or more, among those whose eps equals the ``eps`` given.
@@ -209,6 +209,8 @@ class GridPolicy:
         if not 0.0 <= self.r_max_floor < math.inf:
             raise InvalidInputError(
                 f"r_max_floor must be finite and nonnegative, got {self.r_max_floor}")
+        if self.r_min is not None:  # the dimension-two rule waits for a query
+            _inner_radius(None, self.r_min)
 
     def _floor(self, query):
         """max(4 r_turn(l_max), r_max_floor): past it every sector is classically allowed."""
@@ -216,24 +218,28 @@ class GridPolicy:
         return max(4.0 * math.sqrt(max(lam, 0.0) / query.E), self.r_max_floor)
 
     def _grid(self, query, r_max):
-        return UniformGridSpec(dr=self.dr_factor * query.h, r_max=r_max,
-                               r_min=_inner_radius(query.d, self.r_min))
+        """The grid on (r_min, r_max].
 
-    def grid_for(self, query):
-        """The fallback grid, on r_tail or the floor when larger.
-
-        ``r_min`` is checked and defaulted by radial._inner_radius.
+        ``r_min`` is defaulted, and checked against d, by radial._inner_radius,
+        whose error carries no note.  UniformGridSpec's error, here about
+        r_max alone, names what sets grid_for's radius; _short turns either
+        error into None.
         """
+        r_min = _inner_radius(query.d, self.r_min)
         try:
-            r_tail = self.tail_tol ** (-1.0 / (2.0 * query.s)) - 1.0
-        except OverflowError:  # UniformGridSpec rejects the infinite r_max
-            r_tail = math.inf
-        try:
-            return self._grid(query, max(r_tail, self._floor(query)))
+            return UniformGridSpec(dr=self.dr_factor * query.h, r_max=r_max, r_min=r_min)
         except InvalidInputError as exc:
             raise InvalidInputError(
                 f"{exc}; at h={query.h:g} r_max is set by tail_tol, l_max and "
                 "r_max_floor") from None
+
+    def grid_for(self, query):
+        """The fallback grid, on r_tail or the floor when larger."""
+        try:
+            r_tail = self.tail_tol ** (-1.0 / (2.0 * query.s)) - 1.0
+        except OverflowError:  # UniformGridSpec rejects the infinite r_max
+            r_tail = math.inf
+        return self._grid(query, max(r_tail, self._floor(query)))
 
     def short_grid(self, query):
         """The short grid on (r_min, r_c] of a query, or None.
@@ -387,6 +393,7 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     """
     _check_integer("threads", threads, 1)
     _check_integer("seed", seed, 0)
+    signs = tuple(signs)
     hs = [float(h) for h in h_values]
     if not hs:
         raise InvalidInputError("h_values must not be empty")

@@ -703,6 +703,17 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command,
     assert err.startswith("invalid input:") and named in err
 
 
+@pytest.mark.parametrize("overrides", [dict(r_min=-1), dict(d=2, r_min=0)])
+def test_an_r_min_error_carries_no_r_max_note(tmp_path, capsys, overrides):
+    # r_min is checked when the policy is built, and d = 2's zero when a grid
+    # is; neither is the radius that tail_tol, l_max and r_max_floor set
+    cfg = write_config(tmp_path, {"sweep": sweep_block(**overrides)})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "r_min" in err
+    assert "r_max is set by" not in err
+
+
 @pytest.mark.parametrize("command,doc,named", [
     ("certify", {"certify": certify_block(tau0_max=math.nan)}, "certify.tau0_max"),
     ("certify", {"certify": certify_block(C=math.nan)}, "certify.C"),

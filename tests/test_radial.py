@@ -105,8 +105,8 @@ class TestAssemble:
         i = np.argmin(np.abs(op.grid - 2.0))
         r = op.grid[i]
         base = 2.0 * 0.01 / gs.dr ** 2 - 1.0
-        diag = radial._diagonal(q, op.sector, op.dr, op.grid, op.v,
-                                np.empty(op.grid.size, complex))
+        buf = np.empty(op.grid.size, complex)
+        diag = radial._diagonal(q, op.sector, op.dr, op.grid, op.v, buf, buf.imag)
         assert diag[i].real - base == pytest.approx(0.01 * 2.0 / r ** 2, rel=1e-12)
         assert 0.01 * 1 * (1 + 3 - 2) / 4.0 == pytest.approx(0.005)
 
@@ -259,6 +259,10 @@ class TestDomain:
         (UniformGridSpec, dict(dr=0.05, r_max=18.0, r_min=None), "r_min"),
         (UniformGridSpec, dict(dr=0.05, r_max=18.0, r_min=math.nan), "r_min"),
         (UniformGridSpec, dict(dr=0.05, r_max=18.0, r_min=math.inf), "r_min"),
+        (GridPolicy, dict(r_min=-1.0), "r_min"),
+        (GridPolicy, dict(r_min=math.nan), "r_min"),
+        (GridPolicy, dict(r_min=math.inf), "r_min"),
+        (GridPolicy, dict(r_min="1"), "r_min"),
     ])
     def test_grid_values_reject_non_finite_and_ill_typed_fields(self, cls, kwargs,
                                                                 field):
@@ -1086,8 +1090,8 @@ class TestTransparentEnd:
             hi = np.maximum.outer(r[probe], rp)
             exact = (np.sin(k * lo) * np.exp(1j * k * hi)) @ fw / (q.h ** 2 * k)
             off = -radial._coupling(q, dr)
-            transparent = radial._diagonal(q, op.sector, dr, r, op.v,
-                                           np.empty(r.size, complex))
+            buf = np.empty(r.size, complex)
+            transparent = radial._diagonal(q, op.sector, dr, r, op.v, buf, buf.imag)
             for diag, out in ((transparent, errors),
                               (interior_diagonal(op), walls)):
                 band = np.array([np.full(r.size, off), diag, np.full(r.size, off)])
@@ -1149,7 +1153,8 @@ class TestTransparentEnd:
         dr = h / steps
         r = np.array([r_end - dr, r_end])
         v = np.full(2, v_end)
-        diag = radial._diagonal(q, sector, dr, r, v, np.empty(2, complex))
+        buf = np.empty(2, complex)
+        diag = radial._diagonal(q, sector, dr, r, v, buf, buf.imag)
         interior = (2.0 * h ** 2 / dr ** 2 + sector.lambda_value / r ** 2 - E + v
                     + 1j * (sign * eps))
         assert diag[0] == interior[0]

@@ -240,6 +240,14 @@ class TestSweep:
         with pytest.raises(InvalidInputError, match="signs"):
             sweep(template, [0.2], [1e-2], cheap_policy(), signs=signs)
 
+    def test_no_policy_is_the_default_policy(self, barrier_model):
+        template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.7,
+                                  potential=barrier_model)
+        plain = sweep(template, [0.5, 0.4], seed=7)
+        default = sweep(template, [0.5, 0.4], grid_policy=GridPolicy(), seed=7)
+        assert ([replace(row, runtime_ms=0.0) for row in plain.rows]
+                == [replace(row, runtime_ms=0.0) for row in default.rows])
+
     def test_unsorted_h_rejected(self, zero_model):
         template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
                                   potential=zero_model)
@@ -586,6 +594,13 @@ class TestSweepMirror:
         assert [row.sign for row in minus.rows] == [-1] * len(minus.rows)
         for a, b in zip(plus.rows, minus.rows):
             assert b.g_measured == a.g_measured
+
+    def test_signs_may_be_any_sequence(self, zero_model):
+        args = (self.template(zero_model), self.H, self.EPS, cheap_policy())
+        listed = sweep(*args, signs=(1, -1), seed=7)
+        array = sweep(*args, signs=np.array([1, -1]), seed=7)
+        assert ([replace(row, runtime_ms=0.0) for row in array.rows]
+                == [replace(row, runtime_ms=0.0) for row in listed.rows])
 
     def test_rows_do_not_depend_on_the_signs_requested(self, zero_model,
                                                         monkeypatch):
