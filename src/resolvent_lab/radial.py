@@ -71,6 +71,7 @@ class ResolventQuery:
 
     def __post_init__(self):
         _check_domain(InvalidInputError, self.d, self.E, self.h, self.s)
+        _check_real("eps", self.eps)
         if not 0.0 < self.eps <= 1.0:
             raise InvalidInputError(f"eps must lie in (0, 1], got {self.eps}")
         if self.sign not in (1, -1):
@@ -83,6 +84,8 @@ def _check_domain(error, d, E, h, s):
     d is an integer >= 2, E > 0 and s > 1/2 are finite, and h lies in (0, 1].
     """
     _check_integer("d", d, 2, error)
+    for name, value in (("E", E), ("h", h), ("s", s)):
+        _check_real(name, value, error)
     if not 0.0 < E < math.inf:
         raise error(f"E must be positive and finite, got {E}")
     if not 0.0 < h <= 1.0:
@@ -101,8 +104,15 @@ def _check_integer(name, value, least, error=InvalidInputError):
         raise error(f"{name} must be at least {least}, got {value}")
 
 
+def _check_real(name, value, error=InvalidInputError):
+    """Require a real number that is not a bool (numpy reals included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+
+
 def _check_positive(name, value):
     """Require a positive finite number."""
+    _check_real(name, value)
     if not 0.0 < value < math.inf:
         raise InvalidInputError(f"{name} must be positive and finite, got {value}")
 
@@ -114,8 +124,7 @@ def _inner_radius(d, r_min):
     """
     if r_min is None:
         return R_MIN_D2 if d == 2 else 0.0
-    if not isinstance(r_min, numbers.Real):
-        raise InvalidInputError(f"r_min must be a number, got {r_min!r}")
+    _check_real("r_min", r_min)
     if not 0.0 <= r_min < math.inf:
         raise InvalidInputError(f"r_min must be finite and nonnegative, got {r_min}")
     if d == 2 and r_min == 0:
@@ -158,9 +167,9 @@ class UniformGridSpec:
         _check_positive("tail_tol", self.tail_tol)
         # None, the default GridPolicy and certify take, has no meaning here;
         # the dimension-two rule waits for the query that uses the grid
-        if self.r_min is None:
-            raise InvalidInputError("r_min must be a number, got None")
+        _check_real("r_min", self.r_min)
         _inner_radius(None, self.r_min)
+        _check_real("r_max", self.r_max)
         # a finite span either way, whose points fit one numpy array: at most
         # intp's largest value in bytes, 8 a point
         if not abs(self.r_max - self.r_min) <= np.iinfo(np.intp).max // 8 * self.dr:

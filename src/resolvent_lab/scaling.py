@@ -33,7 +33,7 @@ from .errors import AccuracyError, InvalidInputError, ResolventLabError
 from .potentials import REFERENCE_GRID
 from .radial import (SEED, STEPS_PER_H, TAIL_TOL, THREADS, AngularSector,
                      UniformGridSpec, _check_integer, _check_positive,
-                     _inner_radius, weighted_resolvent_norm)
+                     _check_real, _inner_radius, weighted_resolvent_norm)
 
 # the class the fits and maps know besides the two weight regimes
 LINF = "linfty"
@@ -202,10 +202,12 @@ class GridPolicy:
 
     def __post_init__(self):
         _check_positive("tail_tol", self.tail_tol)
+        _check_real("dr_factor", self.dr_factor)
         if not 0.0 < self.dr_factor <= 1.0 / STEPS_PER_H:
             raise InvalidInputError(
                 f"dr_factor must lie in (0, 1/{STEPS_PER_H:g}], got {self.dr_factor}")
         _check_integer("l_max", self.l_max, 0)
+        _check_real("r_max_floor", self.r_max_floor)
         if not 0.0 <= self.r_max_floor < math.inf:
             raise InvalidInputError(
                 f"r_max_floor must be finite and nonnegative, got {self.r_max_floor}")

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import resolvent_lab as rl
+from resolvent_lab import potentials
 from resolvent_lab.carleman import CarlemanConfig, GridSpec, min_ell, search_tau0
 from resolvent_lab.errors import EvaluationError, InvalidInputError
-from resolvent_lab.potentials import (_BLOCK_ROWS, PotentialModel,
-                                      REFERENCE_GRID, holder_seminorm)
+from resolvent_lab.potentials import _BLOCK_ROWS, PotentialModel, REFERENCE_GRID
 from resolvent_lab.radial import (ResolventQuery, _band_buffers,
                                   _lanczos_sector_norm, _start_vector,
                                   _weighted_terms)
@@ -38,7 +38,7 @@ def exhaustive_seminorm(f, alpha, beta, grid):
     """The weighted Hölder quotient by the plain scan over every offset, the seminorm's oracle.
 
     Every grid pair within unit distance is evaluated, offset by offset in
-    the sorted grid, as holder_seminorm did before its block search.
+    the sorted grid, as holder_seminorm did before its bounded search.
     """
     r = np.sort(np.asarray(grid, dtype=float).ravel())
     v = np.asarray(f(r), dtype=float)
@@ -325,16 +325,23 @@ def holder_model():
     return rl.build_potential("holder_bump", {"c": 0.1, "alpha": 0.5, "freq": 2.0})
 
 
-@pytest.fixture(scope="session")
-def weak_holder_class_model():
-    """Smooth decaying potential viewed as a member of the alpha=1/2 class."""
+def weak_holder_class():
+    """Smooth decaying potential viewed as a member of the alpha=1/2 class.
+
+    It measures its constant through the module attribute, so a test can
+    record the call, as it does for the built-in builders.
+    """
 
     def v(r):
         return 0.05 * (np.asarray(r, dtype=float) + 1.0) ** (-3.0)
 
-    hc = holder_seminorm(v, 0.5, 4.0, REFERENCE_GRID) * 1.25
-    model = PotentialModel("weak_decay", v, v, alpha=0.5, beta=4.0,
-                           holder_const=hc)
+    hc = potentials.holder_seminorm(v, 0.5, 4.0, REFERENCE_GRID) * 1.25
+    return PotentialModel("weak_decay", v, v, alpha=0.5, beta=4.0, holder_const=hc)
+
+
+@pytest.fixture(scope="session")
+def weak_holder_class_model():
+    model = weak_holder_class()
     model.validate()
     return model
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import expit
@@ -23,7 +23,8 @@ from resolvent_lab.potentials import (_BLOCK_ROWS, MollifierKernel,
                                       barrier_well, holder_seminorm,
                                       map_on_pool, mollify, theta_for)
 
-from conftest import by_the_rule, exhaustive_seminorm, nan_on, two_pass_ratios
+from conftest import (by_the_rule, exhaustive_seminorm, nan_on, two_pass_ratios,
+                      weak_holder_class)
 
 
 def brute_force_seminorm(f, alpha, beta, grid):
@@ -120,8 +121,8 @@ def seminorm_function(kind, alpha, beta, cut):
 
     A ramp over a cluster of the grid has its largest quotient between the
     cluster's ends, often more than 32 places apart; (r+1)**(1-beta) has a
-    nearly flat weighted quotient at alpha = 1, where the bounds prune too
-    little.
+    nearly flat weighted quotient at alpha = 1, which the spread bound
+    cannot prune and the slope bound can.
     """
     return {
         "zero": lambda r: np.zeros_like(r),
@@ -144,12 +145,15 @@ def recorded_seminorm(monkeypatch, name, params):
         return value
 
     monkeypatch.setattr(potentials, "holder_seminorm", recording)
-    model = potentials.POTENTIAL_BUILDERS[name](**params)
+    model = MEASURED_MODELS[name](**params)
     monkeypatch.undo()
     [(args, value)] = calls
     return model, args, value
 
 
+# every model whose constant the lab measures: the built-ins, among them
+# holder_fast_sweep's holder_bump, and the audit's weak-decay model
+MEASURED_MODELS = {**potentials.POTENTIAL_BUILDERS, "weak_decay": weak_holder_class}
 BUILT_IN_MODELS = [
     ("zero", {}),
     ("power_law", {"c": 0.5, "delta": 0.5}),
@@ -159,11 +163,18 @@ BUILT_IN_MODELS = [
     ("holder_bump", {"c": 1.0, "alpha": 0.3, "freq": 2.0}),
     ("holder_bump", {"c": 1.0, "alpha": 0.5, "freq": 2.0}),
     ("holder_bump", {"c": 1.0, "alpha": 0.8, "freq": 2.0}),
+    ("holder_bump", {"c": 0.1, "alpha": 0.5, "freq": 2.0}),
+    ("weak_decay", {}),
 ]
 
 
+def _never(*args):
+    raise AssertionError("a search that must not run ran")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBlockSearch:
-    """holder_seminorm's block search returns the plain scan's maximum, float for float."""
+    """holder_seminorm's bounded search returns the plain scan's maximum, float for float."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(grid_centre=seminorm_grids(),
@@ -176,11 +187,31 @@ class TestBlockSearch:
         f = seminorm_function(kind, alpha, beta, centre)
         assert holder_seminorm(f, alpha, beta, grid) == exhaustive_seminorm(f, alpha, beta, grid)
 
-    def test_window_extrema_slide_over_32_values(self):
-        x = np.random.default_rng(3).standard_normal(200)
-        for op, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
-            assert potentials._window_extrema(x, op).tolist() == [
-                reduce(x[p:p + 32]) for p in range(x.size - 31)]
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(grid_centre=seminorm_grids(),
+           alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+           beta=st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
+           kind=st.sampled_from(["zero", "constant", "smooth", "cusp", "step", "ramp",
+                                 "power"]),
+           cell=st.integers(2, 4))
+    # a straight line at alpha = 1/2 has its largest quotient at the largest
+    # distance: pairs exactly 1 apart, in cells whose least distance is 1,
+    # and the one pair (1, 33) 1 apart, in a cell that spans points 0 .. 34
+    @example(grid_centre=(np.arange(0.0, 3.0, 1.0 / 32.0), 0.0), alpha=0.5, beta=0.0,
+             kind="power", cell=2)
+    @example(grid_centre=(np.concatenate([[0.0, 0.25], np.linspace(0.3, 1.25, 32)]), 0.0),
+             alpha=0.5, beta=0.0, kind="power", cell=2)
+    def test_equals_the_plain_scan_in_small_cells(self, grid_centre, alpha, beta, kind, cell):
+        # a cell of a few rows by as many offsets makes many cells of each
+        # grid, its first 500 points, and its corner pair a large share of
+        # its pairs, so that a bound off by one row, offset or point shows
+        grid, centre = grid_centre
+        grid = grid[:500]
+        f = seminorm_function(kind, alpha, beta, centre)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(potentials, "_CELL", cell)
+            assert holder_seminorm(f, alpha, beta, grid) == exhaustive_seminorm(
+                f, alpha, beta, grid)
 
     @pytest.mark.parametrize("name,params", BUILT_IN_MODELS)
     def test_every_built_in_constant_is_the_plain_scans(self, monkeypatch, name, params):
@@ -189,8 +220,14 @@ class TestBlockSearch:
         assert model.holder_const == 1.25 * exhaustive_seminorm(*args)
 
     @pytest.mark.parametrize("name,params", BUILT_IN_MODELS)
+    def test_no_built_in_constant_needs_the_plain_scan(self, monkeypatch, name, params):
+        _, args, value = recorded_seminorm(monkeypatch, name, params)
+        monkeypatch.setattr(potentials, "_scan", _never)
+        assert holder_seminorm(*args) == value
+
+    @pytest.mark.parametrize("name,params", BUILT_IN_MODELS)
     def test_memory_on_a_built_in_grid(self, monkeypatch, name, params):
-        # the plain scan peaked at 450-560 kB on these grids, the search at 1.7 MB
+        # the plain scan peaked at 450-560 kB on these grids, the search at 0.56-1.12 MB
         _, args, _ = recorded_seminorm(monkeypatch, name, params)
         tracemalloc.start()
         try:
@@ -208,12 +245,9 @@ class TestBlockSearch:
         (np.cos, np.concatenate([[1e-310], np.linspace(0.0, 2.0, 300)]), 1.0),
     ])
     def test_the_plain_scan_runs_where_bounds_do_not_hold(self, monkeypatch, f, grid, beta):
-        def never(*args):
-            raise AssertionError("the block search ran")
-
         with np.errstate(over="ignore"):
             expected = exhaustive_seminorm(f, 0.5, beta, grid)
-            monkeypatch.setattr(potentials, "_block_search", never)
+            monkeypatch.setattr(potentials, "_cell_search", _never)
             assert holder_seminorm(f, 0.5, beta, grid) == expected
 
 

@@ -194,6 +194,11 @@ class TestDomain:
         (dict(d=3.5), "d must be an integer"),
         (dict(E=math.inf), "E must be positive and finite"),
         (dict(s=math.inf), "s must be finite"),
+        # a bool is not a number, though True == 1 lies in each range
+        (dict(E=True), "E must be a number, got True"),
+        (dict(h=True), "h must be a number, got True"),
+        (dict(s=True), "s must be a number, got True"),
+        (dict(h="0.5"), "h must be a number, got '0.5'"),
     ])
     def test_query_and_config_share_one_parameter_domain(self, zero_model, change,
                                                          message):
@@ -209,6 +214,7 @@ class TestDomain:
         (math.nan, 1, r"eps must lie in \(0, 1\], got nan"),
         (0.1, 0, "sign must be"),
         (0.1, 2, "sign must be"),
+        (True, 1, "eps must be a number, got True"),
     ])
     def test_query_needs_eps_in_the_unit_interval_and_a_sign(self, zero_model,
                                                              eps, sign, message):
@@ -216,7 +222,7 @@ class TestDomain:
             ResolventQuery(h=0.5, eps=eps, sign=sign, s=0.6, potential=zero_model)
 
     @pytest.mark.parametrize("d,r_min", [(3, -1.0), (3, math.nan), (3, math.inf),
-                                         (2, 0.0)])
+                                         (2, 0.0), (3, True)])
     def test_every_radial_range_takes_one_inner_radius_rule(self, zero_model, d,
                                                            r_min):
         query = ResolventQuery(d=d, E=1.0, h=0.5, eps=0.1, sign=1, s=0.6,
@@ -267,6 +273,24 @@ class TestDomain:
     def test_grid_values_reject_non_finite_and_ill_typed_fields(self, cls, kwargs,
                                                                 field):
         with pytest.raises(InvalidInputError, match=f"^{field} must"):
+            cls(**kwargs)
+
+    # True == 1 lies in each range, and UniformGridSpec(dr=True, r_max=5.0)
+    # once gave the points [1, 2, 3]
+    @pytest.mark.parametrize("cls,kwargs,field", [
+        (UniformGridSpec, dict(dr=True, r_max=5.0), "dr"),
+        (UniformGridSpec, dict(dr=0.05, r_max=True), "r_max"),
+        (UniformGridSpec, dict(dr=0.05, r_max=18.0, r_min=True), "r_min"),
+        (UniformGridSpec, dict(dr=0.05, r_max=18.0, tail_tol=True), "tail_tol"),
+        (GridPolicy, dict(r_min=True), "r_min"),
+        (GridPolicy, dict(r_min=np.True_), "r_min"),
+        (GridPolicy, dict(tail_tol=True), "tail_tol"),
+        (GridPolicy, dict(r_max_floor=True), "r_max_floor"),
+        (GridPolicy, dict(dr_factor=True), "dr_factor"),
+    ])
+    def test_grid_values_reject_a_bool_as_a_number(self, cls, kwargs, field):
+        with pytest.raises(InvalidInputError,
+                           match=rf"^{field} must be a number, got (np\.)?True_?$"):
             cls(**kwargs)
 
     @pytest.mark.parametrize("r_min,r_max", [(0.0, 0.15), (1.0, 1.1), (0.0, -5.0)])
