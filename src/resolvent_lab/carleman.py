@@ -46,11 +46,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (EvaluationError, InvalidConfigError, InvalidInputError,
-                     SearchExhaustedError, SingularPointError, require_finite)
+from .errors import (DIMENSION, ENERGY, EvaluationError, InvalidConfigError,
+                     InvalidInputError, SearchExhaustedError, SingularPointError,
+                     _check_at_least, _check_domain, _check_integer,
+                     _check_positive, _check_real, _inner_radius, require_finite)
 from .potentials import bump_kernel, theta_for
-from .radial import (DIMENSION, ENERGY, _check_domain, _check_integer,
-                     _inner_radius)
 
 LIPSCHITZ = "lipschitz"
 HOLDER = "holder"
@@ -102,10 +102,16 @@ class CarlemanConfig:
             raise InvalidConfigError(
                 f"regularity must be '{LIPSCHITZ}' or '{HOLDER}', got {self.regularity!r}")
         _check_domain(InvalidConfigError, self.d, self.E, self.h, self.s)
-        if not self.tau0 > 0:
-            raise InvalidConfigError(f"tau0 must be positive, got {self.tau0}")
-        if self.regularity == LIPSCHITZ and not self.beta > 1.0:
-            raise InvalidConfigError(f"Lipschitz regime needs beta > 1, got {self.beta}")
+        _check_positive("tau0", self.tau0, InvalidConfigError)
+        _check_real("beta", self.beta, InvalidConfigError)
+        _check_real("k", self.k, InvalidConfigError)
+        if self.alpha is not None:  # the Lipschitz regime reads no alpha
+            _check_real("alpha", self.alpha, InvalidConfigError)
+        if self.ell is not None:  # None takes min_ell
+            _check_positive("ell", self.ell, InvalidConfigError)
+        if self.regularity == LIPSCHITZ and not 1.0 < self.beta < math.inf:
+            raise InvalidConfigError(
+                f"Lipschitz regime needs beta > 1 and finite, got {self.beta}")
         if self.regularity == HOLDER and (self.alpha is None
                                           or not 0.0 < self.alpha < 1.0):
             raise InvalidConfigError(
@@ -113,7 +119,7 @@ class CarlemanConfig:
         beta, k, k0, _ = _regime_constants(self.regularity, self.beta, self.k)
         if k0 is None:
             raise InvalidConfigError(f"Hölder regime allows k in {{1, 1/2}}, got {self.k}")
-        if self.beta != beta or abs(self.k - k) > 1e-12:
+        if self.beta != beta or not abs(self.k - k) <= 1e-12:
             raise InvalidConfigError(
                 f"{self.regularity} regime fixes (beta, k) = ({beta:g}, {k:.6g}), "
                 f"got ({self.beta}, {self.k})")
@@ -141,6 +147,7 @@ class CarlemanConfig:
 
     @classmethod
     def lipschitz(cls, beta, s, tau0, ell=None, *, h, E=ENERGY, d=DIMENSION):
+        _check_real("beta", beta, InvalidConfigError)  # before k is formed from it
         beta, k, _, _ = _regime_constants(LIPSCHITZ, beta, None)
         return cls(LIPSCHITZ, beta, None, k, s, tau0, ell, E, h, d)
 
@@ -314,10 +321,7 @@ class GridSpec:
         if self.points_per_decade < 200:
             raise InvalidInputError(
                 f"grid too sparse: need >= 200 points per decade, got {self.points_per_decade}")
-        if not 10.0 <= self.span_factor < math.inf:
-            raise InvalidInputError(
-                f"span_factor must be finite and at least 10, for the grid span to "
-                f"reach 10a; got {self.span_factor}")
+        _check_at_least("span_factor", self.span_factor, 10.0)  # the grid reaches 10a
 
 
 def certification_grid(spec, a, r_min=0.0):
@@ -406,7 +410,7 @@ class Certificate:
 def certify(config, envelope_p, C, grid_spec=None, r_min=None):
     """Verify every margin family on a dense grid and return the record.
 
-    ``r_min`` is checked and defaulted by radial._inner_radius: 0, or 1 in
+    ``r_min`` is checked and defaulted by errors._inner_radius: 0, or 1 in
     dimension two, where the two-dimensional family is certified on
     r >= r_min > 0 only.  ``constants["mollifier"]`` is None, for a caller
     to fill in.
@@ -414,8 +418,7 @@ def certify(config, envelope_p, C, grid_spec=None, r_min=None):
     if grid_spec is None:
         grid_spec = GridSpec()
     r_min = _inner_radius(config.d, r_min)
-    if not 0 < C < math.inf:
-        raise InvalidInputError(f"audit constant C must be positive and finite, got {C}")
+    _check_positive("audit constant C", C)
     grid = certification_grid(grid_spec, config.a, r_min)
     audit = audit_at(grid, config, envelope_p)
     mu, mup, A = audit.mu, audit.mup, audit.A
@@ -457,9 +460,7 @@ def search_tau0(config_template, envelope_p, C=C_FLOOR, grid_spec=None,
     no tau0 <= tau0_max is admissible; the search also ends there when a
     larger tau0 would overflow the cutoff radius a.
     """
-    if not TAU0_START <= tau0_max < math.inf:
-        raise InvalidInputError(
-            f"tau0_max must be finite and at least {TAU0_START:g}, got {tau0_max}")
+    _check_at_least("tau0_max", tau0_max, TAU0_START)
     history = []
     tau0 = TAU0_START
     last = None

@@ -38,7 +38,8 @@ from .carleman import (HOLDER, LIPSCHITZ, TAU0_START, CarlemanConfig,
                        Certificate, GridSpec, recommended_audit_constant,
                        search_tau0, search_tau0_with_fallback)
 from .errors import (AccuracyError, EvaluationError, InvalidInputError,
-                     ResolventLabError, SearchExhaustedError)
+                     ResolventLabError, SearchExhaustedError, _check_integer,
+                     _check_positive)
 from .potentials import bump_kernel, build_potential, mollify
 from .radial import SEED, ResolventQuery
 from .scaling import LINF, GridPolicy, fit_models, omega_map, psi_map, sweep
@@ -398,10 +399,8 @@ def _cmd_mollify(block, out_dir):
     model = _build_model(block, **_given(block, ("alpha",)))
     thetas = block["thetas"]
     points, r_max = block.get("points", 4001), block.get("r_max", 10.0)
-    if points < 1:
-        raise InvalidInputError(f"mollify.points must be positive, got {points}")
-    if not r_max > 0:
-        raise InvalidInputError(f"mollify.r_max must be positive, got {r_max}")
+    _check_integer("mollify.points", points, 1)
+    _check_positive("mollify.r_max", r_max)
     kernel = bump_kernel()
     r = np.linspace(0.0, r_max, points)
     lines = ["theta\terror_ratio\tderiv_ratio"]

@@ -41,7 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, InvalidInputError, require_finite
+from .errors import (AccuracyError, InvalidInputError, _check_at_least,
+                     _check_interval, _check_real, require_finite)
 
 Array = np.ndarray
 
@@ -272,10 +273,8 @@ def holder_seminorm(f, alpha, beta, grid):
         raise InvalidInputError("holder_seminorm needs at least two grid points")
     if np.any(r < 0):
         raise InvalidInputError("grid points must be nonnegative")
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInputError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0.0 <= beta < math.inf:
-        raise InvalidInputError(f"beta must be finite and nonnegative, got {beta}")
+    _check_interval("alpha", alpha, 1.0)
+    _check_at_least("beta", beta, 0.0)
     r = np.sort(r)
     v = np.asarray(f(r), dtype=float)
     require_finite("potential evaluation is", v, r)
@@ -531,8 +530,7 @@ def mollify(base, kernel, theta):
     so the check trips only when the potential behaves worse than declared.
     An envelope or a gap that is not finite raises EvaluationError.
     """
-    if not 0.0 < theta < 1.0:
-        raise InvalidInputError(f"theta must lie in (0, 1), got {theta}")
+    _check_interval("theta", theta, 1.0, closed=False)
     mp = MollifiedPotential(base, kernel, theta)
     probe = np.linspace(0.0, 8.0, 257)
     x, w = _GL_NODES[128]
@@ -558,17 +556,22 @@ def mollify(base, kernel, theta):
 
 def theta_for(h, alpha):
     """Smoothing width h**(2/(alpha+3)) tied to the semiclassical parameter."""
-    if not 0.0 < h <= 1.0:
-        raise InvalidInputError(f"h must lie in (0, 1], got {h}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(
-            f"alpha must lie in (0, 1) for the smoothing path, got {alpha}")
+    _check_interval("h", h, 1.0)
+    _check_interval("alpha", alpha, 1.0, closed=False)
     return h ** (2.0 / (alpha + 3.0))
 
 
 # ---------------------------------------------------------------------------
 # Built-in family
 # ---------------------------------------------------------------------------
+
+def _check_finite(model, **params):
+    """Require a finite real number for each named parameter of a builder."""
+    for name, value in params.items():
+        _check_real(name, value)
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{model} needs a finite {name}, got {value}")
+
 
 def _measured_model(name, v, p, alpha, beta, grid):
     """The model with holder_const 1.25 times V's seminorm measured on ``grid``.
@@ -596,6 +599,7 @@ def zero_potential():
 
 def power_law(c=0.5, delta=1.0):
     """V(r) = c (r+1)**(-delta); its own exact envelope, Lipschitz in r."""
+    _check_finite("power_law", c=c, delta=delta)
     if c <= 0 or delta <= 0:
         raise InvalidInputError("power_law needs c > 0 and delta > 0")
 
@@ -607,8 +611,9 @@ def power_law(c=0.5, delta=1.0):
 
 def holder_bump(c=1.0, alpha=0.5, freq=1.0):
     """V(r) = c (r+1)**(-4) |cos(freq r)|**alpha, genuinely alpha-Hölder."""
+    _check_finite("holder_bump", c=c, alpha=alpha, freq=freq)
     if not 0.0 < alpha < 1.0:
-        raise InvalidInputError("holder_bump needs alpha in (0, 1)")
+        raise InvalidInputError(f"holder_bump needs alpha in (0, 1), got {alpha}")
     if c <= 0 or freq <= 0:
         raise InvalidInputError("holder_bump needs c > 0 and freq > 0")
 
@@ -636,6 +641,8 @@ def _logistic(x):
 
 def barrier_well(height=2.5, r_well=2.0, r_barrier=5.0, smoothness=0.5):
     """A smooth plateau barrier on [r_well, r_barrier] enclosing an inner well."""
+    _check_finite("barrier_well", height=height, r_well=r_well, r_barrier=r_barrier,
+                  smoothness=smoothness)
     if height <= 0 or smoothness <= 0 or not 0 < r_well < r_barrier:
         raise InvalidInputError(
             "barrier_well needs height, smoothness > 0 and 0 < r_well < r_barrier")
@@ -676,7 +683,8 @@ def build_potential(name="zero", params=None):
     if unknown:
         raise InvalidInputError(
             f"unknown parameters for {name}: {', '.join(sorted(unknown))}")
-    key = (name, tuple(sorted((params or {}).items())))
+    # the type keeps True, which equals 1 and hashes like it, off a cached model
+    key = (name, tuple(sorted((k, type(v), v) for k, v in (params or {}).items())))
     if key not in _MODEL_CACHE:
         _MODEL_CACHE[key] = POTENTIAL_BUILDERS[name](**(params or {}))
     return _MODEL_CACHE[key]

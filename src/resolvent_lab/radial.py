@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,19 +34,14 @@ import scipy.linalg as sla
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dstebz, dstein, zgttrf, zgttrs
 
-from .errors import (AccuracyError, EvaluationError, InvalidInputError,
-                     SingularMatrixError, require_finite)
+from .errors import (DIMENSION, ENERGY, AccuracyError, EvaluationError,
+                     InvalidInputError, SingularMatrixError, _check_at_least,
+                     _check_domain, _check_integer, _check_interval,
+                     _check_positive, _check_real, _inner_radius, require_finite)
 from .potentials import THREADS, PotentialModel, map_on_pool
 
 LANCZOS_STEP_CAP = 1_000
 RESIDUAL_TOL = 1e-6
-# the space dimension and the energy when none is given, here and in the
-# Carleman certificate a sweep is checked against
-DIMENSION = 3
-ENERGY = 1.0
-# the left end of the radial range in dimension two when none is given: the
-# exterior domain r >= 1 on which the two-dimensional estimates hold
-R_MIN_D2 = 1.0
 # the Lanczos start-vector seed when none is given
 SEED = 2024
 # the assembly rule: the radial step dr is at most h / STEPS_PER_H
@@ -71,65 +65,9 @@ class ResolventQuery:
 
     def __post_init__(self):
         _check_domain(InvalidInputError, self.d, self.E, self.h, self.s)
-        _check_real("eps", self.eps)
-        if not 0.0 < self.eps <= 1.0:
-            raise InvalidInputError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.sign not in (1, -1):
+        _check_interval("eps", self.eps, 1.0)
+        if isinstance(self.sign, bool) or self.sign not in (1, -1):
             raise InvalidInputError(f"sign must be +1 or -1, got {self.sign}")
-
-
-def _check_domain(error, d, E, h, s):
-    """Raise ``error`` unless (d, E, h, s) lies in the paper's parameter domain.
-
-    d is an integer >= 2, E > 0 and s > 1/2 are finite, and h lies in (0, 1].
-    """
-    _check_integer("d", d, 2, error)
-    for name, value in (("E", E), ("h", h), ("s", s)):
-        _check_real(name, value, error)
-    if not 0.0 < E < math.inf:
-        raise error(f"E must be positive and finite, got {E}")
-    if not 0.0 < h <= 1.0:
-        raise error(f"h must lie in (0, 1], got {h}")
-    if not s > 0.5:
-        raise error(f"s below lower bound 1/2 (got {s})")
-    if s == math.inf:
-        raise error("s must be finite, got inf")
-
-
-def _check_integer(name, value, least, error=InvalidInputError):
-    """Require a non-bool integer (numpy integers included) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise error(f"{name} must be at least {least}, got {value}")
-
-
-def _check_real(name, value, error=InvalidInputError):
-    """Require a real number that is not a bool (numpy reals included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a number, got {value!r}")
-
-
-def _check_positive(name, value):
-    """Require a positive finite number."""
-    _check_real(name, value)
-    if not 0.0 < value < math.inf:
-        raise InvalidInputError(f"{name} must be positive and finite, got {value}")
-
-
-def _inner_radius(d, r_min):
-    """The left end of the radial range: ``r_min``, a finite number >= 0, > 0 when d = 2.
-
-    None gives 0, or R_MIN_D2 in dimension two; d = None skips the d = 2 rule.
-    """
-    if r_min is None:
-        return R_MIN_D2 if d == 2 else 0.0
-    _check_real("r_min", r_min)
-    if not 0.0 <= r_min < math.inf:
-        raise InvalidInputError(f"r_min must be finite and nonnegative, got {r_min}")
-    if d == 2 and r_min == 0:
-        raise InvalidInputError("dimension two requires r_min > 0")
-    return r_min
 
 
 @dataclass(frozen=True)
@@ -167,8 +105,7 @@ class UniformGridSpec:
         _check_positive("tail_tol", self.tail_tol)
         # None, the default GridPolicy and certify take, has no meaning here;
         # the dimension-two rule waits for the query that uses the grid
-        _check_real("r_min", self.r_min)
-        _inner_radius(None, self.r_min)
+        _check_at_least("r_min", self.r_min, 0.0)
         _check_real("r_max", self.r_max)
         # a finite span either way, whose points fit one numpy array: at most
         # intp's largest value in bytes, 8 a point

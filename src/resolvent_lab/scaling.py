@@ -29,11 +29,12 @@ from typing import Optional
 import numpy as np
 
 from .carleman import HOLDER, LIPSCHITZ, Certificate, build_phase
-from .errors import AccuracyError, InvalidInputError, ResolventLabError
+from .errors import (AccuracyError, InvalidInputError, ResolventLabError,
+                     _check_at_least, _check_integer, _check_interval,
+                     _check_positive, _check_real, _inner_radius)
 from .potentials import REFERENCE_GRID
 from .radial import (SEED, STEPS_PER_H, TAIL_TOL, THREADS, AngularSector,
-                     UniformGridSpec, _check_integer, _check_positive,
-                     _check_real, _inner_radius, weighted_resolvent_norm)
+                     UniformGridSpec, weighted_resolvent_norm)
 
 # the class the fits and maps know besides the two weight regimes
 LINF = "linfty"
@@ -55,8 +56,8 @@ def _growth_law(kind, alpha):
     if kind == LIPSCHITZ:
         return 1.0, 1.0, False
     if kind == HOLDER:
-        if alpha is None or not 0.0 < alpha < 1.0:
-            raise InvalidInputError("holder class needs alpha in (0, 1)")
+        if alpha is None or not 0.0 < _check_real("alpha", alpha) < 1.0:
+            raise InvalidInputError(f"holder class needs alpha in (0, 1), got {alpha}")
         return 4.0, alpha + 3.0, True
     if kind == LINF:
         return 4.0, 3.0, True
@@ -165,9 +166,9 @@ def bound_from_certificate(certificate, h_values):
     """Evaluate the composed bound at each h; requires a passing certificate."""
     if not certificate.passed:
         raise InvalidInputError("bound composition needs a passing certificate")
-    hs = tuple(float(h) for h in h_values)
+    hs = tuple(float(_check_real(f"h_values[{i}]", h)) for i, h in enumerate(h_values))
     if not hs or any(not 0.0 < h <= 1.0 for h in hs):
-        raise InvalidInputError("h values must lie in (0, 1] and be nonempty")
+        raise InvalidInputError(f"h_values must lie in (0, 1] and be nonempty, got {hs!r}")
     bound = CertifiedBound(certificate=certificate, h_values=hs)
     if not all(math.isfinite(v) for v in bound.g_values):
         raise InvalidInputError("composed bound is not finite on the sweep")
@@ -202,17 +203,10 @@ class GridPolicy:
 
     def __post_init__(self):
         _check_positive("tail_tol", self.tail_tol)
-        _check_real("dr_factor", self.dr_factor)
-        if not 0.0 < self.dr_factor <= 1.0 / STEPS_PER_H:
-            raise InvalidInputError(
-                f"dr_factor must lie in (0, 1/{STEPS_PER_H:g}], got {self.dr_factor}")
+        _check_interval("dr_factor", self.dr_factor, 1.0 / STEPS_PER_H)
         _check_integer("l_max", self.l_max, 0)
-        _check_real("r_max_floor", self.r_max_floor)
-        if not 0.0 <= self.r_max_floor < math.inf:
-            raise InvalidInputError(
-                f"r_max_floor must be finite and nonnegative, got {self.r_max_floor}")
-        if self.r_min is not None:  # the dimension-two rule waits for a query
-            _inner_radius(None, self.r_min)
+        _check_at_least("r_max_floor", self.r_max_floor, 0.0)
+        _inner_radius(None, self.r_min)  # the dimension-two rule waits for a query
 
     def _floor(self, query):
         """max(4 r_turn(l_max), r_max_floor): past it every sector is classically allowed."""
@@ -222,7 +216,7 @@ class GridPolicy:
     def _grid(self, query, r_max):
         """The grid on (r_min, r_max].
 
-        ``r_min`` is defaulted, and checked against d, by radial._inner_radius,
+        ``r_min`` is defaulted, and checked against d, by errors._inner_radius,
         whose error carries no note.  UniformGridSpec's error, here about
         r_max alone, names what sets grid_for's radius; _short turns either
         error into None.
@@ -396,15 +390,15 @@ def sweep(query_template, h_values, eps_values=(1e-2,), grid_policy=None,
     _check_integer("threads", threads, 1)
     _check_integer("seed", seed, 0)
     signs = tuple(signs)
-    hs = [float(h) for h in h_values]
+    hs = [float(_check_real(f"h_values[{i}]", h)) for i, h in enumerate(h_values)]
+    eps_list = [float(_check_real(f"eps_values[{i}]", e)) for i, e in enumerate(eps_values)]
     if not hs:
         raise InvalidInputError("h_values must not be empty")
     if any(a <= b for a, b in zip(hs, hs[1:])):
         raise InvalidInputError(f"h_values must be strictly descending, got {hs!r}")
-    eps_list = [float(e) for e in eps_values]
     if not eps_list:
         raise InvalidInputError("eps_values must not be empty")
-    if not signs or any(sign not in (1, -1) for sign in signs):
+    if not signs or any(isinstance(sign, bool) or sign not in (1, -1) for sign in signs):
         raise InvalidInputError(
             f"signs must be a nonempty list of +1 and -1, got {signs!r}")
     for key, values in (("eps_values", eps_list), ("signs", signs)):
@@ -476,8 +470,7 @@ def psi_map(regularity_class, lambda_values, lambda0=1.0, alpha=None):
     """
     num, den, has_log = _growth_law(regularity_class, alpha)
     lam = np.atleast_1d(np.asarray(lambda_values, dtype=float))
-    if not lambda0 > 0:
-        raise InvalidInputError("lambda0 must be positive")
+    _check_positive("lambda0", lambda0)
     bad = lam[~(np.isfinite(lam) & (lam >= lambda0))]
     if bad.size:
         raise InvalidInputError(
@@ -489,6 +482,8 @@ def psi_map(regularity_class, lambda_values, lambda0=1.0, alpha=None):
 def omega_map(regularity_class, t_values, alpha=None, radial=False):
     """Local energy decay rates omega(t); radial variants drop the loglog."""
     num, den, has_log = _growth_law(regularity_class, alpha)
+    if not isinstance(radial, bool):
+        raise InvalidInputError(f"radial must be True or False, got {radial!r}")
     t = np.atleast_1d(np.asarray(t_values, dtype=float))
     bad = t[~(np.isfinite(t) & (t > math.e ** math.e))]
     if bad.size:

@@ -670,7 +670,7 @@ def _without(block, key):
      "mollify.thetas must be a nonempty list of numbers"),
     ("convert", {"convert": dict(CONVERT_BLOCK, values=[])},
      "convert.values must be a nonempty list of numbers"),
-    # dimension two has no r_min = 0 (radial._inner_radius)
+    # dimension two has no r_min = 0 (errors._inner_radius)
     ("sweep", {"sweep": sweep_block(d=2, r_min=0)}, "r_min"),
     # an empty list is a type error at load, whichever command runs
     ("certify", {"certify": certify_block(), "mollify": {"thetas": []}},

@@ -215,6 +215,7 @@ class TestDomain:
         (0.1, 0, "sign must be"),
         (0.1, 2, "sign must be"),
         (True, 1, "eps must be a number, got True"),
+        (0.1, True, "sign must be"),
     ])
     def test_query_needs_eps_in_the_unit_interval_and_a_sign(self, zero_model,
                                                              eps, sign, message):

@@ -233,7 +233,7 @@ class TestSweep:
             sweep(template, h_values, eps_values, cheap_policy())
         assert calls == []
 
-    @pytest.mark.parametrize("signs", [(), (1, 0)])
+    @pytest.mark.parametrize("signs", [(), (1, 0), (True,)])
     def test_signs_other_than_plus_minus_one_rejected(self, zero_model, signs):
         template = ResolventQuery(d=3, E=1.0, h=1.0, eps=1.0, sign=1, s=0.6,
                                   potential=zero_model)
